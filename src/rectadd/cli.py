@@ -1,7 +1,8 @@
 """Command-line interface: `rectadd <command> [flags]`.
 
 Commands print one line per finding and exit 0 only when no finding is
-violated; `--json PATH` additionally writes the full report.
+violated, 1 when one is, and 2 when the input is refused or a report file
+cannot be written; `--json PATH` additionally writes the full report.
 """
 
 from __future__ import annotations
@@ -114,9 +115,11 @@ def _run(args: argparse.Namespace) -> harness.Report:
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exit 1 is reserved for a violated claim; refused input and files that
+    # cannot be written (--svg here, --json below) exit 2
     try:
         report = _run(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         parser.exit(2, f"rectadd {args.command}: {exc}\n")
     for f in report.findings:
         line = f"[{f.status}] {f.claim}"
@@ -130,7 +133,10 @@ def main(argv: "list[str] | None" = None) -> int:
                 line += ", ..."
         print(line)
     if getattr(args, "json", None):
-        harness.write_report_json(report, args.json)
+        try:
+            harness.write_report_json(report, args.json)
+        except OSError as exc:
+            parser.exit(2, f"rectadd {args.command}: {exc}\n")
         print(f"report written to {args.json}")
     return report.exit_status
 

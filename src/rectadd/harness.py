@@ -438,30 +438,25 @@ def write_decomposition_svg(d: Decomposition, path: str, width_px: float = 720.0
     Returns the number of square elements written.
     """
     r = d.original
-    w = float(r.width)
-    h = float(r.height)
-    scale = width_px / w
-    height_px = h * scale
+    # Coordinates are normalised by the width in the field before any float
+    # conversion, so huge or tiny rectangles still give floats in range.
+    inv_w = ONE / r.width
+
+    def px(length: QNum) -> float:
+        return float(length * inv_w) * width_px
+
+    height_px = px(r.height)
     margin = 8.0
 
-    smallest = min((float(s.side) for s in d.steps), default=w)
-    stroke = max(0.3, min(2.5, smallest * scale * 0.04))
-
-    x_off = float(r.x1)
-    y_top = float(r.y2)
-
-    def sx(q: QNum) -> float:
-        return (float(q) - x_off) * scale + margin
-
-    def sy(q: QNum) -> float:
-        return (y_top - float(q)) * scale + margin  # SVG y grows downward
+    smallest = min((px(s.side) for s in d.steps), default=width_px)
+    stroke = max(0.3, min(2.5, smallest * 0.04))
 
     def rect_el(rc: Rect, cls: str, style: str) -> str:
-        x = sx(rc.x1)
-        y = sy(rc.y2)
+        x = px(rc.x1 - r.x1) + margin
+        y = px(r.y2 - rc.y2) + margin  # SVG y grows downward
         return (
             f'  <rect class="{cls}" x="{x:.3f}" y="{y:.3f}" '
-            f'width="{float(rc.width) * scale:.3f}" height="{float(rc.height) * scale:.3f}" '
+            f'width="{px(rc.width):.3f}" height="{px(rc.height):.3f}" '
             f"{style}/>"
         )
 

@@ -1,18 +1,19 @@
 """Exact arithmetic over the quadratic field Q(sqrt2).
 
-Every value is a pair of arbitrary-precision rationals (a, b) denoting the
-real number a + b*sqrt(2).  The representation is unique, ordering is
-decidable by integer comparisons alone, and membership in Q (b == 0) is a
-trivial test.  No floating point is used in any decision; floats appear only
-as display/cross-check conveniences.
+Every value is a normalised triple of arbitrary-precision integers (A, B, D)
+denoting the real number (A + B*sqrt(2))/D, i.e. a + b*sqrt(2) with a = A/D
+and b = B/D.  The representation is unique, ordering is decidable by integer
+comparisons alone, and membership in Q (B == 0) is a trivial test.  No
+floating point is used in any decision; floats appear only as
+display/cross-check conveniences.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
-from functools import total_ordering
 
 __all__ = [
     "Fraction",
@@ -26,88 +27,145 @@ __all__ = [
 ]
 
 _SQRT2_FLOAT = math.sqrt(2.0)
+_HASH_MODULUS = sys.hash_info.modulus
 
 QLike = "QNum | Fraction | int"
 
 
-def _as_fraction(x) -> Fraction | None:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return None
+def _sign2(a: int, b: int) -> int:
+    """Exact sign of a + b*sqrt(2) for integers a, b.
+
+    When a and b disagree in sign, |a| vs |b|*sqrt(2) is settled by squaring:
+    a^2 = 2b^2 is impossible for nonzero integers, so the inequality is strict.
+    """
+    if a > 0:
+        return 1 if b >= 0 or a * a > 2 * b * b else -1
+    if a < 0:
+        return -1 if b <= 0 or a * a > 2 * b * b else 1
+    return (b > 0) - (b < 0)
 
 
-@total_ordering
+def _rational_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for d > 0, by Python's documented numeric hash,
+    which is defined on the value and so needs no gcd reduction of n/d."""
+    if d == 1:
+        return hash(n)
+    if d % _HASH_MODULUS == 0:
+        return hash(Fraction(n, d))  # the reduced denominator decides
+    h = abs(n) % _HASH_MODULUS * pow(d, -1, _HASH_MODULUS) % _HASH_MODULUS
+    if n < 0:
+        h = -h
+    return -2 if h == -1 else h
+
+
 class QNum:
-    """An element a + b*sqrt(2) of Q(sqrt2), stored as two exact rationals."""
+    """An element (A + B*sqrt(2))/D of Q(sqrt2), stored as three integers.
 
-    __slots__ = ("_a", "_b")
+    The triple is normalised, D > 0 and gcd(A, B, D) == 1, so equal values
+    have equal triples.  This is an integral vector over one common
+    denominator (Cohen, GTM 138, ch. 4); the rational parts a = A/D and
+    b = B/D are derived on demand.
+    """
+
+    __slots__ = ("_A", "_B", "_D", "_hash")
 
     def __init__(self, a: Fraction | int = 0, b: Fraction | int = 0) -> None:
-        fa = _as_fraction(a)
-        fb = _as_fraction(b)
-        if fa is None or fb is None:
+        if not (isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))):
             raise TypeError(f"QNum components must be int or Fraction, got {a!r}, {b!r}")
-        self._a = fa
-        self._b = fb
+        A, D = (int(a), 1) if isinstance(a, int) else (a.numerator, a.denominator)
+        if isinstance(b, int):
+            B = int(b) * D
+        else:
+            # with both parts in lowest terms, scaling to the lcm of their
+            # denominators leaves gcd(A, B, D) == 1
+            B, bd = b.numerator, b.denominator
+            if bd != D:
+                g = math.gcd(D, bd)
+                A *= bd // g
+                B *= D // g
+                D *= bd // g
+        self._A = A
+        self._B = B
+        self._D = D
+        self._hash = None
 
     @property
     def a(self) -> Fraction:
         """Rational part."""
-        return self._a
+        return Fraction(self._A, self._D)
 
     @property
     def b(self) -> Fraction:
         """Coefficient of sqrt(2)."""
-        return self._b
+        return Fraction(self._B, self._D)
 
     # -- basic protocol ----------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"QNum({self._a!r}, {self._b!r})"
+        return f"QNum({self.a!r}, {self.b!r})"
 
     def __str__(self) -> str:
         return self.literal()
 
     def __hash__(self) -> int:
-        # b == 0 values hash like their Fraction so QNum(3) and 3 can mix as keys
-        if self._b == 0:
-            return hash(self._a)
-        return hash((self._a, self._b))
+        h = self._hash
+        if h is None:
+            # b == 0 values hash like their Fraction so QNum(3) and 3 can mix
+            # as keys; other values hash like the pair (a, b).  Set iteration
+            # order, and so seeded draws over sets of corners, follow this.
+            B, D = self._B, self._D
+            if B == 0:
+                h = _rational_hash(self._A, D)
+            else:
+                h = hash((_rational_hash(self._A, D), _rational_hash(B, D)))
+            self._hash = h
+        return h
 
     def __bool__(self) -> bool:
-        return self._a != 0 or self._b != 0
+        return self._A != 0 or self._B != 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QNum):
-            return self._a == other._a and self._b == other._b
-        f = _as_fraction(other)
-        if f is None:
-            return NotImplemented
-        return self._b == 0 and self._a == f
+            return self._A == other._A and self._B == other._B and self._D == other._D
+        if isinstance(other, int):
+            return self._B == 0 and self._D == 1 and self._A == other
+        if isinstance(other, Fraction):
+            return self._B == 0 and self._A == other.numerator and self._D == other.denominator
+        return NotImplemented
 
     def __lt__(self, other) -> bool:
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
+        c = _cmp(self, other)
+        return NotImplemented if c is None else c < 0
+
+    def __le__(self, other) -> bool:
+        c = _cmp(self, other)
+        return NotImplemented if c is None else c <= 0
+
+    def __gt__(self, other) -> bool:
+        c = _cmp(self, other)
+        return NotImplemented if c is None else c > 0
+
+    def __ge__(self, other) -> bool:
+        c = _cmp(self, other)
+        return NotImplemented if c is None else c >= 0
 
     # -- field arithmetic --------------------------------------------------
 
     def __add__(self, other) -> "QNum":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return QNum(self._a + o._a, self._b + o._b)
+        if not isinstance(other, QNum):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return _add(self._A, self._B, self._D, other._A, other._B, other._D)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "QNum":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return QNum(self._a - o._a, self._b - o._b)
+        if not isinstance(other, QNum):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return _add(self._A, self._B, self._D, -other._A, -other._B, other._D)
 
     def __rsub__(self, other) -> "QNum":
         o = _coerce(other)
@@ -116,7 +174,7 @@ class QNum:
         return o - self
 
     def __neg__(self) -> "QNum":
-        return QNum(-self._a, -self._b)
+        return _new(-self._A, -self._B, self._D)
 
     def __pos__(self) -> "QNum":
         return self
@@ -125,29 +183,30 @@ class QNum:
         return -self if self.sign() < 0 else self
 
     def __mul__(self, other) -> "QNum":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        # (a + b*r)(c + d*r) = ac + 2bd + (ad + bc)*r, with r^2 = 2
-        return QNum(
-            self._a * o._a + 2 * self._b * o._b,
-            self._a * o._b + self._b * o._a,
-        )
+        if not isinstance(other, QNum):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        # (A + B*r)(C + E*r) = AC + 2BE + (AE + BC)*r, with r^2 = 2
+        A, B, C, E = self._A, self._B, other._A, other._B
+        return _new(A * C + 2 * B * E, A * E + B * C, self._D * other._D)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "QNum":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o:
+        if not isinstance(other, QNum):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        if not other:
             raise ZeroDivisionError("division by zero QNum")
-        # multiply by the conjugate c - d*r; the norm c^2 - 2d^2 is a nonzero rational
-        norm = o._a * o._a - 2 * o._b * o._b
-        return QNum(
-            (self._a * o._a - 2 * self._b * o._b) / norm,
-            (self._b * o._a - self._a * o._b) / norm,
-        )
+        # multiply by the conjugate C - E*r; the norm C^2 - 2E^2 is a nonzero integer
+        A, B, C, E = self._A, self._B, other._A, other._B
+        norm = C * C - 2 * E * E
+        if norm < 0:
+            norm, C, E = -norm, -C, -E
+        D = other._D
+        return _new((A * C - 2 * B * E) * D, (B * C - A * E) * D, self._D * norm)
 
     def __rtruediv__(self, other) -> "QNum":
         o = _coerce(other)
@@ -170,43 +229,25 @@ class QNum:
     # -- decisions ---------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(2), one of -1, 0, +1.
-
-        When a and b disagree in sign the comparison |a| vs |b|*sqrt(2) is
-        settled by squaring: a^2 = 2b^2 is impossible for nonzero rationals,
-        so the inequality is strict and decides the sign.
-        """
-        sa = _fsign(self._a)
-        sb = _fsign(self._b)
-        if sa == 0:
-            return sb
-        if sb == 0:
-            return sa
-        if sa == sb:
-            return sa
-        return sa if self._a * self._a > 2 * self._b * self._b else -sa
+        """Exact sign of the value, one of -1, 0, +1 (D > 0, so A + B*sqrt2 decides)."""
+        return _sign2(self._A, self._B)
 
     def is_rational(self) -> bool:
-        return self._b == 0
+        return self._B == 0
 
     def is_dyadic(self) -> bool:
         """True when the value is p / 2^n for integers p, n >= 0."""
-        if self._b != 0:
-            return False
-        den = self._a.denominator
-        return den & (den - 1) == 0
+        D = self._D
+        return self._B == 0 and D & (D - 1) == 0
 
     def __floor__(self) -> int:
         """Largest integer n with n <= self, computed without floating point.
 
-        Writes the value as (A + B*sqrt2)/C over a common denominator and
-        brackets B*sqrt2 between consecutive integers via an exact integer
+        Brackets B*sqrt2 between consecutive integers via an exact integer
         square root; the bracket is tight, so a single floor division of
         integers gives the answer (estimate-and-correct with correction 0).
         """
-        A = self._a.numerator * self._b.denominator
-        B = self._b.numerator * self._a.denominator
-        C = self._a.denominator * self._b.denominator
+        B = self._B
         if B == 0:
             f = 0
         elif B > 0:
@@ -214,22 +255,26 @@ class QNum:
         else:
             # B*sqrt2 is irrational, so floor = -(floor(|B|*sqrt2) + 1)
             f = -(math.isqrt(2 * B * B) + 1)
-        return (A + f) // C
+        return (self._A + f) // self._D
 
     def __ceil__(self) -> int:
         return -math.floor(-self)
 
     def __float__(self) -> float:
-        return float(self._a) + float(self._b) * _SQRT2_FLOAT
+        # int / int is correctly rounded, as Fraction.__float__ is, so this is
+        # float(a) + float(b) * sqrt2 bit for bit
+        D = self._D
+        return self._A / D + (self._B / D) * _SQRT2_FLOAT
 
     # -- rendering ---------------------------------------------------------
 
     def literal(self) -> str:
         """Exact textual form: `p/q`, or `p/q+r/s*sqrt2` / `p/q-r/s*sqrt2`."""
-        if self._b == 0:
-            return str(self._a)
-        sign = "+" if self._b > 0 else "-"
-        return f"{self._a}{sign}{abs(self._b)}*sqrt2"
+        B, D = self._B, self._D
+        if B == 0:
+            return _ratio(self._A, D)
+        sign = "+" if B > 0 else "-"
+        return f"{_ratio(self._A, D)}{sign}{_ratio(abs(B), D)}*sqrt2"
 
     def approximate(self, digits: int) -> str:
         """Decimal expansion truncated toward zero after `digits` places.
@@ -239,28 +284,84 @@ class QNum:
         """
         if digits < 1:
             raise ValueError("digits must be >= 1")
-        scaled = self * Fraction(10) ** digits
+        scaled = self * 10**digits
         neg = scaled.sign() < 0
         m = math.floor(abs(scaled))
         s = str(m).rjust(digits + 1, "0")
         return ("-" if neg else "") + s[:-digits] + "." + s[-digits:]
 
 
-def _fsign(f: Fraction) -> int:
-    if f > 0:
-        return 1
-    if f < 0:
-        return -1
-    return 0
+_alloc = object.__new__
+
+
+def _new(A: int, B: int, D: int) -> QNum:
+    """A QNum from any triple with D > 0, divided through by gcd(A, B, D)."""
+    if D != 1:
+        g = math.gcd(D, A, B)  # D first: usually the smallest, and gcd stops at 1
+        if g != 1:
+            A //= g
+            B //= g
+            D //= g
+    q = _alloc(QNum)
+    q._A = A
+    q._B = B
+    q._D = D
+    q._hash = None
+    return q
+
+
+def _add(A1: int, B1: int, D1: int, A2: int, B2: int, D2: int) -> QNum:
+    """(A1 + B1*r)/D1 + (A2 + B2*r)/D2 for normalised triples.
+
+    As for fractions (Knuth, TAOCP vol. 2, 4.5.1), any common factor of the
+    sum over lcm(D1, D2) divides g = gcd(D1, D2), so no gcd is needed when
+    g == 1 and the final one involves only g.
+    """
+    if D1 == D2:
+        return _new(A1 + A2, B1 + B2, D1)
+    g = math.gcd(D1, D2)
+    if g == 1:
+        A, B, D = A1 * D2 + A2 * D1, B1 * D2 + B2 * D1, D1 * D2
+    else:
+        s, t = D1 // g, D2 // g
+        A = A1 * t + A2 * s
+        B = B1 * t + B2 * s
+        g = math.gcd(g, A, B)
+        A, B, D = A // g, B // g, s * (D2 // g)
+    q = _alloc(QNum)
+    q._A = A
+    q._B = B
+    q._D = D
+    q._hash = None
+    return q
+
+
+def _cmp(x: QNum, other) -> int | None:
+    """Sign of x - other without building it, or None for a foreign type."""
+    if not isinstance(other, QNum):
+        other = _coerce(other)
+        if other is None:
+            return None
+    D1, D2 = x._D, other._D
+    if D1 == D2:
+        return _sign2(x._A - other._A, x._B - other._B)
+    return _sign2(x._A * D2 - other._A * D1, x._B * D2 - other._B * D1)
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, written as str(Fraction(n, d)) writes it."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _coerce(x) -> QNum | None:
     if isinstance(x, QNum):
         return x
-    f = _as_fraction(x)
-    if f is None:
-        return None
-    return QNum(f)
+    if isinstance(x, int):
+        return _new(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _new(x.numerator, 0, x.denominator)
+    return None
 
 
 def qnum(x) -> QNum:
@@ -276,8 +377,7 @@ ONE = QNum(1)
 SQRT2 = QNum(0, 1)
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-_PAIR_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)([+-]\d+(?:/\d+)?)\*sqrt2$")
+_LITERAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?(?:([+-]\d+)(?:/(\d+))?\*sqrt2)?")
 
 
 def parse_qnum(text: str) -> QNum:
@@ -287,13 +387,15 @@ def parse_qnum(text: str) -> QNum:
     shorthand (`3` for `3/1`) in either slot.  Decimal input is rejected on
     purpose; inputs must be exact.
     """
-    s = text.strip().replace(" ", "")
-    if _RATIONAL_RE.match(s):
-        return QNum(Fraction(s))
-    m = _PAIR_RE.match(s)
-    if m:
-        return QNum(Fraction(m.group(1)), Fraction(m.group(2)))
-    raise ValueError(f"not a QNum literal: {text!r}")
+    m = _LITERAL_RE.fullmatch(text.strip().replace(" ", ""))
+    if m is None:
+        raise ValueError(f"not a QNum literal: {text!r}")
+    p, q, r, s = m.groups()
+    q, s = int(q or 1), int(s or 1)
+    if q == 0 or s == 0:
+        raise ZeroDivisionError(f"zero denominator in QNum literal {text!r}")
+    # p/q + (r/s)*sqrt2 == (p*s + r*q*sqrt2) / (q*s)
+    return _new(int(p) * s, int(r or 0) * q, q * s)
 
 
 def iroot(n: int, k: int) -> int:

@@ -240,3 +240,31 @@ def test_cli_json_determinism(tmp_path):
     d1.pop("generated_at")
     d2.pop("generated_at")
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counterexample", "--samples", "20", "--json"],
+        ["decompose", "--rect", "[0,8]x[0,5]", "--json"],
+        ["decompose", "--rect", "[0,8]x[0,5]", "--svg"],
+    ],
+)
+def test_cli_unwritable_report_path_exits_2(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing" / "x.json")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [missing])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"rectadd {argv[0]}: ")
+    assert missing in err[0]
+
+
+def test_cli_svg_of_huge_rectangle(tmp_path):
+    # 10^400 overflows a float; the figure is normalised to the width first
+    big = "1" + "0" * 400
+    svg = tmp_path / "big.svg"
+    assert main(["decompose", "--rect", f"[0,{big}]x[0,{big}]", "--svg", str(svg)]) == 0
+    text = svg.read_text()
+    assert text.count('class="square"') == 1
+    assert 'x="8.000" y="8.000" width="720.000" height="720.000"' in text

@@ -167,6 +167,9 @@ def test_parse_rejects_inexact_or_garbage():
     for bad in ["1.5", "sqrt2", "", "1/0x", "1+sqrt2", "1/2+0.5*sqrt2", "two"]:
         with pytest.raises(ValueError):
             parse_qnum(bad)
+    for zero_denominator in ["1/0", "1+1/0*sqrt2"]:
+        with pytest.raises(ZeroDivisionError):
+            parse_qnum(zero_denominator)
 
 
 def test_qnum_coercion_and_hash():
