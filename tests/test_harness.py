@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rectadd.cli import main
-from rectadd.geometry import Rect, dyadic_inner_cover
+from rectadd.geometry import Rect, dyadic_inner_cover, parse_rect
 from rectadd.harness import (
     EVIDENCE,
     VERIFIED,
@@ -95,6 +96,31 @@ def test_svg_square_count_matches_decomposition(tmp_path):
         text = path.read_text()
         assert drawn == d.total_squares == text.count('class="square"')
         assert (d.remainder is not None) == ('class="remainder"' in text)
+
+
+@pytest.mark.parametrize(
+    "rect, max_steps, digest",
+    [
+        ("[0,8]x[0,5]", 20, "818e874d8b1b56d4bff519f042fc424d833227b05edd4b980064522843609add"),
+        # silver: two squares per step, truncated with a remainder
+        ("[0,1+1*sqrt2]x[0,1]", 12, "a9a02e0f92d8cfcc622ab5eb7d512c6fddadc64c5ecd350d007abf039cfed513"),
+        # horizontal rational strip: 1009 + 2 squares
+        ("[-5/2,334]x[1/4,7/12]", 20, "c5690df7c494ce5e80933ab758bab2e6348e5af7de95d01f17e5301a152504aa"),
+        # vertical strip in Q(sqrt2): 989 + 1 + 18 + ... squares, truncated
+        (
+            "[1/3,1/3+1/2*sqrt2]x[-7/4,2793/4]",
+            6,
+            "632fa78c71f4ddff38a44ccfce439d61e2c9c15dd9d6de342a1144c43ae7d1f5",
+        ),
+        # rational trace truncated with a remainder
+        ("[0,8]x[0,5]", 2, "0c678536b3f5cb1655174dd443ae1b05fa702da6e791b8f75d5beeb0ef491fd2"),
+    ],
+)
+def test_svg_bytes_pinned(tmp_path, rect, max_steps, digest):
+    # every coordinate keeps its {:.3f} digits whatever way the renderer walks the tiles
+    path = tmp_path / "d.svg"
+    write_decomposition_svg(decompose(parse_rect(rect), max_steps), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_inner_cover_sum_matches_enumeration():
