@@ -7,6 +7,11 @@ rectangle.  The per-step counts follow the continued fraction of the aspect
 ratio, the side trace at least halves every two steps, and summing any
 corner-difference function over the tiles telescopes back to its value on
 the original rectangle.
+
+A step is described, not materialised: its lower-left corner, side, count
+and packing axis determine every square, so `decompose` costs O(steps)
+whatever the packing counts.  Consumers that must visit every tile walk the
+square edges of a step by one addition each.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .geometry import Rect
-from .numeric import QNum
+from .numeric import QNum, ZERO
 from .rectfn import RectFunction
 
 __all__ = [
@@ -34,11 +39,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Step:
-    """Squares of one common side packed in a single pass."""
+    """`count` squares of side `side` packed in a single pass, the first with
+    its lower-left corner at (x, y), laid along x (`along_x`) or along y."""
 
+    x: QNum
+    y: QNum
     side: QNum
     count: int
-    squares: tuple[Rect, ...]
+    along_x: bool
+
+    def edges(self) -> list[QNum]:
+        """The count + 1 square boundaries along the packing axis, in
+        increasing order, each one addition from the previous."""
+        c = self.x if self.along_x else self.y
+        out = [c]
+        for _ in range(self.count):
+            c = c + self.side
+            out.append(c)
+        return out
+
+    @property
+    def squares(self) -> tuple[Rect, ...]:
+        """The packed squares, built on demand (one `Rect` per tile)."""
+        e = self.edges()
+        if self.along_x:
+            top = self.y + self.side
+            return tuple(Rect(lo, hi, self.y, top) for lo, hi in zip(e, e[1:]))
+        right = self.x + self.side
+        return tuple(Rect(self.x, right, lo, hi) for lo, hi in zip(e, e[1:]))
 
 
 @dataclass(frozen=True)
@@ -66,6 +94,7 @@ class Decomposition:
         return sum(s.count for s in self.steps)
 
     def all_squares(self) -> list[Rect]:
+        """Every packed square, step by step, built on demand."""
         return [sq for s in self.steps for sq in s.squares]
 
 
@@ -75,26 +104,18 @@ def greedy_step(r: Rect) -> tuple[Step, Optional[Rect]]:
     Squares are laid from the min-coordinate corner along the longer axis;
     when they fill r exactly (a square, or commensurable sides at this step)
     the remainder is None, otherwise it is the strip of the remaining length
-    at the max-coordinate end.
+    at the max-coordinate end.  No square is built.
     """
     w, h = r.width, r.height
     if w >= h:
         count = math.floor(w / h)
-        squares = tuple(
-            Rect(r.x1 + h * i, r.x1 + h * (i + 1), r.y1, r.y2)
-            for i in range(count)
-        )
         used = r.x1 + h * count
         rem = None if used == r.x2 else Rect(used, r.x2, r.y1, r.y2)
-        return Step(side=h, count=count, squares=squares), rem
+        return Step(r.x1, r.y1, h, count, along_x=True), rem
     count = math.floor(h / w)
-    squares = tuple(
-        Rect(r.x1, r.x2, r.y1 + w * i, r.y1 + w * (i + 1))
-        for i in range(count)
-    )
     used = r.y1 + w * count
     rem = None if used == r.y2 else Rect(r.x1, r.x2, used, r.y2)
-    return Step(side=w, count=count, squares=squares), rem
+    return Step(r.x1, r.y1, w, count, along_x=False), rem
 
 
 def decompose(r: Rect, max_steps: int) -> Decomposition:
@@ -165,13 +186,16 @@ def verify_halving(d: Decomposition) -> HalvingCertificate:
 def telescope(F: RectFunction, d: Decomposition) -> QNum:
     """Sum of F over all packed squares plus the remainder (when present).
 
-    For corner-difference F this equals F(original) exactly: shared-edge
-    corner terms cancel in pairs across the tiling.
+    Each step's squares are summed by `F.row_sum`: every corner point is
+    evaluated once and shared by the squares meeting at it, and one corner
+    difference per square is added to the total.  For corner-difference F
+    the sum equals F(original) exactly: shared-edge corner terms cancel in
+    pairs across the tiling.
     """
-    total = QNum(0)
+    total = ZERO
     for step in d.steps:
-        for sq in step.squares:
-            total = total + F.value(sq)
+        lo = step.y if step.along_x else step.x
+        total = total + F.row_sum(step.edges(), lo, lo + step.side, step.along_x)
     if d.remainder is not None:
         total = total + F.value(d.remainder)
     return total

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .geometry import Axis, Rect, split
 from .numeric import ONE, QNum, SQRT2, ZERO, iroot, parse_qnum, qnum
@@ -135,6 +135,26 @@ class RectFunction:
     def value(self, r: Rect) -> QNum:
         f = self.point_fn.value
         return f(r.x2, r.y2) + f(r.x1, r.y1) - f(r.x1, r.y2) - f(r.x2, r.y1)
+
+    def row_sum(self, edges: Sequence[QNum], lo: QNum, hi: QNum, along_x: bool) -> QNum:
+        """Sum of F over the adjacent rectangles between consecutive `edges`.
+
+        The rectangles span [lo, hi] across the row: [e_i, e_{i+1}] x [lo, hi]
+        when `along_x`, else [lo, hi] x [e_i, e_{i+1}].  Each corner point is
+        evaluated once and shared by the two rectangles meeting at it; the
+        value of rectangle i is the corner difference cut_{i+1} - cut_i,
+        where cut_i = f(., hi) - f(., lo) on edge i, and it is added to the
+        total one rectangle at a time.
+        """
+        f = self.point_fn.value
+        if along_x:
+            cuts = [f(e, hi) - f(e, lo) for e in edges]
+        else:
+            cuts = [f(hi, e) - f(lo, e) for e in edges]
+        total = ZERO
+        for i in range(1, len(cuts)):
+            total = total + (cuts[i] - cuts[i - 1])
+        return total
 
 
 def corner_difference(f: PointFunction) -> RectFunction:

@@ -81,8 +81,11 @@ def rand_split_params(rng: random.Random, r: Rect):
 
 
 def rand_table_function(rng: random.Random, points) -> RectFunction:
-    """Corner-difference function of a random finite table over `points`."""
-    table = {p: rand_qnum(rng) for p in points}
+    """Corner-difference function of a random finite table over `points`.
+
+    Values are drawn in sorted point order, so the cases a seed generates do
+    not depend on how the points hash."""
+    table = {p: rand_qnum(rng) for p in sorted(points)}
     return corner_difference(Table(table))
 
 

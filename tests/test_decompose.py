@@ -16,9 +16,15 @@ from rectadd.rectfn import (
     COUNTEREXAMPLE,
     Constant,
     PRODUCT,
+    Table,
     corner_difference,
 )
-from rectadd.suites import rand_rect, rand_table_function, _rect_corner_points
+from rectadd.suites import (
+    _decomposition_cases,
+    _rect_corner_points,
+    rand_rect,
+    rand_table_function,
+)
 
 F = Fraction
 
@@ -228,3 +234,27 @@ def test_square_counts_per_step_consistent():
             assert step.count == len(step.squares) >= 1
             for sq in step.squares:
                 assert sq.width == sq.height == step.side
+
+
+def _transpose(r):
+    return Rect(r.y1, r.y2, r.x1, r.x2)
+
+
+def test_shared_corner_telescope_matches_per_tile_values():
+    # Distinct random values at every corner, so a swapped or mis-paired
+    # corner in the row sum changes the total.
+    rng = random.Random(407)
+    for _, r0, d0 in _decomposition_cases(40, 17):
+        for r in (r0, _transpose(r0)):
+            d = decompose(r, len(d0.steps))
+            assert d.counts == d0.counts
+            tiles = d.all_squares() + ([d.remainder] if d.remainder is not None else [])
+            pts = sorted(_rect_corner_points(tiles))
+            values = {}  # distinct, in draw order
+            while len(values) < len(pts):
+                a = F(rng.randint(-10**6, 10**6), rng.randint(1, 97))
+                b = F(rng.randint(-10**6, 10**6), rng.randint(1, 97))
+                values[QNum(a, b)] = None
+            Ft = corner_difference(Table(dict(zip(pts, values))))
+            per_tile = sum((Ft.value(sq) for sq in tiles), ZERO)
+            assert telescope(Ft, d) == per_tile == Ft.value(r)

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from rectadd import harness
 from rectadd.cli import main
 from rectadd.geometry import Rect, dyadic_inner_cover, parse_rect
 from rectadd.harness import (
@@ -17,6 +19,7 @@ from rectadd.harness import (
     cmd_dyadic_approx,
     cmd_probe,
     cmd_proptest,
+    MAX_TILES,
     inner_cover_sum,
     report_to_dict,
     shrink_bound,
@@ -202,6 +205,14 @@ def test_cmd_proptest_all_suites_pass():
         assert rep.findings[0].status == VERIFIED
 
 
+def test_rand_table_function_ignores_point_order():
+    # the values a seed draws must not depend on how the point set iterates
+    pts = _rect_corner_points(decompose(rand_rect(random.Random(7)), 6).all_squares())
+    forward = rand_table_function(random.Random(3), pts)
+    backward = rand_table_function(random.Random(3), sorted(pts, reverse=True))
+    assert all(forward.point_fn.value(*p) == backward.point_fn.value(*p) for p in pts)
+
+
 def test_cmd_proptest_unknown_suite():
     with pytest.raises(ValueError):
         cmd_proptest(suite="bogus")
@@ -294,3 +305,43 @@ def test_cli_svg_of_huge_rectangle(tmp_path):
     text = svg.read_text()
     assert text.count('class="square"') == 1
     assert 'x="8.000" y="8.000" width="720.000" height="720.000"' in text
+
+
+def test_cmd_decompose_tiling_value_is_per_tile_area_sum():
+    rng = random.Random(506)
+    for i in range(30):
+        r = rand_rect(rng, i)
+        d = decompose(r, rng.randint(1, 24))
+        per_tile = sum((sq.area() for sq in d.all_squares()), ZERO)
+        if d.remainder is not None:
+            per_tile = per_tile + d.remainder.area()
+        rep = cmd_decompose(rect=r, max_steps=len(d.steps), function="product")
+        assert rep.findings[0].exact_values == (r.area().literal(), per_tile.literal())
+
+
+def test_cmd_decompose_tile_budget(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_TILES", 5)
+    assert cmd_decompose(rect="[0,5]x[0,1]", max_steps=1).exit_status == 0
+    with pytest.raises(ValueError, match="more than 5 squares"):
+        cmd_decompose(rect="[0,6]x[0,1]", max_steps=1)
+
+
+def test_cli_refuses_decomposition_over_tile_budget(tmp_path, capsys):
+    # 10^400 packed squares: refused before any square is enumerated
+    big = "1" + "0" * 400
+    t0 = time.perf_counter()
+    d = decompose(parse_rect(f"[0,{big}]x[0,1]"), 1)
+    assert d.total_squares == 10**400
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--rect", f"[0,{big}]x[0,1]", "--svg", str(tmp_path / "x.svg")])
+    assert time.perf_counter() - t0 < 1.0
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("rectadd decompose: ")
+    assert f"more than {MAX_TILES} squares" in err[0]
+    assert not (tmp_path / "x.svg").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--rect", f"[0,{MAX_TILES + 1}]x[0,1]", "--max-steps", "1"])
+    assert exc.value.code == 2
+    # the benchmark's stress row stays inside the budget
+    assert main(["decompose", "--rect", "[0,5000]x[0,1]", "--max-steps", "1"]) == 0

@@ -1,8 +1,10 @@
-"""A short run of the benchmark's `reports` workload as a correctness gate.
+"""Short runs of the benchmark's workloads as a correctness gate.
 
-Every verdict of the run is checked against perfbench's own oracle, and every
+Every verdict of a run is checked against perfbench's own oracle, and every
 JSON report against the digests recorded in perfbench/golden.json, so a
-change that alters any report byte (or a verdict) fails here.
+change that alters any report byte (or a verdict) fails here.  `reports`
+covers every command; `wide_strip` covers decompositions of about 1000
+packed squares, their telescoping sums and the square count of their SVGs.
 """
 
 import json
@@ -10,16 +12,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_reports_workload_matches_golden_digests():
+@pytest.mark.parametrize("workload", ["reports", "wide_strip"])
+def test_workload_matches_oracle_and_golden_digests(workload):
     proc = subprocess.run(
         [
             sys.executable,
             "perfbench/run.py",
             "--workload",
-            "reports",
+            workload,
             "--seed",
             "1",
             "--seconds",
