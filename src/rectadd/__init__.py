@@ -12,7 +12,6 @@ from .geometry import (
     DyadicSquare,
     split,
     as_dyadic_square,
-    dyadic_inner_cover,
     dyadic_inner_cover_span,
     dyadic_inner_cover_rect,
     parse_rect,
@@ -31,7 +30,6 @@ from .rectfn import (
     named_rect_function,
     check_additivity,
     strong_continuity_witness,
-    weak_continuity_probe,
     liminf_quotient_probe,
     ProbeReport,
 )

@@ -9,14 +9,68 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import harness
 from .suites import SUITE_NAMES
 
-
-def _add_json_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", metavar="PATH", help="write the JSON report here")
+# name -> (function in `harness`, help, flags).  Each flag's dest is a keyword
+# of the function, and an omitted flag is not passed, so the function's
+# signature holds every default.  The function is looked up by name when the
+# command runs, so a wrapper installed on `harness` (perfbench's layer spans)
+# also sees calls made through the CLI.
+COMMANDS = {
+    "counterexample": (
+        "cmd_counterexample",
+        "positivity on random dyadic squares vs a negative witness rectangle",
+        (
+            ("--min-order", {"type": int}),
+            ("--max-order", {"type": int}),
+            ("--samples", {"type": int}),
+            ("--seed", {"type": int}),
+            ("--function", {}),
+        ),
+    ),
+    "decompose": (
+        "cmd_decompose",
+        "greedy square decomposition with certificates",
+        (
+            ("--rect", {"required": True, "help": "rectangle literal [x1,x2]x[y1,y2]"}),
+            ("--max-steps", {"type": int}),
+            ("--function", {}),
+            ("--svg", {"dest": "svg_path", "metavar": "PATH", "help": "render the figure here"}),
+        ),
+    ),
+    "dyadic-approx": (
+        "cmd_dyadic_approx",
+        "inner dyadic cover sums vs the exact rectangle value",
+        (
+            ("--rect", {"required": True}),
+            ("--function", {}),
+            ("--max-order", {"type": int}),
+        ),
+    ),
+    "probe": (
+        "cmd_probe",
+        "sampled quotients F(Q)/|Q|^alpha near a point",
+        (
+            ("--function", {}),
+            ("--point", {"help": "comma-separated pair of QNum literals, e.g. '1/2,0+1*sqrt2'"}),
+            ("--alpha", {"help": "rational exponent in [0,2], e.g. 1 or 3/2"}),
+            ("--depth", {"type": int}),
+            ("--offsets", {"type": int}),
+            ("--within", {"help": "optional rectangle literal; containment is recorded"}),
+        ),
+    ),
+    "proptest": (
+        "cmd_proptest",
+        "run a named exact-invariant suite",
+        (
+            ("--suite", {"required": True, "choices": SUITE_NAMES}),
+            ("--cases", {"type": int}),
+            ("--seed", {"type": int}),
+        ),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,101 +80,25 @@ def build_parser() -> argparse.ArgumentParser:
         "functions, dyadic covers, and greedy square decompositions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "counterexample",
-        help="positivity on random dyadic squares vs a negative witness rectangle",
-    )
-    p.add_argument("--min-order", type=int, default=0)
-    p.add_argument("--max-order", type=int, default=12)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--function", default="counterexample")
-    _add_json_flag(p)
-
-    p = sub.add_parser("decompose", help="greedy square decomposition with certificates")
-    p.add_argument("--rect", required=True, help="rectangle literal [x1,x2]x[y1,y2]")
-    p.add_argument("--max-steps", type=int, default=20)
-    p.add_argument("--function", default="counterexample")
-    p.add_argument("--svg", metavar="PATH", help="render the decomposition figure here")
-    _add_json_flag(p)
-
-    p = sub.add_parser(
-        "dyadic-approx", help="inner dyadic cover sums vs the exact rectangle value"
-    )
-    p.add_argument("--rect", required=True)
-    p.add_argument("--function", default="product")
-    p.add_argument("--max-order", type=int, default=6)
-    _add_json_flag(p)
-
-    p = sub.add_parser("probe", help="sampled quotients F(Q)/|Q|^alpha near a point")
-    p.add_argument("--function", default="product")
-    p.add_argument(
-        "--point",
-        default="1/2,1/2",
-        help="comma-separated pair of QNum literals, e.g. '1/2,0+1*sqrt2'",
-    )
-    p.add_argument("--alpha", default="1", help="rational exponent in [0,2], e.g. 1 or 3/2")
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--offsets", type=int, default=3)
-    p.add_argument("--within", help="optional rectangle literal; containment is recorded")
-    _add_json_flag(p)
-
-    p = sub.add_parser("proptest", help="run a named exact-invariant suite")
-    p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--cases", type=int, default=200)
-    p.add_argument("--seed", type=int, default=1)
-    _add_json_flag(p)
-
+    for name, (_, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.add_argument("--json", metavar="PATH", help="write the JSON report here")
     return parser
-
-
-def _run(args: argparse.Namespace) -> harness.Report:
-    if args.command == "counterexample":
-        return harness.cmd_counterexample(
-            min_order=args.min_order,
-            max_order=args.max_order,
-            samples=args.samples,
-            seed=args.seed,
-            function=args.function,
-        )
-    if args.command == "decompose":
-        return harness.cmd_decompose(
-            rect=args.rect,
-            max_steps=args.max_steps,
-            function=args.function,
-            svg_path=args.svg,
-        )
-    if args.command == "dyadic-approx":
-        return harness.cmd_dyadic_approx(
-            rect=args.rect, function=args.function, max_order=args.max_order
-        )
-    if args.command == "probe":
-        parts = args.point.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"--point wants 'x,y', got {args.point!r}")
-        return harness.cmd_probe(
-            function=args.function,
-            point=(parts[0], parts[1]),
-            alpha=Fraction(args.alpha),
-            depth=args.depth,
-            offsets=args.offsets,
-            within=args.within,
-        )
-    if args.command == "proptest":
-        return harness.cmd_proptest(suite=args.suite, cases=args.cases, seed=args.seed)
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    kwargs = vars(parser.parse_args(argv))
+    command = kwargs.pop("command")
+    json_path = kwargs.pop("json", None)
     # exit 1 is reserved for a violated claim; refused input and files that
     # cannot be written (--svg here, --json below) exit 2
     try:
-        report = _run(args)
+        report = getattr(harness, COMMANDS[command][0])(**kwargs)
     except (ValueError, ZeroDivisionError, OSError) as exc:
-        parser.exit(2, f"rectadd {args.command}: {exc}\n")
+        parser.exit(2, f"rectadd {command}: {exc}\n")
     for f in report.findings:
         line = f"[{f.status}] {f.claim}"
         if f.exact_values:
@@ -132,12 +110,12 @@ def main(argv: "list[str] | None" = None) -> int:
             if len(f.approximations) > 8:
                 line += ", ..."
         print(line)
-    if getattr(args, "json", None):
+    if json_path:
         try:
-            harness.write_report_json(report, args.json)
+            harness.write_report_json(report, json_path)
         except OSError as exc:
-            parser.exit(2, f"rectadd {args.command}: {exc}\n")
-        print(f"report written to {args.json}")
+            parser.exit(2, f"rectadd {command}: {exc}\n")
+        print(f"report written to {json_path}")
     return report.exit_status
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "Axis",
     "split",
     "as_dyadic_square",
-    "dyadic_inner_cover",
     "dyadic_inner_cover_span",
     "dyadic_inner_cover_rect",
     "parse_rect",
@@ -177,23 +176,6 @@ def dyadic_inner_cover_span(r: Rect, order: int) -> tuple[int, int, int, int]:
     m_lo = math.ceil(r.y1 * scale)
     m_hi = math.floor(r.y2 * scale)
     return k_lo, k_hi, m_lo, m_hi
-
-
-def dyadic_inner_cover(r: Rect, order: int) -> list[DyadicSquare]:
-    """All order-n mesh squares contained in r (closed containment), row-major.
-
-    Count equals max(0, floor(x2*2^n) - ceil(x1*2^n)) * max(0, ...) exactly.
-    Materializes one object per square; for counting or summing an additive
-    function over the cover, prefer the span/rect forms, which are O(1).
-    """
-    k_lo, k_hi, m_lo, m_hi = dyadic_inner_cover_span(r, order)
-    if k_hi <= k_lo or m_hi <= m_lo:
-        return []
-    return [
-        DyadicSquare(order, k, m)
-        for m in range(m_lo, m_hi)
-        for k in range(k_lo, k_hi)
-    ]
 
 
 def dyadic_inner_cover_rect(r: Rect, order: int) -> Optional[Rect]:

@@ -359,18 +359,25 @@ def cmd_dyadic_approx(
 def cmd_probe(
     *,
     function: str = "product",
-    point: tuple = (Fraction(1, 2), Fraction(1, 2)),
-    alpha: Fraction = Fraction(1),
+    point: "tuple | str" = (Fraction(1, 2), Fraction(1, 2)),
+    alpha: "Fraction | str" = Fraction(1),
     depth: int = 4,
     offsets: int = 3,
     within: "Rect | str | None" = None,
 ) -> Report:
     """Sample quotients F(Q)/|Q|^alpha on shrinking squares containing the
     point.  Finite samples cannot certify a liminf, so every finding is
-    evidence-only and the report can never come out `verified`."""
+    evidence-only and the report can never come out `verified`.
+
+    `point` is a pair of coordinates or the text `x,y` of two QNum literals;
+    `alpha` is anything `Fraction` accepts, such as `3/2`.
+    """
+    coords = point.split(",") if isinstance(point, str) else point
+    if len(coords) != 2:
+        raise ValueError(f"point wants two coordinates 'x,y', got {point!r}")
+    px, py = (parse_qnum(c) if isinstance(c, str) else qnum(c) for c in coords)
+    alpha = Fraction(alpha)
     F = named_rect_function(function)
-    px = parse_qnum(point[0]) if isinstance(point[0], str) else qnum(point[0])
-    py = parse_qnum(point[1]) if isinstance(point[1], str) else qnum(point[1])
     w = parse_rect(within) if isinstance(within, str) else within
     probe = liminf_quotient_probe(F, (px, py), alpha, depth, offsets, within=w)
     findings = []

@@ -111,8 +111,7 @@ class QNum:
         h = self._hash
         if h is None:
             # b == 0 values hash like their Fraction so QNum(3) and 3 can mix
-            # as keys; other values hash like the pair (a, b).  Set iteration
-            # order, and so seeded draws over sets of corners, follow this.
+            # as keys; other values hash like the pair (a, b).
             B, D = self._B, self._D
             if B == 0:
                 h = _rational_hash(self._A, D)
@@ -276,17 +275,24 @@ class QNum:
         sign = "+" if B > 0 else "-"
         return f"{_ratio(self._A, D)}{sign}{_ratio(abs(B), D)}*sqrt2"
 
-    def approximate(self, digits: int) -> str:
-        """Decimal expansion truncated toward zero after `digits` places.
+    def approximate(self, digits: int, pow2: Fraction | int = 0) -> str:
+        """Decimal expansion of self * 2**pow2, truncated toward zero after
+        `digits` places.
 
-        Derived purely from exact comparisons: the value scaled by 10^digits
-        is floored inside the field, then rendered digit by digit.
+        Exact even where 2**pow2 leaves the field: with pow2 = t + p/q
+        (0 <= p < q) and X = |self| * 10^digits * 2^t, the digits are
+        iroot(floor(X^q * 2^p), q), as floor(Y^(1/q)) == floor(floor(Y)^(1/q)).
         """
         if digits < 1:
             raise ValueError("digits must be >= 1")
-        scaled = self * 10**digits
-        neg = scaled.sign() < 0
-        m = math.floor(abs(scaled))
+        neg = self.sign() < 0
+        if not pow2:
+            m = math.floor(abs(self * 10**digits))
+        else:
+            q = pow2.denominator
+            t, p = divmod(pow2.numerator, q)
+            X = abs(self) * 10**digits * Fraction(2) ** t
+            m = iroot(math.floor(X**q * 2**p), q)
         s = str(m).rjust(digits + 1, "0")
         return ("-" if neg else "") + s[:-digits] + "." + s[-digits:]
 

@@ -13,13 +13,12 @@ does not propagate to all rectangles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .geometry import Axis, Rect, split
-from .numeric import ONE, QNum, SQRT2, ZERO, iroot, parse_qnum, qnum
+from .numeric import ONE, QNum, SQRT2, ZERO, parse_qnum, qnum
 
 __all__ = [
     "PointFunction",
@@ -35,7 +34,6 @@ __all__ = [
     "named_rect_function",
     "check_additivity",
     "strong_continuity_witness",
-    "weak_continuity_probe",
     "liminf_quotient_probe",
     "pow2_exact",
     "ProbeSample",
@@ -189,23 +187,6 @@ def strong_continuity_witness(F: RectFunction, k: int) -> list[tuple[Rect, QNum]
     return out
 
 
-def weak_continuity_probe(
-    F: RectFunction, center: tuple[QNum, QNum], k: int
-) -> list[tuple[Rect, QNum]]:
-    """Squares of side 2^-j centered at the point, j = 1..k, with exact
-    values.  Both side lengths shrink along the family, which is the regime
-    where corner-difference values are forced toward 0."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    cx, cy = qnum(center[0]), qnum(center[1])
-    out = []
-    for j in range(1, k + 1):
-        h = QNum(Fraction(1, 2 ** (j + 1)))  # half side
-        r = Rect(cx - h, cx + h, cy - h, cy + h)
-        out.append((r, F.value(r)))
-    return out
-
-
 def pow2_exact(e: Fraction) -> Optional[QNum]:
     """2**e as an exact field element when possible.
 
@@ -221,42 +202,6 @@ def pow2_exact(e: Fraction) -> Optional[QNum]:
     return None
 
 
-def _decimal_scaled(value_a: Fraction, value_b: Fraction, pow2: Fraction, digits: int) -> str:
-    """Truncated decimal of (value_a + value_b*sqrt2) * 2**pow2.
-
-    All work is on integers: sqrt2 and the fractional power of two are
-    bracketed by exact floor roots with generous guard digits, so the output
-    is correct to within one unit in the last displayed place.
-    """
-    A = value_a.numerator * value_b.denominator
-    B = value_b.numerator * value_a.denominator
-    C = value_a.denominator * value_b.denominator
-    if A == 0 and B == 0:
-        return "0." + "0" * digits
-    neg = QNum(value_a, value_b).sign() < 0
-    if neg:
-        A, B = -A, -B
-    guard = digits + 20 + 2 * len(str(abs(A) + abs(B)))
-    ten_g = 10**guard
-    s2 = math.isqrt(2 * ten_g * ten_g)  # floor(sqrt2 * 10^guard)
-    num = A * ten_g + B * s2
-    t = pow2.numerator // pow2.denominator
-    r = pow2 - t
-    if r:
-        root = iroot(2**r.numerator * ten_g**r.denominator, r.denominator)
-        num *= root
-        den = C * ten_g * ten_g
-    else:
-        den = C * ten_g
-    if t >= 0:
-        num <<= t
-    else:
-        den <<= -t
-    scaled = num * 10**digits // den
-    s = str(scaled).rjust(digits + 1, "0")
-    return ("-" if neg else "") + s[:-digits] + "." + s[-digits:]
-
-
 APPROX_DIGITS = 12
 
 
@@ -265,8 +210,8 @@ class ProbeSample:
     """One sampled square: its exact value and the quotient value / area^alpha.
 
     `quotient` is None when the power of the area leaves the field; the
-    decimal `quotient_approx` (truncated, good to the last digit shown) is
-    then the only record, and `flagged` marks it as non-exact evidence.
+    truncated decimal `quotient_approx` is then the only record, and
+    `flagged` marks it as non-exact evidence.
     """
 
     square: Rect
@@ -309,9 +254,10 @@ def liminf_quotient_probe(
     1..depth the squares have side 2^-j and lower-left corner at the point
     shifted by -i/2^w of the side, i = 0..offsets_per_scale-1, where 2^w is
     the smallest power of two >= offsets_per_scale.  Every offset is dyadic,
-    so rational inputs keep all corners rational.  When `within` is given,
-    each sample also records whether the square lies inside it; nothing is
-    filtered out.
+    so rational inputs keep all corners rational.  With two offsets per
+    scale and alpha = 0, sample i = 1 is the square centred at the point and
+    its quotient is its value.  When `within` is given, each sample also
+    records whether the square lies inside it; nothing is filtered out.
     """
     if not (0 <= alpha <= 2):
         raise ValueError("alpha must lie in [0, 2]")
@@ -339,7 +285,7 @@ def liminf_quotient_probe(
                 flagged = False
             else:
                 quot = None
-                approx = _decimal_scaled(val.a, val.b, -exponent, APPROX_DIGITS)
+                approx = val.approximate(APPROX_DIGITS, -exponent)
                 flagged = True
             inside = within.contains_rect(sq) if within is not None else None
             samples.append(ProbeSample(sq, val, quot, approx, flagged, inside))

@@ -81,19 +81,17 @@ def rand_split_params(rng: random.Random, r: Rect):
 
 
 def rand_table_function(rng: random.Random, points) -> RectFunction:
-    """Corner-difference function of a random finite table over `points`.
-
-    Values are drawn in sorted point order, so the cases a seed generates do
-    not depend on how the points hash."""
-    table = {p: rand_qnum(rng) for p in sorted(points)}
+    """Corner-difference function of a random finite table over `points`,
+    one value drawn per point in the order `points` gives them."""
+    table = {p: rand_qnum(rng) for p in points}
     return corner_difference(Table(table))
 
 
-def _rect_corner_points(rects) -> set:
-    pts = set()
-    for r in rects:
-        pts.update(r.corners())
-    return pts
+def _rect_corner_points(rects) -> dict:
+    """The corner points of `rects` in order of first appearance (as dict
+    keys), so the values a seed draws over them do not depend on how the
+    points hash."""
+    return dict.fromkeys(p for r in rects for p in r.corners())
 
 
 # -- suites -------------------------------------------------------------------

@@ -8,7 +8,6 @@ from rectadd.geometry import (
     DyadicSquare,
     Rect,
     as_dyadic_square,
-    dyadic_inner_cover,
     dyadic_inner_cover_rect,
     dyadic_inner_cover_span,
     parse_rect,
@@ -16,6 +15,8 @@ from rectadd.geometry import (
 )
 from rectadd.numeric import ONE, QNum, SQRT2, ZERO
 from rectadd.suites import rand_rect, rand_split_params
+
+from cover_oracle import dyadic_inner_cover
 
 F = Fraction
 

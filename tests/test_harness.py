@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import inspect
 import json
 import random
 import time
@@ -7,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from rectadd import harness
-from rectadd.cli import main
-from rectadd.geometry import Rect, dyadic_inner_cover, parse_rect
+from rectadd.cli import COMMANDS, build_parser, main
+from rectadd.geometry import Rect, parse_rect
 from rectadd.harness import (
     EVIDENCE,
     VERIFIED,
@@ -28,6 +30,8 @@ from rectadd.harness import (
 from rectadd.decompose import decompose
 from rectadd.numeric import QNum, ZERO
 from rectadd.suites import rand_rect, rand_table_function, _rect_corner_points
+
+from cover_oracle import dyadic_inner_cover
 
 F = Fraction
 
@@ -189,6 +193,15 @@ def test_cmd_probe_within_flag_round_trip():
 def test_cmd_probe_rejects_bad_alpha():
     with pytest.raises(ValueError):
         cmd_probe(alpha=F(5, 2))
+    with pytest.raises(ValueError):
+        cmd_probe(alpha="5/2")
+
+
+def test_cmd_probe_rejects_point_without_two_coordinates():
+    for point in [("1",), ("1", "2", "3"), "1", "1,2,3"]:
+        with pytest.raises(ValueError, match="two coordinates"):
+            cmd_probe(point=point)
+    assert cmd_probe(point="1/2,1/2", alpha="1") == cmd_probe()
 
 
 def test_cmd_proptest_all_suites_pass():
@@ -205,12 +218,18 @@ def test_cmd_proptest_all_suites_pass():
         assert rep.findings[0].status == VERIFIED
 
 
-def test_rand_table_function_ignores_point_order():
-    # the values a seed draws must not depend on how the point set iterates
-    pts = _rect_corner_points(decompose(rand_rect(random.Random(7)), 6).all_squares())
-    forward = rand_table_function(random.Random(3), pts)
-    backward = rand_table_function(random.Random(3), sorted(pts, reverse=True))
-    assert all(forward.point_fn.value(*p) == backward.point_fn.value(*p) for p in pts)
+def test_rand_table_function_ignores_qnum_hash(monkeypatch):
+    # the values a seed draws over a decomposition's corners must not depend
+    # on how the points hash
+    def drawn_table():
+        r = rand_rect(random.Random(7))
+        pts = _rect_corner_points(decompose(r, 6).all_squares() + [r])
+        Ft = rand_table_function(random.Random(3), pts)
+        return [(p, Ft.point_fn.value(*p)) for p in pts]
+
+    before = drawn_table()
+    monkeypatch.setattr(QNum, "__hash__", lambda q: hash((q._A, q._B, q._D)))
+    assert drawn_table() == before
 
 
 def test_cmd_proptest_unknown_suite():
@@ -269,6 +288,25 @@ def test_cli_rejects_bad_alpha():
     assert exc.value.code == 2
 
 
+def test_command_table_flags_are_the_function_keywords():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(COMMANDS)
+    for name, p in sub.choices.items():
+        params = inspect.signature(getattr(harness, COMMANDS[name][0])).parameters
+        dests = {a.dest for a in p._actions} - {"help", "json"}
+        assert dests == set(params), name
+
+
+@pytest.mark.parametrize(
+    "command, fn", [("counterexample", cmd_counterexample), ("probe", cmd_probe)]
+)
+def test_cli_defaults_are_the_function_defaults(tmp_path, command, fn):
+    out = tmp_path / "r.json"
+    assert main([command, "--json", str(out)]) == 0
+    got = json.loads(out.read_text())
+    assert got == report_to_dict(fn(), timestamp=got["generated_at"])
+
+
 def test_cli_json_determinism(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     for p in (p1, p2):
@@ -295,6 +333,14 @@ def test_cli_unwritable_report_path_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"rectadd {argv[0]}: ")
     assert missing in err[0]
+
+
+def test_cli_refuses_point_without_two_coordinates(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "--point", "1,2,3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("rectadd probe: ")
 
 
 def test_cli_svg_of_huge_rectangle(tmp_path):

@@ -7,6 +7,7 @@ covers every command; `wide_strip` covers decompositions of about 1000
 packed squares, their telescoping sums and the square count of their SVGs.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -15,6 +16,22 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_entry_points_resolve():
+    # `perfbench/run.py --trace 1` wraps each of these names in place; a
+    # rename or deletion in rectadd would break only the traced run
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for layer, names in spans.ENTRY_POINTS.items():
+        module = importlib.import_module(f"rectadd.{layer}")
+        for name in names:
+            if "." in name:
+                cls_name, attr = name.split(".")
+                assert attr in vars(getattr(module, cls_name)), f"{layer}.{name}"
+            else:
+                assert callable(getattr(module, name, None)), f"{layer}.{name}"
 
 
 @pytest.mark.parametrize("workload", ["reports", "wide_strip"])

@@ -17,9 +17,8 @@ from rectadd.rectfn import (
     named_rect_function,
     pow2_exact,
     strong_continuity_witness,
-    weak_continuity_probe,
 )
-from rectadd.suites import rand_rect, rand_split_params, rand_table_function
+from rectadd.suites import _rect_corner_points, rand_rect, rand_split_params, rand_table_function
 
 F = Fraction
 
@@ -115,8 +114,7 @@ def test_check_additivity_random_tables():
         r = rand_rect(rng, i)
         axis, c = rand_split_params(rng, r)
         r1, r2 = split(r, axis, c)
-        pts = set(r.corners()) | set(r1.corners()) | set(r2.corners())
-        Ft = rand_table_function(rng, pts)
+        Ft = rand_table_function(rng, _rect_corner_points([r, r1, r2]))
         assert check_additivity(Ft, r, axis, c) == 0
 
 
@@ -144,19 +142,33 @@ def test_strong_continuity_witness_validates():
         strong_continuity_witness(CE, 0)
 
 
+def centred_squares(fn, center, k):
+    """(square, value) for the squares of side 2^-j centred at the point,
+    j = 1..k: sample 1 of the liminf probe at two offsets and alpha 0."""
+    out = []
+    for scale in liminf_quotient_probe(fn, center, F(0), k, 2).scales:
+        s = scale.samples[1]
+        assert s.square.width == QNum(F(1, 2**scale.level))
+        assert s.square.x1 + s.square.x2 == 2 * center[0]
+        assert s.square.y1 + s.square.y2 == 2 * center[1]
+        assert s.quotient == s.value
+        out.append((s.square, s.value))
+    return out
+
+
 def test_weak_continuity_probe_rational_center():
-    vals = [v for _, v in weak_continuity_probe(CE, (ZERO, ZERO), 3)]
+    vals = [v for _, v in centred_squares(CE, (ZERO, ZERO), 3)]
     assert vals == [QNum(F(1, 4)), QNum(F(1, 16)), QNum(F(1, 64))]
 
 
 def test_weak_continuity_probe_irrational_center():
     # both ordinates sqrt2 +- 2^-j-1 are irrational, so f = 1 at all corners
-    vals = [v for _, v in weak_continuity_probe(CE, (ZERO, SQRT2), 2)]
+    vals = [v for _, v in centred_squares(CE, (ZERO, SQRT2), 2)]
     assert vals == [ZERO, ZERO]
 
 
 def test_weak_continuity_probe_product():
-    for r, v in weak_continuity_probe(PROD, (QNum(F(3, 7)), SQRT2), 4):
+    for r, v in centred_squares(PROD, (QNum(F(3, 7)), SQRT2), 4):
         assert v == r.area()
         assert r.contains_point(QNum(F(3, 7)), SQRT2)
 
