@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .geometry import Rect
-from .numeric import QNum, ZERO
+from .numeric import QNum, ZERO, dyadic
 from .rectfn import RectFunction
 
 __all__ = [
@@ -133,10 +133,9 @@ def decompose(r: Rect, max_steps: int) -> Decomposition:
     current: Optional[Rect] = r
     terminated = False
     while current is not None and len(steps) < max_steps:
-        cw, ch = current.width, current.height
-        sides.append(cw if cw < ch else ch)
         step, rem = greedy_step(current)
         steps.append(step)
+        sides.append(step.side)  # the shorter side of `current`
         if rem is None:
             terminated = True
         current = rem
@@ -173,12 +172,13 @@ def verify_halving(d: Decomposition) -> HalvingCertificate:
     certificate; traces shorter than 3 make the halving part vacuous.
     """
     sides = d.sides
+    half = dyadic(1, 1)
     checks: list[HalvingCheck] = []
     for n in range(len(sides) - 1):
         lhs, rhs = sides[n + 1], sides[n]
         checks.append(HalvingCheck(n, "monotone", lhs, rhs, lhs <= rhs))
     for n in range(len(sides) - 2):
-        lhs, rhs = sides[n + 2], sides[n] / 2
+        lhs, rhs = sides[n + 2], sides[n] * half
         checks.append(HalvingCheck(n, "halving", lhs, rhs, lhs <= rhs))
     return HalvingCertificate(all(c.holds for c in checks), tuple(checks))
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal, Optional
 
-from .numeric import QNum, parse_qnum, qnum
+from .numeric import QNum, dyadic, parse_qnum, qnum
 
 __all__ = [
     "Rect",
@@ -40,14 +39,16 @@ class Rect:
     y2: QNum
 
     def __post_init__(self) -> None:
-        for name in ("x1", "x2", "y1", "y2"):
-            v = getattr(self, name)
-            if not isinstance(v, QNum):
-                object.__setattr__(self, name, qnum(v))
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
-            raise ValueError(
-                f"degenerate rectangle: [{self.x1},{self.x2}]x[{self.y1},{self.y2}]"
-            )
+        x1, x2, y1, y2 = self.x1, self.x2, self.y1, self.y2
+        if not (
+            isinstance(x1, QNum) and isinstance(x2, QNum)
+            and isinstance(y1, QNum) and isinstance(y2, QNum)
+        ):
+            x1, x2, y1, y2 = qnum(x1), qnum(x2), qnum(y1), qnum(y2)
+            for name, v in (("x1", x1), ("x2", x2), ("y1", y1), ("y2", y2)):
+                object.__setattr__(self, name, v)
+        if not (x1 < x2 and y1 < y2):
+            raise ValueError(f"degenerate rectangle: [{x1},{x2}]x[{y1},{y2}]")
 
     @property
     def width(self) -> QNum:
@@ -110,16 +111,11 @@ class DyadicSquare:
 
     @property
     def side(self) -> QNum:
-        return QNum(Fraction(1, 2**self.order))
+        return dyadic(1, self.order)
 
     def to_rect(self) -> Rect:
-        s = Fraction(1, 2**self.order)
-        return Rect(
-            QNum(self.k * s),
-            QNum((self.k + 1) * s),
-            QNum(self.m * s),
-            QNum((self.m + 1) * s),
-        )
+        n, k, m = self.order, self.k, self.m
+        return Rect(dyadic(k, n), dyadic(k + 1, n), dyadic(m, n), dyadic(m + 1, n))
 
 
 def split(r: Rect, axis: Axis, c: QNum) -> tuple[Rect, Rect]:
@@ -137,14 +133,11 @@ def split(r: Rect, axis: Axis, c: QNum) -> tuple[Rect, Rect]:
     raise ValueError(f"axis must be 'vertical' or 'horizontal', got {axis!r}")
 
 
-def _dyadic_exponent(f: Fraction) -> Optional[int]:
-    # f == 2^-n with n >= 0 ?
-    if f.numerator != 1:
-        return None
-    den = f.denominator
-    if den & (den - 1):
-        return None
-    return den.bit_length() - 1
+def _dyadic_index(v: QNum, n: int) -> Optional[int]:
+    # k with v == k / 2^n, for a dyadic v; the triple (k', 0, 2^n') of v is
+    # normalised, so such a k exists iff n' <= n
+    shift = n - (v._D.bit_length() - 1)
+    return v._A << shift if shift >= 0 else None
 
 
 def as_dyadic_square(r: Rect) -> Optional[DyadicSquare]:
@@ -154,14 +147,14 @@ def as_dyadic_square(r: Rect) -> Optional[DyadicSquare]:
         return None
     if not r.is_square():
         return None
-    n = _dyadic_exponent(r.width.a)
-    if n is None:
+    w = r.width  # dyadic, so its triple is (p, 0, 2^n)
+    if w._A != 1:
         return None
-    kf = r.x1.a * 2**n
-    mf = r.y1.a * 2**n
-    if kf.denominator != 1 or mf.denominator != 1:
+    n = w._D.bit_length() - 1
+    k, m = _dyadic_index(r.x1, n), _dyadic_index(r.y1, n)
+    if k is None or m is None:
         return None
-    return DyadicSquare(n, int(kf), int(mf))
+    return DyadicSquare(n, k, m)
 
 
 def dyadic_inner_cover_span(r: Rect, order: int) -> tuple[int, int, int, int]:
@@ -170,7 +163,7 @@ def dyadic_inner_cover_span(r: Rect, order: int) -> tuple[int, int, int, int]:
     Either range may be empty (hi <= lo)."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    scale = QNum(Fraction(2**order))
+    scale = 1 << order
     k_lo = math.ceil(r.x1 * scale)
     k_hi = math.floor(r.x2 * scale)
     m_lo = math.ceil(r.y1 * scale)
@@ -184,8 +177,7 @@ def dyadic_inner_cover_rect(r: Rect, order: int) -> Optional[Rect]:
     k_lo, k_hi, m_lo, m_hi = dyadic_inner_cover_span(r, order)
     if k_hi <= k_lo or m_hi <= m_lo:
         return None
-    s = Fraction(1, 2**order)
-    return Rect(QNum(k_lo * s), QNum(k_hi * s), QNum(m_lo * s), QNum(m_hi * s))
+    return Rect(dyadic(k_lo, order), dyadic(k_hi, order), dyadic(m_lo, order), dyadic(m_hi, order))
 
 
 _RECT_RE = re.compile(r"^\[([^,\]]+),([^,\]]+)\]x\[([^,\]]+),([^,\]]+)\]$")

@@ -22,6 +22,7 @@ __all__ = [
     "ZERO",
     "ONE",
     "qnum",
+    "dyadic",
     "parse_qnum",
     "iroot",
 ]
@@ -45,17 +46,31 @@ def _sign2(a: int, b: int) -> int:
     return (b > 0) - (b < 0)
 
 
-def _rational_hash(n: int, d: int) -> int:
-    """hash(Fraction(n, d)) for d > 0, by Python's documented numeric hash,
-    which is defined on the value and so needs no gcd reduction of n/d."""
-    if d == 1:
-        return hash(n)
-    if d % _HASH_MODULUS == 0:
-        return hash(Fraction(n, d))  # the reduced denominator decides
-    h = abs(n) % _HASH_MODULUS * pow(d, -1, _HASH_MODULUS) % _HASH_MODULUS
+def _scaled_hash(n: int, inv: int) -> int:
+    """hash(Fraction(n, d)) given inv, the inverse of d > 0 modulo the hash
+    modulus, by Python's documented numeric hash, which is defined on the
+    value and so needs no gcd reduction of n/d."""
+    h = abs(n) % _HASH_MODULUS * inv % _HASH_MODULUS
     if n < 0:
         h = -h
     return -2 if h == -1 else h
+
+
+def _floor(A: int, B: int, D: int) -> int:
+    """floor((A + B*sqrt2)/D) for integers with D > 0, without floating point.
+
+    Brackets B*sqrt2 between consecutive integers via an exact integer square
+    root; the bracket is tight, so a single floor division of integers gives
+    the answer (estimate-and-correct with correction 0).
+    """
+    if B == 0:
+        f = 0
+    elif B > 0:
+        f = math.isqrt(2 * B * B)
+    else:
+        # B*sqrt2 is irrational, so floor = -(floor(|B|*sqrt2) + 1)
+        f = -(math.isqrt(2 * B * B) + 1)
+    return (A + f) // D
 
 
 class QNum:
@@ -112,11 +127,16 @@ class QNum:
         if h is None:
             # b == 0 values hash like their Fraction so QNum(3) and 3 can mix
             # as keys; other values hash like the pair (a, b).
-            B, D = self._B, self._D
-            if B == 0:
-                h = _rational_hash(self._A, D)
+            A, B, D = self._A, self._B, self._D
+            if D == 1:
+                ha, hb = hash(A), hash(B)
+            elif D % _HASH_MODULUS:
+                inv = pow(D, -1, _HASH_MODULUS)  # one inverse for both parts
+                ha, hb = _scaled_hash(A, inv), _scaled_hash(B, inv)
             else:
-                h = hash((_rational_hash(self._A, D), _rational_hash(B, D)))
+                # the modulus divides D, so the reduced denominators decide
+                ha, hb = hash(Fraction(A, D)), hash(Fraction(B, D))
+            h = ha if B == 0 else hash((ha, hb))
             self._hash = h
         return h
 
@@ -240,21 +260,8 @@ class QNum:
         return self._B == 0 and D & (D - 1) == 0
 
     def __floor__(self) -> int:
-        """Largest integer n with n <= self, computed without floating point.
-
-        Brackets B*sqrt2 between consecutive integers via an exact integer
-        square root; the bracket is tight, so a single floor division of
-        integers gives the answer (estimate-and-correct with correction 0).
-        """
-        B = self._B
-        if B == 0:
-            f = 0
-        elif B > 0:
-            f = math.isqrt(2 * B * B)
-        else:
-            # B*sqrt2 is irrational, so floor = -(floor(|B|*sqrt2) + 1)
-            f = -(math.isqrt(2 * B * B) + 1)
-        return (self._A + f) // self._D
+        """Largest integer n with n <= self, computed without floating point."""
+        return _floor(self._A, self._B, self._D)
 
     def __ceil__(self) -> int:
         return -math.floor(-self)
@@ -279,20 +286,25 @@ class QNum:
         """Decimal expansion of self * 2**pow2, truncated toward zero after
         `digits` places.
 
-        Exact even where 2**pow2 leaves the field: with pow2 = t + p/q
-        (0 <= p < q) and X = |self| * 10^digits * 2^t, the digits are
-        iroot(floor(X^q * 2^p), q), as floor(Y^(1/q)) == floor(floor(Y)^(1/q)).
+        Without pow2 the digits are floor(|A + B*sqrt2| * 10^digits / D), one
+        integer floor on the scaled triple.  Exact even where 2**pow2 leaves
+        the field: with pow2 = t + p/q (0 <= p < q) and
+        X = |self| * 10^digits * 2^t, the digits are iroot(floor(X^q * 2^p), q),
+        as floor(Y^(1/q)) == floor(floor(Y)^(1/q)).
         """
         if digits < 1:
             raise ValueError("digits must be >= 1")
-        neg = self.sign() < 0
+        A, B, D = self._A, self._B, self._D
+        neg = _sign2(A, B) < 0
+        scale = -(10**digits) if neg else 10**digits
+        A, B = A * scale, B * scale
         if not pow2:
-            m = math.floor(abs(self * 10**digits))
+            m = _floor(A, B, D)
         else:
             q = pow2.denominator
             t, p = divmod(pow2.numerator, q)
-            X = abs(self) * 10**digits * Fraction(2) ** t
-            m = iroot(math.floor(X**q * 2**p), q)
+            Y = (_new(A << t, B << t, D) if t >= 0 else _new(A, B, D << -t)) ** q
+            m = iroot(_floor(Y._A << p, Y._B << p, Y._D), q)
         s = str(m).rjust(digits + 1, "0")
         return ("-" if neg else "") + s[:-digits] + "." + s[-digits:]
 
@@ -368,6 +380,11 @@ def _coerce(x) -> QNum | None:
     if isinstance(x, Fraction):
         return _new(x.numerator, 0, x.denominator)
     return None
+
+
+def dyadic(k: int, n: int) -> QNum:
+    """k / 2^n for integers k and n >= 0, built from its triple."""
+    return _new(k, 0, 1 << n)
 
 
 def qnum(x) -> QNum:

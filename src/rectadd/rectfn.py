@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .geometry import Axis, Rect, split
-from .numeric import ONE, QNum, SQRT2, ZERO, parse_qnum, qnum
+from .numeric import ONE, QNum, SQRT2, ZERO, dyadic, parse_qnum, qnum
 
 __all__ = [
     "PointFunction",
@@ -181,10 +181,15 @@ def strong_continuity_witness(F: RectFunction, k: int) -> list[tuple[Rect, QNum]
         raise ValueError("k must be >= 1")
     out = []
     for j in range(1, k + 1):
-        top = ONE + (SQRT2 - 1) / QNum(2**j)
+        top = ONE + (SQRT2 - 1) * dyadic(1, j)
         r = Rect(ZERO, ONE, ONE, top)
         out.append((r, F.value(r)))
     return out
+
+
+def _pow2(m: int) -> QNum:
+    """2**m for any integer m, from its triple."""
+    return dyadic(1 << m, 0) if m >= 0 else dyadic(1, -m)
 
 
 def pow2_exact(e: Fraction) -> Optional[QNum]:
@@ -195,10 +200,9 @@ def pow2_exact(e: Fraction) -> Optional[QNum]:
     outside Q(sqrt2) and yields None.
     """
     if e.denominator == 1:
-        return QNum(Fraction(2) ** e.numerator)
+        return _pow2(e.numerator)
     if e.denominator == 2:
-        m = (e.numerator - 1) // 2
-        return QNum(0, Fraction(2) ** m)
+        return SQRT2 * _pow2((e.numerator - 1) // 2)
     return None
 
 
@@ -267,25 +271,24 @@ def liminf_quotient_probe(
     w = max(0, (offsets_per_scale - 1).bit_length())
     scales = []
     for j in range(1, depth + 1):
-        side_f = Fraction(1, 2**j)
-        side = QNum(side_f)
-        exponent = -2 * j * alpha  # |Q|^alpha = 2^exponent
-        power = pow2_exact(exponent)
+        side = dyadic(1, j)
+        exponent = 2 * j * alpha  # |Q|^-alpha = 2^exponent
+        inverse_power = pow2_exact(exponent)
         samples = []
         min_q: Optional[QNum] = None
         for i in range(offsets_per_scale):
-            t = Fraction(i, 2**w)
-            x0 = px - QNum(t * side_f)
-            y0 = py - QNum(t * side_f)
+            shift = dyadic(i, w + j)  # i/2^w of the side
+            x0 = px - shift
+            y0 = py - shift
             sq = Rect(x0, x0 + side, y0, y0 + side)
             val = F.value(sq)
-            if power is not None:
-                quot = val / power
+            if inverse_power is not None:
+                quot = val * inverse_power
                 approx = quot.approximate(APPROX_DIGITS)
                 flagged = False
             else:
                 quot = None
-                approx = val.approximate(APPROX_DIGITS, -exponent)
+                approx = val.approximate(APPROX_DIGITS, exponent)
                 flagged = True
             inside = within.contains_rect(sq) if within is not None else None
             samples.append(ProbeSample(sq, val, quot, approx, flagged, inside))
@@ -295,7 +298,7 @@ def liminf_quotient_probe(
             ProbeScale(
                 level=j,
                 side=side,
-                diameter_sq=side * side * 2,
+                diameter_sq=dyadic(1, 2 * j - 1),
                 samples=tuple(samples),
                 min_quotient=min_q,
             )

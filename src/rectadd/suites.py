@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .decompose import decompose, telescope, verify_halving, continued_fraction_counts
 from .geometry import Rect, split
-from .numeric import QNum, ZERO
+from .numeric import QNum, ZERO, dyadic
 from .rectfn import RectFunction, Table, check_additivity, corner_difference
 
 __all__ = ["SuiteResult", "run_suite", "SUITE_NAMES"]
@@ -168,7 +168,7 @@ def _suite_halving(cases: int, seed: int) -> SuiteResult:
             break
         # quantitative decay: sides[n] <= sides[1] * (1/2)^floor((n-1)/2)
         for j in range(1, len(d.sides)):
-            bound = d.sides[1] * QNum(Fraction(1, 2 ** ((j - 1) // 2)))
+            bound = d.sides[1] * dyadic(1, (j - 1) // 2)
             if d.sides[j] > bound:
                 violations.append(
                     f"rect={r.literal()} decay@{j}: {d.sides[j]} > {bound}"

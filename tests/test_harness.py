@@ -372,6 +372,24 @@ def test_cmd_decompose_tile_budget(monkeypatch):
         cmd_decompose(rect="[0,6]x[0,1]", max_steps=1)
 
 
+def test_cmd_probe_alpha_denominator_budget(tmp_path, capsys):
+    q = harness.MAX_ALPHA_DENOMINATOR
+    rep = cmd_probe(alpha=f"1/{q}", depth=1, offsets=1)
+    assert rep.inputs["alpha"] == f"1/{q}"
+    assert main(["probe", "--alpha", f"{q - 1}/{q}", "--depth", "1", "--offsets", "1"]) == 0
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"denominator above {q}"):
+        cmd_probe(alpha=f"1/{q + 1}")
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "--alpha", f"1/{q + 1}", "--depth", "12", "--json", str(tmp_path / "p.json")])
+    assert time.perf_counter() - t0 < 1.0
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("rectadd probe: ")
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_cli_refuses_decomposition_over_tile_budget(tmp_path, capsys):
     # 10^400 packed squares: refused before any square is enumerated
     big = "1" + "0" * 400

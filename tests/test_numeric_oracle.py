@@ -207,6 +207,17 @@ def test_approximate_with_power_of_two_matches_mpmath():
     assert QNum(3).approximate(6, F(1, 3)) == real_approximate(QNum(3), 6, F(1, 3))
 
 
+def test_approximate_without_power_of_two_matches_mpmath():
+    # the integer floor of |A + B*sqrt2| * 10^digits / D, on every kind of
+    # seeded value and its negation
+    rng = random.Random(20220721)
+    for i in range(CASES):
+        q = rand_case(rng, i)
+        for v in (q, -q):
+            for digits in (1, 6, 12, 20):
+                assert v.approximate(digits) == real_approximate(v, digits, F(0)), (v, digits)
+
+
 # -- contracts -----------------------------------------------------------------
 
 
@@ -237,6 +248,12 @@ def test_irrational_hash_is_the_pair_hash():
             assert hash(q) == hash((q.a, q.b)), q
     q = QNum(F(1, 2), F(-3, 4))
     assert hash(q) == hash((F(1, 2), F(-3, 4)))
+
+
+def test_irrational_hash_when_the_modulus_divides_the_denominator():
+    m = 2**61 - 1
+    for a, b in ((F(1, m), F(2, m)), (F(3, 2 * m), F(-1, 4)), (F(5, 7), F(m + 2, 3 * m))):
+        assert hash(QNum(a, b)) == hash((a, b))
 
 
 def test_equal_values_from_unreduced_inputs():
