@@ -101,14 +101,10 @@ def main(argv: "list[str] | None" = None) -> int:
         parser.exit(2, f"rectadd {command}: {exc}\n")
     for f in report.findings:
         line = f"[{f.status}] {f.claim}"
-        if f.exact_values:
-            line += "  exact: " + ", ".join(f.exact_values[:8])
-            if len(f.exact_values) > 8:
-                line += ", ..."
-        if f.approximations:
-            line += "  approx: " + ", ".join(f.approximations[:8])
-            if len(f.approximations) > 8:
-                line += ", ..."
+        for label, values in (("exact", f.exact_values), ("approx", f.approximations)):
+            if values:
+                more = ", ..." if len(values) > 8 else ""
+                line += f"  {label}: " + ", ".join(values[:8]) + more
         print(line)
     if json_path:
         try:

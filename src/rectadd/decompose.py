@@ -73,17 +73,24 @@ class Step:
 class Decomposition:
     """Result of iterating greedy steps.
 
-    `sides` is the trace of shorter sides at entry to each step, preceded by
-    the longer side of the original rectangle; `terminated` is True exactly
-    when the last packing was exact and no remainder is left, which happens
-    iff the aspect ratio is rational (finite continued fraction).
+    `remainder` is None exactly when the last packing was exact, which
+    happens iff the aspect ratio is rational (finite continued fraction).
     """
 
     original: Rect
     steps: tuple[Step, ...]
     remainder: Optional[Rect]
-    terminated: bool
-    sides: tuple[QNum, ...]
+
+    @property
+    def terminated(self) -> bool:
+        return self.remainder is None
+
+    @property
+    def sides(self) -> tuple[QNum, ...]:
+        """The trace of shorter sides at entry to each step, preceded by the
+        longer side of the original rectangle."""
+        w, h = self.original.width, self.original.height
+        return (w if w > h else h, *(s.side for s in self.steps))
 
     @property
     def counts(self) -> list[int]:
@@ -122,65 +129,56 @@ def decompose(r: Rect, max_steps: int) -> Decomposition:
     """Iterate greedy steps until the packing is exact or max_steps is hit.
 
     Incommensurable side ratios never terminate; max_steps is therefore
-    mandatory and the `terminated` flag carries the distinction between the
-    finite and the truncated-infinite case.
+    mandatory and the remainder (None when `terminated`) carries the
+    distinction between the finite and the truncated-infinite case.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    w, h = r.width, r.height
-    sides = [w if w > h else h]
     steps: list[Step] = []
     current: Optional[Rect] = r
-    terminated = False
     while current is not None and len(steps) < max_steps:
-        step, rem = greedy_step(current)
+        step, current = greedy_step(current)
         steps.append(step)
-        sides.append(step.side)  # the shorter side of `current`
-        if rem is None:
-            terminated = True
-        current = rem
-    return Decomposition(
-        original=r,
-        steps=tuple(steps),
-        remainder=current,
-        terminated=terminated,
-        sides=tuple(sides),
-    )
+    return Decomposition(original=r, steps=tuple(steps), remainder=current)
 
 
 @dataclass(frozen=True)
 class HalvingCheck:
-    """One exact comparison backing the halving guarantee."""
+    """One exact comparison backing the halving guarantee: lhs <= rhs."""
 
     index: int
     kind: str  # "monotone" or "halving"
     lhs: QNum
     rhs: QNum
-    holds: bool
 
 
 @dataclass(frozen=True)
 class HalvingCertificate:
-    ok: bool
-    checks: tuple[HalvingCheck, ...]
+    failure: Optional[HalvingCheck]  # the first comparison that fails
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
 
 
 def verify_halving(d: Decomposition) -> HalvingCertificate:
-    """Check sides[n+1] <= sides[n] and sides[n+2] <= sides[n]/2 for every n.
+    """Check sides[n+1] <= sides[n] for every n, then sides[n+2] <= sides[n]/2
+    for every n, by exact field comparisons.
 
-    All comparisons are exact field comparisons and are returned as the
-    certificate; traces shorter than 3 make the halving part vacuous.
+    The certificate names the first comparison that fails, or none; traces
+    shorter than 3 make the halving part vacuous.
     """
     sides = d.sides
-    half = dyadic(1, 1)
-    checks: list[HalvingCheck] = []
     for n in range(len(sides) - 1):
         lhs, rhs = sides[n + 1], sides[n]
-        checks.append(HalvingCheck(n, "monotone", lhs, rhs, lhs <= rhs))
+        if not lhs <= rhs:
+            return HalvingCertificate(HalvingCheck(n, "monotone", lhs, rhs))
+    half = dyadic(1, 1)
     for n in range(len(sides) - 2):
         lhs, rhs = sides[n + 2], sides[n] * half
-        checks.append(HalvingCheck(n, "halving", lhs, rhs, lhs <= rhs))
-    return HalvingCertificate(all(c.holds for c in checks), tuple(checks))
+        if not lhs <= rhs:
+            return HalvingCertificate(HalvingCheck(n, "halving", lhs, rhs))
+    return HalvingCertificate(None)
 
 
 def telescope(F: RectFunction, d: Decomposition) -> QNum:

@@ -242,13 +242,13 @@ def cmd_decompose(
         )
     )
 
-    cert = verify_halving(d)
+    sides = d.sides
     findings.append(
         Finding(
             claim="side trace is monotone and halves at least every two steps",
-            status=VERIFIED if cert.ok else VIOLATED,
-            exact_values=_lits(*d.sides),
-            approximations=_approxs(*d.sides),
+            status=VERIFIED if verify_halving(d).ok else VIOLATED,
+            exact_values=_lits(*sides),
+            approximations=_approxs(*sides),
         )
     )
 
@@ -372,12 +372,17 @@ def cmd_probe(
     evidence-only and the report can never come out `verified`.
 
     `point` is a pair of coordinates or the text `x,y` of two QNum literals;
-    `alpha` is anything `Fraction` accepts, such as `3/2`.
+    `alpha` is a Fraction or text `Fraction` accepts without an exponent,
+    such as `3/2` or `0.5`.  With `within`, each scale's claim also counts
+    its squares that lie inside that rectangle.
     """
     coords = point.split(",") if isinstance(point, str) else point
     if len(coords) != 2:
         raise ValueError(f"point wants two coordinates 'x,y', got {point!r}")
     px, py = (parse_qnum(c) if isinstance(c, str) else qnum(c) for c in coords)
+    if isinstance(alpha, str) and "e" in alpha.lower():
+        # Fraction('1e-1000000') alone would build a million-digit integer
+        raise ValueError(f"alpha {alpha!r} has an exponent; write it as p/q or a decimal")
     alpha = Fraction(alpha)
     if alpha.denominator > MAX_ALPHA_DENOMINATOR:
         raise ValueError(
@@ -395,6 +400,8 @@ def cmd_probe(
             f"scale 2^-{scale.level}: {len(scale.samples)} squares"
             + (f", {flagged} non-field quotients approximated" if flagged else "")
         )
+        if w is not None:
+            desc += f", {sum(1 for s in scale.samples if s.inside_within)} inside within"
         findings.append(
             Finding(
                 claim=desc,

@@ -124,11 +124,10 @@ class RectFunction:
     """Additive rectangle function realized as a corner difference of f."""
 
     point_fn: PointFunction
-    label: str = ""
 
-    def __post_init__(self) -> None:
-        if not self.label:
-            object.__setattr__(self, "label", self.point_fn.label)
+    @property
+    def label(self) -> str:
+        return self.point_fn.label
 
     def value(self, r: Rect) -> QNum:
         f = self.point_fn.value
@@ -222,17 +221,31 @@ class ProbeSample:
     value: QNum
     quotient: Optional[QNum]
     quotient_approx: str
-    flagged: bool
     inside_within: Optional[bool] = None
+
+    @property
+    def flagged(self) -> bool:
+        return self.quotient is None
 
 
 @dataclass(frozen=True)
 class ProbeScale:
-    level: int
-    side: QNum
-    diameter_sq: QNum
+    level: int  # squares of side 2^-level
     samples: tuple[ProbeSample, ...]
-    min_quotient: Optional[QNum]  # min over the exact quotients of this scale
+
+    @property
+    def side(self) -> QNum:
+        return dyadic(1, self.level)
+
+    @property
+    def diameter_sq(self) -> QNum:
+        return dyadic(1, 2 * self.level - 1)
+
+    @property
+    def min_quotient(self) -> Optional[QNum]:
+        """The least exact quotient of this scale, or None."""
+        exact = [s.quotient for s in self.samples if s.quotient is not None]
+        return min(exact, default=None)
 
 
 @dataclass(frozen=True)
@@ -275,32 +288,15 @@ def liminf_quotient_probe(
         exponent = 2 * j * alpha  # |Q|^-alpha = 2^exponent
         inverse_power = pow2_exact(exponent)
         samples = []
-        min_q: Optional[QNum] = None
         for i in range(offsets_per_scale):
             shift = dyadic(i, w + j)  # i/2^w of the side
             x0 = px - shift
             y0 = py - shift
             sq = Rect(x0, x0 + side, y0, y0 + side)
             val = F.value(sq)
-            if inverse_power is not None:
-                quot = val * inverse_power
-                approx = quot.approximate(APPROX_DIGITS)
-                flagged = False
-            else:
-                quot = None
-                approx = val.approximate(APPROX_DIGITS, exponent)
-                flagged = True
+            quot = None if inverse_power is None else val * inverse_power
+            approx = val.approximate(APPROX_DIGITS, exponent)
             inside = within.contains_rect(sq) if within is not None else None
-            samples.append(ProbeSample(sq, val, quot, approx, flagged, inside))
-            if quot is not None and (min_q is None or quot < min_q):
-                min_q = quot
-        scales.append(
-            ProbeScale(
-                level=j,
-                side=side,
-                diameter_sq=dyadic(1, 2 * j - 1),
-                samples=tuple(samples),
-                min_quotient=min_q,
-            )
-        )
+            samples.append(ProbeSample(sq, val, quot, approx, inside))
+        scales.append(ProbeScale(level=j, samples=tuple(samples)))
     return ProbeReport(point=(px, py), alpha=alpha, scales=tuple(scales))

@@ -159,19 +159,19 @@ def _suite_halving(cases: int, seed: int) -> SuiteResult:
     n = 0
     for i, r, d in _decomposition_cases(cases, seed):
         n = i + 1
-        cert = verify_halving(d)
-        if not cert.ok:
-            bad = next(c for c in cert.checks if not c.holds)
+        bad = verify_halving(d).failure
+        if bad is not None:
             violations.append(
                 f"rect={r.literal()} {bad.kind}@{bad.index}: {bad.lhs} > {bad.rhs}"
             )
             break
         # quantitative decay: sides[n] <= sides[1] * (1/2)^floor((n-1)/2)
-        for j in range(1, len(d.sides)):
-            bound = d.sides[1] * dyadic(1, (j - 1) // 2)
-            if d.sides[j] > bound:
+        sides = d.sides
+        for j in range(1, len(sides)):
+            bound = sides[1] * dyadic(1, (j - 1) // 2)
+            if sides[j] > bound:
                 violations.append(
-                    f"rect={r.literal()} decay@{j}: {d.sides[j]} > {bound}"
+                    f"rect={r.literal()} decay@{j}: {sides[j]} > {bound}"
                 )
                 return SuiteResult("halving", n, violations)
     return SuiteResult("halving", n, violations)

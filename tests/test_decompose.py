@@ -1,9 +1,13 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from rectadd.decompose import (
+    Decomposition,
+    HalvingCheck,
+    Step,
     continued_fraction_counts,
     decompose,
     greedy_step,
@@ -112,11 +116,10 @@ def test_decompose_respects_max_steps():
 def test_verify_halving_eight_five():
     d = decompose(EIGHT_FIVE, 20)
     cert = verify_halving(d)
-    assert cert.ok
-    halves = {(c.index, c.lhs, c.rhs) for c in cert.checks if c.kind == "halving"}
-    assert (0, QNum(3), QNum(4)) in halves  # 3 <= 8/2
-    assert (1, QNum(2), QNum(F(5, 2))) in halves
-    assert (2, QNum(1), QNum(F(3, 2))) in halves
+    assert cert.ok and cert.failure is None
+    # the halving comparisons that passed: 3 <= 8/2, 2 <= 5/2, 1 <= 3/2
+    halves = [(d.sides[n + 2], d.sides[n] / 2) for n in range(3)]
+    assert halves == [(3, 4), (2, F(5, 2)), (1, F(3, 2))]
 
 
 def test_verify_halving_silver_ratio():
@@ -131,10 +134,48 @@ def test_verify_halving_silver_ratio():
 
 def test_verify_halving_vacuous_for_squares():
     d = decompose(UNIT, 5)
-    assert len(d.sides) == 2
+    assert len(d.sides) == 2  # one monotone comparison, no halving one
     cert = verify_halving(d)
-    assert cert.ok
-    assert all(c.kind == "monotone" for c in cert.checks)
+    assert cert.ok and cert.failure is None
+
+
+def _trace(*sides: int) -> Decomposition:
+    """A hand-built decomposition whose side trace is `sides`: the original
+    rectangle's longer side is sides[0], and each later side is one step."""
+    original = Rect(ZERO, QNum(sides[0]), ZERO, QNum(min(sides[0], sides[1])))
+    steps = tuple(Step(ZERO, ZERO, QNum(s), 1, along_x=True) for s in sides[1:])
+    return Decomposition(original, steps, remainder=None)
+
+
+def test_verify_halving_names_the_first_failing_comparison():
+    d = _trace(4, 3, 3, 2)
+    assert d.sides == (4, 3, 3, 2)
+    # monotone throughout; 3 <= 4/2 fails first, then 2 <= 3/2 would
+    assert verify_halving(d).failure == HalvingCheck(0, "halving", QNum(3), QNum(2))
+    assert not verify_halving(d).ok
+    # monotone fails at 5 > 3 (index 2); halving fails earlier in index,
+    # at 3 > 4/2, but every monotone comparison is checked first
+    cert = verify_halving(_trace(4, 3, 3, 5))
+    assert not cert.ok
+    bad = cert.failure
+    assert (bad.kind, bad.index, bad.lhs, bad.rhs) == ("monotone", 2, 5, 3)
+    bad = verify_halving(_trace(8, 5, 6)).failure
+    assert (bad.kind, bad.index, bad.lhs, bad.rhs) == ("monotone", 1, 6, 5)
+
+
+def test_verify_halving_builds_no_check_on_a_passing_trace(monkeypatch):
+    made = []
+
+    def counting_check(*args):
+        made.append(args)
+        return HalvingCheck(*args)
+
+    # `rectadd.decompose` the attribute is the function; patch the module
+    monkeypatch.setattr(sys.modules["rectadd.decompose"], "HalvingCheck", counting_check)
+    assert verify_halving(decompose(SILVER, 200)).ok
+    assert made == []
+    assert not verify_halving(_trace(4, 3, 3)).ok
+    assert len(made) == 1
 
 
 def test_telescope_product_is_area():

@@ -188,6 +188,22 @@ def test_cmd_probe_within_flag_round_trip():
     )
     assert rep.inputs["within"] == "[0,1]x[0,1]"
     assert all(f.status == EVIDENCE for f in rep.findings)
+    # each scale's claim counts its squares inside `within`; the squares are
+    # the sampling family the probe documents, rebuilt here
+    point = QNum(F(1, 2))
+    depth, offsets = 4, 3
+    for within in ("[0,1]x[0,1]", "[0,3/4]x[0,3/4]", "[2,3]x[2,3]"):
+        rep = cmd_probe(point=(point, point), depth=depth, offsets=offsets, within=within)
+        box = parse_rect(within)
+        for j, finding in zip(range(1, depth + 1), rep.findings):
+            side = QNum(F(1, 2**j))
+            inside = 0
+            for i in range(offsets):
+                lo = point - QNum(F(i, 4)) * side
+                inside += box.contains_rect(Rect(lo, lo + side, lo, lo + side))
+            assert finding.claim.endswith(f", {inside} inside within")
+        assert "inside within" not in rep.findings[-1].claim
+    assert not any("inside within" in f.claim for f in cmd_probe().findings)
 
 
 def test_cmd_probe_rejects_bad_alpha():
@@ -388,6 +404,22 @@ def test_cmd_probe_alpha_denominator_budget(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("rectadd probe: ")
     assert not (tmp_path / "p.json").exists()
+
+
+def test_cmd_probe_refuses_alpha_with_an_exponent(capsys):
+    # Fraction('1e-1000000') builds a million-digit integer: refused first
+    t0 = time.perf_counter()
+    for alpha in ("1e-1000000", "1E5", "2e0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["probe", "--alpha", alpha, "--depth", "1", "--offsets", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("rectadd probe: ")
+        assert "exponent" in err[0]
+    assert time.perf_counter() - t0 < 1.0
+    for alpha in ("3/2", "1", "0.5"):
+        assert main(["probe", "--alpha", alpha, "--depth", "1", "--offsets", "1"]) == 0
+    assert cmd_probe(alpha="0.5").inputs["alpha"] == "1/2"
 
 
 def test_cli_refuses_decomposition_over_tile_budget(tmp_path, capsys):

@@ -34,7 +34,7 @@ def test_traced_entry_points_resolve():
                 assert callable(getattr(module, name, None)), f"{layer}.{name}"
 
 
-@pytest.mark.parametrize("workload", ["reports", "wide_strip"])
+@pytest.mark.parametrize("workload", ["reports", "wide_strip", "telescope_mix"])
 def test_workload_matches_oracle_and_golden_digests(workload):
     proc = subprocess.run(
         [

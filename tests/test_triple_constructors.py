@@ -22,7 +22,14 @@ from rectadd.geometry import (
 )
 from rectadd.harness import WITNESS_RECT, shrink_bound
 from rectadd.numeric import QNum, SQRT2, dyadic
-from rectadd.rectfn import COUNTEREXAMPLE, PRODUCT, RectFunction, liminf_quotient_probe, pow2_exact
+from rectadd.rectfn import (
+    APPROX_DIGITS,
+    COUNTEREXAMPLE,
+    PRODUCT,
+    RectFunction,
+    liminf_quotient_probe,
+    pow2_exact,
+)
 from rectadd.suites import rand_rect
 
 F = Fraction
@@ -174,6 +181,14 @@ def test_probe_squares_match_the_fraction_formula(alpha, fn):
                 assert sample.quotient is None and sample.flagged
             else:
                 assert_same(sample.quotient, sample.value / power)
+                # one decimal path: the same digits as the exact quotient's
+                assert sample.quotient_approx == sample.quotient.approximate(APPROX_DIGITS)
+        exact = [s.quotient for s in scale.samples if s.quotient is not None]
+        if exact:
+            assert scale.min_quotient in exact
+            assert all(scale.min_quotient <= q for q in exact)
+        else:
+            assert scale.min_quotient is None
 
 
 def test_dyadic_reports_construct_no_fraction(monkeypatch):
