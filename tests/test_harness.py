@@ -119,6 +119,13 @@ def test_svg_square_count_matches_decomposition(tmp_path):
             6,
             "632fa78c71f4ddff38a44ccfce439d61e2c9c15dd9d6de342a1144c43ae7d1f5",
         ),
+        # vertical strip in Q(sqrt2) whose walk offset and square side have
+        # different denominators (18 and 1 in step 0, 9 and 6 in step 2)
+        (
+            "[1/2,1/2+1/5*sqrt2]x[-1/9,300+1/18*sqrt2]",
+            8,
+            "463a11211e30b282eed01b877684fbb69a226e0b509831929c1fec07302f7023",
+        ),
         # rational trace truncated with a remainder
         ("[0,8]x[0,5]", 2, "0c678536b3f5cb1655174dd443ae1b05fa702da6e791b8f75d5beeb0ef491fd2"),
     ],
