@@ -11,7 +11,8 @@ the original rectangle.
 A step is described, not materialised: its lower-left corner, side, count
 and packing axis determine every square, so `decompose` costs O(steps)
 whatever the packing counts.  Consumers that must visit every tile walk the
-square edges of a step by one addition each.
+square edges of a step by one integer addition each, over the common
+denominator of the step's corner and side.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .geometry import Rect
-from .numeric import QNum, ZERO, dyadic
+from .numeric import QNum, ZERO, dyadic, from_numerators, numerators
 from .rectfn import RectFunction
 
 __all__ = [
@@ -50,12 +51,15 @@ class Step:
 
     def edges(self) -> list[QNum]:
         """The count + 1 square boundaries along the packing axis, in
-        increasing order, each one addition from the previous."""
+        increasing order: start + k*side, with the numerators added as
+        integers over the common denominator of start and side."""
         c = self.x if self.along_x else self.y
+        (a, da), (b, db), L = numerators((c, self.side))
         out = [c]
         for _ in range(self.count):
-            c = c + self.side
-            out.append(c)
+            a += da
+            b += db
+            out.append(from_numerators(a, b, L))
         return out
 
     @property

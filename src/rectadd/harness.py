@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -18,7 +19,7 @@ from typing import Optional
 
 from .decompose import Decomposition, decompose, telescope, verify_halving
 from .geometry import DyadicSquare, Rect, dyadic_inner_cover_rect, parse_rect
-from .numeric import ONE, QNum, SQRT2, ZERO, dyadic, parse_qnum, qnum
+from .numeric import ONE, QNum, SQRT2, ZERO, dyadic, numerators, parse_qnum, qnum
 from .rectfn import (
     RectFunction,
     liminf_quotient_probe,
@@ -44,6 +45,11 @@ DISPLAY_DIGITS = 6
 # Most packed squares `cmd_decompose` enumerates: 200,000 tiles with an SVG
 # take about 2 s and 100 MB on a 2-core x86 box (Python 3.11).
 MAX_TILES = 200_000
+# Most greedy steps `cmd_decompose` takes.  The coefficients of an irrational
+# rectangle grow every step, so the cost grows faster than the step count:
+# `[0,355/113+1/1000*sqrt2]x[0,1]` takes 0.4 s at 1000 steps and 1.7 s at
+# 2000 on the same box.
+MAX_STEPS = 1000
 # Largest denominator q of `cmd_probe`'s alpha.  A quotient outside the field
 # is rendered through a q-th power and a q-th root: with 4 offsets, depth 4
 # takes 0.4 s at q = 997 and 2.2 s at q = 1999 on the same box.
@@ -218,8 +224,11 @@ def cmd_decompose(
     The tiling claim sums count * side^2 over the steps, so it costs
     O(steps).  Telescoping and the SVG visit every packed square, so a
     decomposition of more than MAX_TILES squares is refused with a
-    ValueError before any square is enumerated.
+    ValueError before any square is enumerated; more than MAX_STEPS steps
+    are refused before the decomposition starts.
     """
+    if max_steps > MAX_STEPS:
+        raise ValueError(f"max_steps above {MAX_STEPS} (the step budget of the decomposition)")
     r = parse_rect(rect) if isinstance(rect, str) else rect
     d = decompose(r, max_steps)
     if d.total_squares > MAX_TILES:
@@ -358,6 +367,52 @@ def cmd_dyadic_approx(
 # probe
 
 
+_ALPHA_DENOMINATOR_REFUSAL = (
+    f"alpha has a denominator above {MAX_ALPHA_DENOMINATOR} "
+    "(the budget of a non-field quotient's q-th root)"
+)
+_ALPHA_RANGE_REFUSAL = "alpha must lie in [0, 2]"
+# `p/q` or a plain decimal; Fraction reads anything else, or refuses it
+_ALPHA_TEXT = re.compile(r"\s*([+-]?)(?:(\d+)/(\d+)|(\d*)(?:\.(\d*))?)\s*")
+
+
+def _alpha_from_text(text: str) -> Fraction:
+    """Fraction(text) for a probe's alpha, refusing first any text whose
+    digits alone put alpha outside [0, 2] or its denominator above
+    MAX_ALPHA_DENOMINATOR, so a long numeral is neither converted (Python
+    refuses more than 4300 digits) nor printed.
+
+    Past its leading zeros, a numerator with 2 digits more than its
+    denominator gives alpha >= 10, and a denominator with more digits than
+    the budget beyond the numerator's gives q/p above the budget.  A
+    decimal with n significant places, its last digit nonzero, has a
+    denominator of at least 2^n.
+    """
+    if "e" in text.lower():
+        # Fraction('1e-1000000') alone would build a million-digit integer
+        raise ValueError(f"alpha {text!r} has an exponent; write it as p/q or a decimal")
+    m = _ALPHA_TEXT.fullmatch(text)
+    if m is None:
+        return Fraction(text)
+    sign, p, q, whole, places = m.groups()
+    if p is not None:
+        p, q = p.lstrip("0"), q.lstrip("0")
+        if p and q and (sign == "-" or len(p) > len(q) + 1):
+            raise ValueError(_ALPHA_RANGE_REFUSAL)
+        if p and len(q) > len(p) + len(str(MAX_ALPHA_DENOMINATOR)):
+            raise ValueError(_ALPHA_DENOMINATOR_REFUSAL)
+        return Fraction(int(p or 0), int(q or 0))
+    places = places or ""
+    if not (whole or places):
+        return Fraction(text)  # no digit: Fraction's own refusal
+    whole, places = whole.lstrip("0"), places.rstrip("0")
+    if (whole or places) and (sign == "-" or len(whole) > 1):
+        raise ValueError(_ALPHA_RANGE_REFUSAL)
+    if len(places) >= MAX_ALPHA_DENOMINATOR.bit_length():
+        raise ValueError(_ALPHA_DENOMINATOR_REFUSAL)
+    return Fraction(f"{whole or 0}.{places or 0}")
+
+
 def cmd_probe(
     *,
     function: str = "product",
@@ -380,15 +435,9 @@ def cmd_probe(
     if len(coords) != 2:
         raise ValueError(f"point wants two coordinates 'x,y', got {point!r}")
     px, py = (parse_qnum(c) if isinstance(c, str) else qnum(c) for c in coords)
-    if isinstance(alpha, str) and "e" in alpha.lower():
-        # Fraction('1e-1000000') alone would build a million-digit integer
-        raise ValueError(f"alpha {alpha!r} has an exponent; write it as p/q or a decimal")
-    alpha = Fraction(alpha)
+    alpha = _alpha_from_text(alpha) if isinstance(alpha, str) else Fraction(alpha)
     if alpha.denominator > MAX_ALPHA_DENOMINATOR:
-        raise ValueError(
-            f"alpha {alpha} has a denominator above {MAX_ALPHA_DENOMINATOR} "
-            "(the budget of a non-field quotient's q-th root)"
-        )
+        raise ValueError(_ALPHA_DENOMINATOR_REFUSAL)
     F = named_rect_function(function)
     w = parse_rect(within) if isinstance(within, str) else within
     probe = liminf_quotient_probe(F, (px, py), alpha, depth, offsets, within=w)
@@ -518,24 +567,33 @@ def write_decomposition_svg(d: Decomposition, path: str, width_px: float = 720.0
         region_el(r, "original", f'fill="none" stroke="#000" stroke-width="{stroke:.3f}"'),
     ]
     first_square = len(lines)
+    sqrt2 = float(SQRT2)
     for step in d.steps:
-        # Walk the squares of the step in normalised units: t is the exact
-        # offset of the current square along the packing axis, one field
-        # addition per square, and equals the offset of that square's Rect.
+        # Walk the squares of the step in normalised units: t_k = t_0 ± k*u is
+        # the exact offset of square k along the packing axis, kept as integer
+        # numerators (a, b) over the common denominator L of t_0 and u.  An
+        # int / int is correctly rounded, so a/L + (b/L)*sqrt2 is float(t_k)
+        # bit for bit.
         u = step.side * inv_w
         size = float(u)
         if step.along_x:
-            t = (step.x - r.x1) * inv_w
+            t0 = (step.x - r.x1) * inv_w
             y = float((r.y2 - step.y - step.side) * inv_w)
-            for _ in range(step.count):
-                lines.append(rect_el("square", float(t), y, size, size, square_style))
-                t = t + u
         else:
+            # going up a vertical step walks down the SVG, so the bottom
+            # square comes first
             x = float((step.x - r.x1) * inv_w)
-            t = (r.y2 - step.y - step.side) * inv_w
-            for _ in range(step.count):
-                lines.append(rect_el("square", x, float(t), size, size, square_style))
-                t = t - u
+            t0 = (r.y2 - step.y - step.side) * inv_w
+            u = -u
+        (a, da), (b, db), L = numerators((t0, u))
+        for _ in range(step.count):
+            t = a / L + (b / L) * sqrt2
+            if step.along_x:
+                lines.append(rect_el("square", t, y, size, size, square_style))
+            else:
+                lines.append(rect_el("square", x, t, size, size, square_style))
+            a += da
+            b += db
     drawn = len(lines) - first_square
     if d.remainder is not None:
         lines.append(

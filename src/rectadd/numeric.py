@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 
 __all__ = [
@@ -23,6 +24,8 @@ __all__ = [
     "ONE",
     "qnum",
     "dyadic",
+    "numerators",
+    "from_numerators",
     "parse_qnum",
     "iroot",
 ]
@@ -385,6 +388,33 @@ def _coerce(x) -> QNum | None:
 def dyadic(k: int, n: int) -> QNum:
     """k / 2^n for integers k and n >= 0, built from its triple."""
     return _new(k, 0, 1 << n)
+
+
+def numerators(values: Sequence[QNum]) -> tuple[list[int], list[int], int]:
+    """The values over one common denominator: lists As, Bs and L, the lcm
+    of their denominators, with value i == (As[i] + Bs[i]*sqrt2)/L.
+
+    Sums and differences of the values are then sums and differences of
+    integers; `from_numerators` turns a result back into a QNum.
+    """
+    L = math.lcm(*[v._D for v in values])
+    As = []
+    Bs = []
+    for v in values:
+        D = v._D
+        if D == L:
+            As.append(v._A)
+            Bs.append(v._B)
+        else:
+            k = L // D
+            As.append(v._A * k)
+            Bs.append(v._B * k)
+    return As, Bs, L
+
+
+# (A + B*sqrt2)/D, normalised, for integers with D > 0: the way back from
+# sums of `numerators`
+from_numerators = _new
 
 
 def qnum(x) -> QNum:

@@ -18,7 +18,17 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .geometry import Axis, Rect, split
-from .numeric import ONE, QNum, SQRT2, ZERO, dyadic, parse_qnum, qnum
+from .numeric import (
+    ONE,
+    QNum,
+    SQRT2,
+    ZERO,
+    dyadic,
+    from_numerators,
+    numerators,
+    parse_qnum,
+    qnum,
+)
 
 __all__ = [
     "PointFunction",
@@ -96,9 +106,16 @@ class Table(PointFunction):
     label = "table"
 
     def __init__(self, entries: Mapping[tuple[QNum, QNum], QNum]) -> None:
-        self._entries = {
-            (qnum(x), qnum(y)): qnum(v) for (x, y), v in entries.items()
-        }
+        if all(
+            isinstance(x, QNum) and isinstance(y, QNum) and isinstance(v, QNum)
+            for (x, y), v in entries.items()
+        ):
+            # nothing to coerce: a dict copy reuses the stored key hashes
+            self._entries = dict(entries)
+        else:
+            self._entries = {
+                (qnum(x), qnum(y)): qnum(v) for (x, y), v in entries.items()
+            }
 
     def value(self, x: QNum, y: QNum) -> QNum:
         return self._entries.get((x, y), ZERO)
@@ -141,17 +158,20 @@ class RectFunction:
         evaluated once and shared by the two rectangles meeting at it; the
         value of rectangle i is the corner difference cut_{i+1} - cut_i,
         where cut_i = f(., hi) - f(., lo) on edge i, and it is added to the
-        total one rectangle at a time.
+        total one rectangle at a time, as integer numerators over the common
+        denominator of the cuts.
         """
         f = self.point_fn.value
         if along_x:
             cuts = [f(e, hi) - f(e, lo) for e in edges]
         else:
             cuts = [f(hi, e) - f(lo, e) for e in edges]
-        total = ZERO
+        As, Bs, L = numerators(cuts)
+        ta = tb = 0
         for i in range(1, len(cuts)):
-            total = total + (cuts[i] - cuts[i - 1])
-        return total
+            ta += As[i] - As[i - 1]
+            tb += Bs[i] - Bs[i - 1]
+        return from_numerators(ta, tb, L)
 
 
 def corner_difference(f: PointFunction) -> RectFunction:

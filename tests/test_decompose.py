@@ -299,3 +299,71 @@ def test_shared_corner_telescope_matches_per_tile_values():
             Ft = corner_difference(Table(dict(zip(pts, values))))
             per_tile = sum((Ft.value(sq) for sq in tiles), ZERO)
             assert telescope(Ft, d) == per_tile == Ft.value(r)
+
+
+def _rand_coordinate(rng):
+    # a rational part and a sqrt2 part over unrelated denominators, either sign
+    return QNum(F(rng.randint(-200, 200), rng.randint(1, 30)), F(rng.randint(-9, 9), rng.randint(1, 12)))
+
+
+def _rand_side(rng):
+    while True:
+        side = _rand_coordinate(rng)
+        if side > 0:
+            return side
+
+
+def _triples(values):
+    return [(v._A, v._B, v._D) for v in values]
+
+
+def test_edges_match_repeated_field_addition():
+    rng = random.Random(431)
+    mixed = 0
+    for i in range(300):
+        start, side = _rand_coordinate(rng), _rand_side(rng)
+        count = 1 if i % 5 == 0 else rng.randint(2, 40)
+        for along_x in (True, False):
+            x, y = (start, ZERO) if along_x else (ZERO, start)
+            expected = [start]
+            for _ in range(count):
+                expected.append(expected[-1] + side)
+            assert _triples(Step(x, y, side, count, along_x).edges()) == _triples(expected)
+        mixed += start._D % side._D != 0 and side._D % start._D != 0
+    assert mixed > 100  # most cases add over a denominator neither value has
+
+
+def _count_field_additions(monkeypatch):
+    calls = []
+    for name in ("__add__", "__sub__"):
+        op = getattr(QNum, name)
+
+        def counting(self, other, op=op):
+            calls.append(op)
+            return op(self, other)
+
+        monkeypatch.setattr(QNum, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "r, max_steps",
+    [
+        # 1009 + 2 squares over denominators 1 and 12
+        (Rect(QNum(F(-5, 2)), QNum(334), QNum(F(1, 4)), QNum(F(7, 12))), 20),
+        # a vertical strip in Q(sqrt2) of about 1000 squares, truncated
+        (Rect(QNum(F(1, 3)), QNum(F(1, 3), F(1, 2)), QNum(F(-7, 4)), QNum(F(2793, 4))), 6),
+    ],
+)
+def test_telescope_makes_one_field_addition_per_edge(monkeypatch, r, max_steps):
+    d = decompose(r, max_steps)
+    assert d.total_squares > 1000
+    edges = sum(s.count + 1 for s in d.steps)
+    for F_ in (CE, PROD):
+        calls = _count_field_additions(monkeypatch)
+        total = telescope(F_, d)
+        # the cut f(., hi) - f(., lo) at each edge, two per step, and four
+        # for the remainder
+        assert len(calls) <= edges + 2 * len(d.steps) + 4
+        monkeypatch.undo()
+        assert total == F_.value(r)

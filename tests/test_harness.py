@@ -448,3 +448,75 @@ def test_cli_refuses_decomposition_over_tile_budget(tmp_path, capsys):
     assert exc.value.code == 2
     # the benchmark's stress row stays inside the budget
     assert main(["decompose", "--rect", "[0,5000]x[0,1]", "--max-steps", "1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "rect, max_steps",
+    [("[-5/2,334]x[1/4,7/12]", 20), ("[1/2,1/2+1/5*sqrt2]x[-1/9,300+1/18*sqrt2]", 8)],
+)
+def test_svg_walk_makes_no_field_addition_per_square(tmp_path, monkeypatch, rect, max_steps):
+    d = decompose(parse_rect(rect), max_steps)
+    assert d.total_squares > 1000
+    calls = []
+    for name in ("__add__", "__sub__"):
+        op = getattr(QNum, name)
+
+        def counting(self, other, op=op):
+            calls.append(op)
+            return op(self, other)
+
+        monkeypatch.setattr(QNum, name, counting)
+    assert write_decomposition_svg(d, str(tmp_path / "d.svg")) == d.total_squares
+    assert len(calls) <= 3 * len(d.steps) + 12
+
+
+def test_cmd_decompose_step_budget(tmp_path, capsys):
+    silver = "[0,1+1*sqrt2]x[0,1]"
+    # the largest step count the README and the benchmark use is 600
+    assert harness.MAX_STEPS >= 600
+    rep = cmd_decompose(rect=silver, max_steps=harness.MAX_STEPS, function="product")
+    assert rep.exit_status == 0
+    assert len(rep.findings[1].exact_values) == harness.MAX_STEPS + 1
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"max_steps above {harness.MAX_STEPS}"):
+        cmd_decompose(rect=silver, max_steps=harness.MAX_STEPS + 1)
+    argv = ["decompose", "--rect", silver, "--max-steps", str(harness.MAX_STEPS + 1)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--json", str(tmp_path / "d.json")])
+    assert time.perf_counter() - t0 < 1.0
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("rectadd decompose: ")
+    assert not (tmp_path / "d.json").exists()
+
+
+@pytest.mark.parametrize(
+    "alpha, bound",
+    [
+        ("0." + "0" * 5000 + "1", "denominator above 1000"),
+        ("1" + "0" * 5000, "alpha must lie in [0, 2]"),
+        ("1/" + "1" + "0" * 5000, "denominator above 1000"),
+        ("1" + "0" * 5000 + "/3", "alpha must lie in [0, 2]"),
+        ("-0.0" + "0" * 5000 + "1", "alpha must lie in [0, 2]"),
+    ],
+    ids=["long-places", "long-integer", "long-denominator", "long-numerator", "negative"],
+)
+def test_cli_refuses_long_alpha_by_its_bound(capsys, alpha, bound):
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "--alpha", alpha, "--depth", "1", "--offsets", "1"])
+    assert time.perf_counter() - t0 < 1.0
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("rectadd probe: ")
+    assert bound in err[0]
+    assert "Exceeds the limit" not in err[0] and "int_max_str_digits" not in err[0]
+
+
+def test_cmd_probe_reads_padded_alpha_text():
+    # zeros that do not change the value are not digits of a bound
+    for alpha, value in [("0" * 5000 + "1", "1"), ("0.5" + "0" * 5000, "1/2"), ("2000/1000", "2")]:
+        assert cmd_probe(alpha=alpha, depth=1, offsets=1).inputs["alpha"] == value
+    for alpha in ("0.0009765625", "1/1001", "3/1"):  # 1/1024, and the two bounds
+        with pytest.raises(ValueError):
+            cmd_probe(alpha=alpha)

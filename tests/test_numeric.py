@@ -11,7 +11,17 @@ from fractions import Fraction
 
 import pytest
 
-from rectadd.numeric import ONE, QNum, SQRT2, ZERO, iroot, parse_qnum, qnum
+from rectadd.numeric import (
+    ONE,
+    QNum,
+    SQRT2,
+    ZERO,
+    from_numerators,
+    iroot,
+    numerators,
+    parse_qnum,
+    qnum,
+)
 from rectadd.suites import rand_qnum, run_suite
 
 F = Fraction
@@ -188,3 +198,14 @@ def test_iroot_exhaustive_small():
             r = iroot(n, k)
             assert r**k <= n < (r + 1) ** k
     assert iroot(10**40, 4) == 10**10
+
+
+def test_numerators_over_the_lcm_rebuild_the_values():
+    rng = random.Random(437)
+    for n in (1, 2, 3, 17):
+        for _ in range(100):
+            values = [rand_qnum(rng) for _ in range(n)]
+            As, Bs, L = numerators(values)
+            assert L == math.lcm(*(math.lcm(v.a.denominator, v.b.denominator) for v in values))
+            assert [from_numerators(a, b, L) for a, b in zip(As, Bs)] == values
+            assert from_numerators(sum(As), sum(Bs), L) == sum(values, ZERO)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rectadd.decompose import Step
 from rectadd.geometry import DyadicSquare, Rect, split
 from rectadd.numeric import ONE, QNum, SQRT2, ZERO
 from rectadd.rectfn import (
@@ -252,3 +253,53 @@ def test_probe_validates_inputs():
         liminf_quotient_probe(PROD, (ZERO, ZERO), F(1), 0, 1)
     with pytest.raises(ValueError):
         liminf_quotient_probe(PROD, (ZERO, ZERO), F(1), 2, 0)
+
+
+def _row_cuts_mixed(F_, step):
+    # True when the cuts of the row are over different denominators, so the
+    # integer row sum scales some of them to their lcm
+    f = F_.point_fn.value
+    lo = step.y if step.along_x else step.x
+    hi = lo + step.side
+    if step.along_x:
+        cuts = [f(e, hi) - f(e, lo) for e in step.edges()]
+    else:
+        cuts = [f(hi, e) - f(lo, e) for e in step.edges()]
+    return len({c._D for c in cuts}) > 1
+
+
+def test_row_sum_matches_per_square_values():
+    rng = random.Random(433)
+    mixed = 0
+    for i in range(120):
+        x = QNum(F(rng.randint(-60, 60), rng.randint(1, 9)), F(rng.randint(-3, 3), rng.randint(1, 4)))
+        y = QNum(F(rng.randint(-60, 60), rng.randint(1, 9)), F(rng.randint(-3, 3), rng.randint(1, 4)) * (i % 2))
+        side = QNum(F(rng.randint(1, 30), rng.randint(1, 7)), F(rng.randint(0, 2), rng.randint(1, 5)))
+        count = 1 if i % 7 == 0 else rng.randint(2, 25)
+        for along_x in (True, False):
+            step = Step(x, y, side, count, along_x)
+            squares = step.squares
+            table = rand_table_function(rng, _rect_corner_points(squares))
+            functions = (PROD, CE, corner_difference(Constant(QNum(F(5, 3), F(-1, 2)))), table)
+            lo = step.y if along_x else step.x
+            for F_ in functions:
+                row = F_.row_sum(step.edges(), lo, lo + side, along_x)
+                assert row == sum((F_.value(sq) for sq in squares), ZERO)
+                mixed += _row_cuts_mixed(F_, step)
+    assert mixed > 200
+
+
+def test_table_of_qnum_entries_answers_as_coerced_entries():
+    rng = random.Random(435)
+    raw = {}
+    for _ in range(300):
+        key = (F(rng.randint(-20, 20), rng.randint(1, 6)), rng.randint(-20, 20))
+        raw[key] = rng.choice([F(rng.randint(-50, 50), rng.randint(1, 9)), rng.randint(-9, 9)])
+    as_qnum = {(QNum(x), QNum(y)): QNum(v) for (x, y), v in raw.items()}
+    coerced, copied = Table(raw), Table(as_qnum)
+    for x, y in as_qnum:
+        for point in ((x, y), (x + 1, y), (x, y + SQRT2), (y, x)):
+            assert copied.value(*point) == coerced.value(*point)
+    # the table holds a copy, not the caller's mapping
+    as_qnum.clear()
+    assert all(copied.value(QNum(x), QNum(y)) == v for (x, y), v in raw.items())
