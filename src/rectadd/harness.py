@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -372,15 +371,13 @@ _ALPHA_DENOMINATOR_REFUSAL = (
     "(the budget of a non-field quotient's q-th root)"
 )
 _ALPHA_RANGE_REFUSAL = "alpha must lie in [0, 2]"
-# `p/q` or a plain decimal; Fraction reads anything else, or refuses it
-_ALPHA_TEXT = re.compile(r"\s*([+-]?)(?:(\d+)/(\d+)|(\d*)(?:\.(\d*))?)\s*")
 
 
 def _alpha_from_text(text: str) -> Fraction:
-    """Fraction(text) for a probe's alpha, refusing first any text whose
-    digits alone put alpha outside [0, 2] or its denominator above
-    MAX_ALPHA_DENOMINATOR, so a long numeral is neither converted (Python
-    refuses more than 4300 digits) nor printed.
+    """Fraction(text) for a probe's alpha, refusing first a `p/q` or plain
+    decimal whose digits alone put alpha outside [0, 2] or its denominator
+    above MAX_ALPHA_DENOMINATOR, so a long numeral is neither converted
+    (Python refuses more than 4300 digits) nor printed.
 
     Past its leading zeros, a numerator with 2 digits more than its
     denominator gives alpha >= 10, and a denominator with more digits than
@@ -391,26 +388,27 @@ def _alpha_from_text(text: str) -> Fraction:
     if "e" in text.lower():
         # Fraction('1e-1000000') alone would build a million-digit integer
         raise ValueError(f"alpha {text!r} has an exponent; write it as p/q or a decimal")
-    m = _ALPHA_TEXT.fullmatch(text)
-    if m is None:
-        return Fraction(text)
-    sign, p, q, whole, places = m.groups()
-    if p is not None:
+    body = text.strip()
+    negative = body.startswith("-")
+    if body[:1] in ("+", "-"):
+        body = body[1:]
+    p, slash, q = body.partition("/")
+    if slash and p.isdecimal() and q.isdecimal():
         p, q = p.lstrip("0"), q.lstrip("0")
-        if p and q and (sign == "-" or len(p) > len(q) + 1):
+        if p and q and (negative or len(p) > len(q) + 1):
             raise ValueError(_ALPHA_RANGE_REFUSAL)
         if p and len(q) > len(p) + len(str(MAX_ALPHA_DENOMINATOR)):
             raise ValueError(_ALPHA_DENOMINATOR_REFUSAL)
         return Fraction(int(p or 0), int(q or 0))
-    places = places or ""
-    if not (whole or places):
-        return Fraction(text)  # no digit: Fraction's own refusal
-    whole, places = whole.lstrip("0"), places.rstrip("0")
-    if (whole or places) and (sign == "-" or len(whole) > 1):
-        raise ValueError(_ALPHA_RANGE_REFUSAL)
-    if len(places) >= MAX_ALPHA_DENOMINATOR.bit_length():
-        raise ValueError(_ALPHA_DENOMINATOR_REFUSAL)
-    return Fraction(f"{whole or 0}.{places or 0}")
+    whole, _, places = body.partition(".")
+    if not slash and (whole + places).isdecimal():
+        whole, places = whole.lstrip("0"), places.rstrip("0")
+        if (whole or places) and (negative or len(whole) > 1):
+            raise ValueError(_ALPHA_RANGE_REFUSAL)
+        if len(places) >= MAX_ALPHA_DENOMINATOR.bit_length():
+            raise ValueError(_ALPHA_DENOMINATOR_REFUSAL)
+        return Fraction(f"{whole or 0}.{places or 0}")
+    return Fraction(text)  # Fraction's own reading, or its refusal
 
 
 def cmd_probe(

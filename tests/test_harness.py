@@ -515,7 +515,12 @@ def test_cli_refuses_long_alpha_by_its_bound(capsys, alpha, bound):
 
 def test_cmd_probe_reads_padded_alpha_text():
     # zeros that do not change the value are not digits of a bound
-    for alpha, value in [("0" * 5000 + "1", "1"), ("0.5" + "0" * 5000, "1/2"), ("2000/1000", "2")]:
+    for alpha, value in [
+        ("0" * 5000 + "1", "1"),
+        ("0.5" + "0" * 5000, "1/2"),
+        ("2000/1000", "2"),
+        ("0.001953125", "1/512"),  # nine places, the most a decimal within budget has
+    ]:
         assert cmd_probe(alpha=alpha, depth=1, offsets=1).inputs["alpha"] == value
     for alpha in ("0.0009765625", "1/1001", "3/1"):  # 1/1024, and the two bounds
         with pytest.raises(ValueError):

@@ -300,6 +300,7 @@ def test_table_of_qnum_entries_answers_as_coerced_entries():
     for x, y in as_qnum:
         for point in ((x, y), (x + 1, y), (x, y + SQRT2), (y, x)):
             assert copied.value(*point) == coerced.value(*point)
+            assert isinstance(coerced.value(*point), QNum)
     # the table holds a copy, not the caller's mapping
     as_qnum.clear()
     assert all(copied.value(QNum(x), QNum(y)) == v for (x, y), v in raw.items())
