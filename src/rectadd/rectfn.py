@@ -18,17 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .geometry import Axis, Rect, split
-from .numeric import (
-    ONE,
-    QNum,
-    SQRT2,
-    ZERO,
-    dyadic,
-    from_numerators,
-    numerators,
-    parse_qnum,
-    qnum,
-)
+from .numeric import ONE, QNum, SQRT2, ZERO, dyadic, from_numerators, numerators, parse_qnum, qnum
 
 __all__ = [
     "PointFunction",

@@ -30,6 +30,8 @@ from rectadd.suites import (
     rand_table_function,
 )
 
+from field_counter import count_field_additions
+
 F = Fraction
 
 CE = corner_difference(COUNTEREXAMPLE)
@@ -333,23 +335,10 @@ def test_edges_match_repeated_field_addition():
     assert mixed > 100  # most cases add over a denominator neither value has
 
 
-def _count_field_additions(monkeypatch):
-    calls = []
-    for name in ("__add__", "__sub__"):
-        op = getattr(QNum, name)
-
-        def counting(self, other, op=op):
-            calls.append(op)
-            return op(self, other)
-
-        monkeypatch.setattr(QNum, name, counting)
-    return calls
-
-
 @pytest.mark.parametrize(
     "r, max_steps",
     [
-        # 1009 + 2 squares over denominators 1 and 12
+        # a horizontal rational strip of 1009 + 2 squares
         (Rect(QNum(F(-5, 2)), QNum(334), QNum(F(1, 4)), QNum(F(7, 12))), 20),
         # a vertical strip in Q(sqrt2) of about 1000 squares, truncated
         (Rect(QNum(F(1, 3)), QNum(F(1, 3), F(1, 2)), QNum(F(-7, 4)), QNum(F(2793, 4))), 6),
@@ -360,7 +349,7 @@ def test_telescope_makes_one_field_addition_per_edge(monkeypatch, r, max_steps):
     assert d.total_squares > 1000
     edges = sum(s.count + 1 for s in d.steps)
     for F_ in (CE, PROD):
-        calls = _count_field_additions(monkeypatch)
+        calls = count_field_additions(monkeypatch)
         total = telescope(F_, d)
         # the cut f(., hi) - f(., lo) at each edge, two per step, and four
         # for the remainder

@@ -32,6 +32,7 @@ from rectadd.numeric import QNum, ZERO
 from rectadd.suites import rand_rect, rand_table_function, _rect_corner_points
 
 from cover_oracle import dyadic_inner_cover
+from field_counter import count_field_additions
 
 F = Fraction
 
@@ -457,15 +458,7 @@ def test_cli_refuses_decomposition_over_tile_budget(tmp_path, capsys):
 def test_svg_walk_makes_no_field_addition_per_square(tmp_path, monkeypatch, rect, max_steps):
     d = decompose(parse_rect(rect), max_steps)
     assert d.total_squares > 1000
-    calls = []
-    for name in ("__add__", "__sub__"):
-        op = getattr(QNum, name)
-
-        def counting(self, other, op=op):
-            calls.append(op)
-            return op(self, other)
-
-        monkeypatch.setattr(QNum, name, counting)
+    calls = count_field_additions(monkeypatch)
     assert write_decomposition_svg(d, str(tmp_path / "d.svg")) == d.total_squares
     assert len(calls) <= 3 * len(d.steps) + 12
 
