@@ -138,6 +138,29 @@ def test_svg_bytes_pinned(tmp_path, rect, max_steps, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "rect, max_steps, digest",
+    [
+        # horizontal rational strip: 1009 + 2 squares
+        ("[-5/2,334]x[1/4,7/12]", 20, "a12f9a5324ac56b0791db25a4d41b45c12d8cfa30a86ec1c5825a35e8300c9c5"),
+        # vertical strip in Q(sqrt2): 989 + 1 + 18 + ... squares, truncated
+        (
+            "[1/3,1/3+1/2*sqrt2]x[-7/4,2793/4]",
+            6,
+            "a992e2b2bfda387bcfbcb4044a4a0489ba5508c3bc5b7a78f0b77b5d47a165cd",
+        ),
+    ],
+)
+def test_decompose_product_report_pinned(tmp_path, rect, max_steps, digest):
+    # the telescoping sum of the product over a strip of about 1000 squares
+    path = tmp_path / "d.json"
+    argv = ["decompose", "--rect", rect, "--max-steps", str(max_steps), "--function", "product"]
+    assert main(argv + ["--json", str(path)]) == 0
+    report = json.loads(path.read_text())
+    report.pop("generated_at")
+    assert hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest() == digest
+
+
 def test_inner_cover_sum_matches_enumeration():
     rng = random.Random(502)
     for i in range(40):
