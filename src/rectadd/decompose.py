@@ -10,15 +10,22 @@ the original rectangle.
 
 A step is described, not materialised: its lower-left corner, side, count
 and packing axis determine every square, so `decompose` costs O(steps)
-whatever the packing counts.  Consumers that must visit every tile walk the
-square edges of a step by one integer addition each, over the common
-denominator of the step's corner and side.
+whatever the packing counts.  Consumers that must visit every tile read the
+square edges of a step as integer numerators over the common denominator of
+the step's corner and side (`Step.edge_numerators`), one integer addition
+each.  `telescope` sums a step through its point function's row kernel
+(`PointFunction.row_cuts`): the built-in product and counterexample compute
+every corner value on those numerators and build no QNum per square; any
+other point function is evaluated by `value` at the step's QNum edges, which
+are built once per step and shared with `Step.squares`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, repeat
 from typing import Optional
 
 from .geometry import Rect
@@ -49,28 +56,51 @@ class Step:
     count: int
     along_x: bool
 
-    def edges(self) -> list[QNum]:
+    @property
+    def lo(self) -> QNum:
+        """The near side of the row across the packing axis: y when
+        `along_x`, else x."""
+        return self.y if self.along_x else self.x
+
+    @cached_property
+    def hi(self) -> QNum:
+        """The far side of the row, lo + side, built once per step so that
+        every square and every point function reading it shares one object."""
+        return self.lo + self.side
+
+    def edge_numerators(self) -> tuple[list[int], list[int], int]:
         """The count + 1 square boundaries along the packing axis, in
-        increasing order: start + k*side, with the numerators added as
-        integers over the common denominator of start and side."""
+        increasing order, as integer numerators over L, the common
+        denominator of the start and the side: boundary k is
+        (As[k] + Bs[k]*sqrt2)/L with As[k] = a + k*da and Bs[k] = b + k*db,
+        one integer addition each."""
         c = self.x if self.along_x else self.y
         (a, da), (b, db), L = numerators((c, self.side))
-        out = [c]
-        for _ in range(self.count):
-            a += da
-            b += db
-            out.append(from_numerators(a, b, L))
-        return out
+        return (
+            list(accumulate(repeat(da, self.count), initial=a)),
+            list(accumulate(repeat(db, self.count), initial=b)),
+            L,
+        )
+
+    def edges(self) -> tuple[QNum, ...]:
+        """The square boundaries of `edge_numerators` as QNums, built once
+        per step; the first is the step's own corner coordinate."""
+        return self._edges
+
+    @cached_property
+    def _edges(self) -> tuple[QNum, ...]:
+        As, Bs, L = self.edge_numerators()
+        c = self.x if self.along_x else self.y
+        return (c, *[from_numerators(a, b, L) for a, b in zip(As[1:], Bs[1:])])
 
     @property
     def squares(self) -> tuple[Rect, ...]:
-        """The packed squares, built on demand (one `Rect` per tile)."""
+        """The packed squares, built on demand (one `Rect` per tile) from
+        the step's shared edges and far side."""
         e = self.edges()
         if self.along_x:
-            top = self.y + self.side
-            return tuple(Rect(lo, hi, self.y, top) for lo, hi in zip(e, e[1:]))
-        right = self.x + self.side
-        return tuple(Rect(self.x, right, lo, hi) for lo, hi in zip(e, e[1:]))
+            return tuple(Rect(e0, e1, self.y, self.hi) for e0, e1 in zip(e, e[1:]))
+        return tuple(Rect(self.x, self.hi, e0, e1) for e0, e1 in zip(e, e[1:]))
 
 
 @dataclass(frozen=True)
@@ -190,14 +220,13 @@ def telescope(F: RectFunction, d: Decomposition) -> QNum:
 
     Each step's squares are summed by `F.row_sum`: every corner point is
     evaluated once and shared by the squares meeting at it, and one corner
-    difference per square is added to the total.  For corner-difference F
-    the sum equals F(original) exactly: shared-edge corner terms cancel in
-    pairs across the tiling.
+    difference per square is added to the total as integers.  For
+    corner-difference F the sum equals F(original) exactly: shared-edge
+    corner terms cancel in pairs across the tiling.
     """
     total = ZERO
     for step in d.steps:
-        lo = step.y if step.along_x else step.x
-        total = total + F.row_sum(step.edges(), lo, lo + step.side, step.along_x)
+        total = total + F.row_sum(step)
     if d.remainder is not None:
         total = total + F.value(d.remainder)
     return total

@@ -10,7 +10,9 @@ render to static SVG.
 from __future__ import annotations
 
 import json
+import math
 import random
+from itertools import accumulate, repeat
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -18,7 +20,7 @@ from typing import Optional
 
 from .decompose import Decomposition, decompose, telescope, verify_halving
 from .geometry import DyadicSquare, Rect, dyadic_inner_cover_rect, parse_rect
-from .numeric import ONE, QNum, SQRT2, ZERO, dyadic, numerators, parse_qnum, qnum
+from .numeric import ONE, QNum, SQRT2, ZERO, dyadic, from_numerators, numerators, parse_qnum, qnum
 from .rectfn import (
     RectFunction,
     liminf_quotient_probe,
@@ -53,6 +55,11 @@ MAX_STEPS = 1000
 # is rendered through a q-th power and a q-th root: with 4 offsets, depth 4
 # takes 0.4 s at q = 997 and 2.2 s at q = 1999 on the same box.
 MAX_ALPHA_DENOMINATOR = 1000
+# Most digits in either part of a `p/q` alpha, past leading zeros.  An alpha
+# in [0, 2] within the denominator budget has at most 4 digits in lowest
+# terms; Python refuses to convert more digits than its int-string limit,
+# which cannot be set below 640.
+MAX_ALPHA_DIGITS = 100
 
 VERIFIED = "verified"
 VIOLATED = "violated"
@@ -371,12 +378,17 @@ _ALPHA_DENOMINATOR_REFUSAL = (
     "(the budget of a non-field quotient's q-th root)"
 )
 _ALPHA_RANGE_REFUSAL = "alpha must lie in [0, 2]"
+_ALPHA_DIGITS_REFUSAL = (
+    f"alpha has a numerator or denominator of more than {MAX_ALPHA_DIGITS} digits "
+    "(the digit budget of alpha)"
+)
 
 
 def _alpha_from_text(text: str) -> Fraction:
     """Fraction(text) for a probe's alpha, refusing first a `p/q` or plain
     decimal whose digits alone put alpha outside [0, 2] or its denominator
-    above MAX_ALPHA_DENOMINATOR, so a long numeral is neither converted
+    above MAX_ALPHA_DENOMINATOR, then a `p/q` with a part of more than
+    MAX_ALPHA_DIGITS digits, so a long numeral is neither converted
     (Python refuses more than 4300 digits) nor printed.
 
     Past its leading zeros, a numerator with 2 digits more than its
@@ -399,6 +411,8 @@ def _alpha_from_text(text: str) -> Fraction:
             raise ValueError(_ALPHA_RANGE_REFUSAL)
         if p and len(q) > len(p) + len(str(MAX_ALPHA_DENOMINATOR)):
             raise ValueError(_ALPHA_DENOMINATOR_REFUSAL)
+        if max(len(p), len(q)) > MAX_ALPHA_DIGITS:
+            raise ValueError(_ALPHA_DIGITS_REFUSAL)
         return Fraction(int(p or 0), int(q or 0))
     whole, _, places = body.partition(".")
     if not slash and (whole + places).isdecimal():
@@ -510,6 +524,35 @@ def cmd_proptest(*, suite: str, cases: int = 200, seed: int = 1) -> Report:
 # SVG rendering
 
 _SVG_HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
+_SQRT2_FLOAT = float(SQRT2)
+# A coordinate (A + B*sqrt2)/D in width units is drawn as the float sum
+# A/D + (B/D)*sqrt2 while its terms stay below 2^20 units: the sum is then
+# within about 2^-32 units of the value, far below the 10^-3 px written.
+# Deep irrational traces have terms past 2^1000 that cancel to a tiny value
+# and overflow a float, so there the coordinate is read from an integer
+# floor of the value scaled by 2^64 instead.
+_FLOAT_TERM_BITS = 20
+_FLOOR_BITS = 64
+
+
+def _terms_cancel(As: tuple[int, ...], Bs: tuple[int, ...], D: int) -> bool:
+    """True when values over D with these numerators have a sqrt2 term and
+    a term of 2^_FLOAT_TERM_BITS units or more, decided on bit lengths."""
+    return any(Bs) and max(map(abs, As + Bs)).bit_length() - D.bit_length() >= _FLOAT_TERM_BITS
+
+
+def _floor_float(A: int, B: int, D: int) -> float:
+    """(A + B*sqrt2)/D rounded down to a multiple of 2^-64, as a float."""
+    m = math.floor(from_numerators(A << _FLOOR_BITS, B << _FLOOR_BITS, D))
+    return m / (1 << _FLOOR_BITS)
+
+
+def _to_float(v: QNum) -> float:
+    """A coordinate in width units as the SVG draws it."""
+    (A,), (B,), D = numerators((v,))
+    if _terms_cancel((A,), (B,), D):
+        return _floor_float(A, B, D)
+    return A / D + (B / D) * _SQRT2_FLOAT
 
 
 def write_decomposition_svg(d: Decomposition, path: str, width_px: float = 720.0) -> int:
@@ -525,7 +568,7 @@ def write_decomposition_svg(d: Decomposition, path: str, width_px: float = 720.0
     inv_w = ONE / r.width
 
     def px(length: QNum) -> float:
-        return float(length * inv_w) * width_px
+        return _to_float(length * inv_w) * width_px
 
     height_px = px(r.height)
     margin = 8.0
@@ -533,22 +576,16 @@ def write_decomposition_svg(d: Decomposition, path: str, width_px: float = 720.0
     smallest = min((px(s.side) for s in d.steps), default=width_px)
     stroke = max(0.3, min(2.5, smallest * 0.04))
 
-    def rect_el(cls: str, x: float, y: float, w: float, h: float, style: str) -> str:
+    def region_el(rc: Rect, cls: str, style: str) -> str:
+        # SVG y grows downward, so a rectangle's top edge gives its y
+        x = _to_float((rc.x1 - r.x1) * inv_w)
+        y = _to_float((r.y2 - rc.y2) * inv_w)
+        w = _to_float(rc.width * inv_w)
+        h = _to_float(rc.height * inv_w)
         return (
             f'  <rect class="{cls}" x="{x * width_px + margin:.3f}" '
             f'y="{y * width_px + margin:.3f}" '
             f'width="{w * width_px:.3f}" height="{h * width_px:.3f}" {style}/>'
-        )
-
-    def region_el(rc: Rect, cls: str, style: str) -> str:
-        # SVG y grows downward, so a rectangle's top edge gives its y
-        return rect_el(
-            cls,
-            float((rc.x1 - r.x1) * inv_w),
-            float((r.y2 - rc.y2) * inv_w),
-            float(rc.width * inv_w),
-            float(rc.height * inv_w),
-            style,
         )
 
     square_style = f'fill="#fff" stroke="#000" stroke-width="{stroke:.3f}"'
@@ -565,33 +602,36 @@ def write_decomposition_svg(d: Decomposition, path: str, width_px: float = 720.0
         region_el(r, "original", f'fill="none" stroke="#000" stroke-width="{stroke:.3f}"'),
     ]
     first_square = len(lines)
-    sqrt2 = float(SQRT2)
     for step in d.steps:
         # Walk the squares of the step in normalised units: t_k = t_0 ± k*u is
         # the exact offset of square k along the packing axis, kept as integer
-        # numerators (a, b) over the common denominator L of t_0 and u.  An
-        # int / int is correctly rounded, so a/L + (b/L)*sqrt2 is float(t_k)
-        # bit for bit.
+        # numerators (a, b) over the common denominator L of t_0 and u.  Only
+        # t_k is formatted per square; the rest of the element is the step's.
         u = step.side * inv_w
-        size = float(u)
+        size = f"{_to_float(u) * width_px:.3f}"
+        tail = f'width="{size}" height="{size}" {square_style}/>'
         if step.along_x:
             t0 = (step.x - r.x1) * inv_w
-            y = float((r.y2 - step.y - step.side) * inv_w)
+            y = _to_float((r.y2 - step.y - step.side) * inv_w)
+            head = '  <rect class="square" x="'
+            tail = f'" y="{y * width_px + margin:.3f}" {tail}'
         else:
             # going up a vertical step walks down the SVG, so the bottom
             # square comes first
-            x = float((step.x - r.x1) * inv_w)
+            x = _to_float((step.x - r.x1) * inv_w)
             t0 = (r.y2 - step.y - step.side) * inv_w
             u = -u
+            head = f'  <rect class="square" x="{x * width_px + margin:.3f}" y="'
+            tail = f'" {tail}'
         (a, da), (b, db), L = numerators((t0, u))
-        for _ in range(step.count):
-            t = a / L + (b / L) * sqrt2
-            if step.along_x:
-                lines.append(rect_el("square", t, y, size, size, square_style))
-            else:
-                lines.append(rect_el("square", x, t, size, size, square_style))
-            a += da
-            b += db
+        n = step.count
+        As = list(accumulate(repeat(da, n - 1), initial=a))
+        Bs = list(accumulate(repeat(db, n - 1), initial=b))
+        if _terms_cancel((As[0], As[-1]), (Bs[0], Bs[-1]), L):
+            ts = [_floor_float(a, b, L) for a, b in zip(As, Bs)]
+        else:
+            ts = [a / L + (b / L) * _SQRT2_FLOAT for a, b in zip(As, Bs)]
+        lines.extend([f"{head}{t * width_px + margin:.3f}{tail}" for t in ts])
     drawn = len(lines) - first_square
     if d.remainder is not None:
         lines.append(

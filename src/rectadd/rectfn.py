@@ -15,10 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from operator import sub
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from .geometry import Axis, Rect, split
 from .numeric import ONE, QNum, SQRT2, ZERO, dyadic, from_numerators, numerators, parse_qnum, qnum
+
+if TYPE_CHECKING:
+    from .decompose import Step
 
 __all__ = [
     "PointFunction",
@@ -50,6 +54,43 @@ class PointFunction:
     def value(self, x: QNum, y: QNum) -> QNum:
         raise NotImplementedError
 
+    def row_cuts(self, step: "Step") -> tuple[list[int], list[int], int]:
+        """The cut f(e, hi) - f(e, lo) at every square edge e of a
+        decomposition step, or f(hi, e) - f(lo, e) when the step packs along
+        y, as integer numerators over one denominator (see `numerators`).
+
+        The row spans [step.lo, step.hi] across the packing axis.  This
+        default evaluates `value` at every corner point, on the step's
+        shared QNum edges; a subclass may override it with integer
+        arithmetic on `step.edge_numerators()` that gives the same cuts.
+        """
+        f = self.value
+        lo, hi = step.lo, step.hi
+        if step.along_x:
+            cuts = [f(e, hi) - f(e, lo) for e in step.edges()]
+        else:
+            cuts = [f(hi, e) - f(lo, e) for e in step.edges()]
+        return numerators(cuts)
+
+
+def _row_ends(step: "Step") -> tuple[list[int], list[int], int, tuple[int, int], tuple[int, int]]:
+    """The edge numerators As, Bs over L of a step, the common denominator
+    L*M of their products with the row's ends, and the ends lo and hi as
+    numerator pairs over M."""
+    As, Bs, L = step.edge_numerators()
+    (lc, hc), (le, he), M = numerators((step.lo, step.hi))
+    return As, Bs, L * M, (lc, le), (hc, he)
+
+
+def _times(As: list[int], Bs: list[int], C: int, E: int) -> tuple[list[int], list[int]]:
+    """Numerators of every edge (A + B*sqrt2)/L times (C + E*sqrt2)/M, over
+    L*M: A*C + 2*B*E + (A*E + B*C)*sqrt2, as QNum.__mul__ forms them."""
+    return [A * C + 2 * B * E for A, B in zip(As, Bs)], [A * E + B * C for A, B in zip(As, Bs)]
+
+
+def _minus(xs: list[int], ys: list[int]) -> list[int]:
+    return [x - y for x, y in zip(xs, ys)]
+
 
 class Product(PointFunction):
     """f(x, y) = x*y; its corner difference is the area of the rectangle."""
@@ -58,6 +99,14 @@ class Product(PointFunction):
 
     def value(self, x: QNum, y: QNum) -> QNum:
         return x * y
+
+    def row_cuts(self, step: "Step") -> tuple[list[int], list[int], int]:
+        # e*hi and e*lo at every edge e, on integers; x*y == y*x, so a
+        # step along y has the same cuts
+        As, Bs, LM, lo, hi = _row_ends(step)
+        ha, hb = _times(As, Bs, *hi)
+        la, lb = _times(As, Bs, *lo)
+        return _minus(ha, la), _minus(hb, lb), LM
 
 
 class Counterexample(PointFunction):
@@ -73,6 +122,23 @@ class Counterexample(PointFunction):
         if y.is_rational():
             return x * y
         return ONE
+
+    def row_cuts(self, step: "Step") -> tuple[list[int], list[int], int]:
+        # a numerator pair over a positive denominator is rational iff its
+        # sqrt2 part is 0
+        As, Bs, LM, lo, hi = _row_ends(step)
+        if step.along_x:
+            # the ordinate of every point is lo or hi
+            n = len(As)
+            ha, hb = _times(As, Bs, *hi) if hi[1] == 0 else ([LM] * n, [0] * n)
+            la, lb = _times(As, Bs, *lo) if lo[1] == 0 else ([LM] * n, [0] * n)
+            return _minus(ha, la), _minus(hb, lb), LM
+        # the ordinate of both points on edge k is the edge itself: x*y at
+        # each on a rational edge (B == 0), and 1 - 1 on an irrational one
+        (lc, le), (hc, he) = lo, hi
+        ca = [0 if B else A * hc - A * lc for A, B in zip(As, Bs)]
+        cb = [0 if B else A * he - A * le for A, B in zip(As, Bs)]
+        return ca, cb, LM
 
 
 class Constant(PointFunction):
@@ -140,28 +206,17 @@ class RectFunction:
         f = self.point_fn.value
         return f(r.x2, r.y2) + f(r.x1, r.y1) - f(r.x1, r.y2) - f(r.x2, r.y1)
 
-    def row_sum(self, edges: Sequence[QNum], lo: QNum, hi: QNum, along_x: bool) -> QNum:
-        """Sum of F over the adjacent rectangles between consecutive `edges`.
+    def row_sum(self, step: "Step") -> QNum:
+        """Sum of F over the packed squares of a decomposition step.
 
-        The rectangles span [lo, hi] across the row: [e_i, e_{i+1}] x [lo, hi]
-        when `along_x`, else [lo, hi] x [e_i, e_{i+1}].  Each corner point is
-        evaluated once and shared by the two rectangles meeting at it; the
-        value of rectangle i is the corner difference cut_{i+1} - cut_i,
-        where cut_i = f(., hi) - f(., lo) on edge i, and it is added to the
-        total one rectangle at a time, as integer numerators over the common
-        denominator of the cuts.
+        Each corner point is evaluated once, by the point function's
+        `row_cuts`, and shared by the two squares meeting at it; the value
+        of square i is the corner difference cut_{i+1} - cut_i, and it is
+        added to the total one square at a time, as integer numerators over
+        the common denominator of the cuts.
         """
-        f = self.point_fn.value
-        if along_x:
-            cuts = [f(e, hi) - f(e, lo) for e in edges]
-        else:
-            cuts = [f(hi, e) - f(lo, e) for e in edges]
-        As, Bs, L = numerators(cuts)
-        ta = tb = 0
-        for i in range(1, len(cuts)):
-            ta += As[i] - As[i - 1]
-            tb += Bs[i] - Bs[i - 1]
-        return from_numerators(ta, tb, L)
+        As, Bs, L = self.point_fn.row_cuts(step)
+        return from_numerators(sum(map(sub, As[1:], As)), sum(map(sub, Bs[1:], Bs)), L)
 
 
 def corner_difference(f: PointFunction) -> RectFunction:

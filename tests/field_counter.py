@@ -1,13 +1,13 @@
-"""Count the QNum additions and subtractions a piece of code makes."""
+"""Count the QNum operations a piece of code makes."""
 
 from rectadd.numeric import QNum
 
 
-def count_field_additions(monkeypatch) -> list:
-    """Patch QNum.__add__ and __sub__ to record each call; the returned
+def count_field_calls(monkeypatch, *names: str) -> list:
+    """Patch the named QNum operators to record each call; the returned
     list grows by one per call until the monkeypatch is undone."""
     calls = []
-    for name in ("__add__", "__sub__"):
+    for name in names:
         op = getattr(QNum, name)
 
         def counting(self, other, op=op):
@@ -16,3 +16,8 @@ def count_field_additions(monkeypatch) -> list:
 
         monkeypatch.setattr(QNum, name, counting)
     return calls
+
+
+def count_field_additions(monkeypatch) -> list:
+    """Count QNum additions and subtractions."""
+    return count_field_calls(monkeypatch, "__add__", "__sub__")

@@ -2,7 +2,9 @@ import argparse
 import hashlib
 import inspect
 import json
+import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -136,6 +138,24 @@ def test_svg_bytes_pinned(tmp_path, rect, max_steps, digest):
     path = tmp_path / "d.svg"
     write_decomposition_svg(decompose(parse_rect(rect), max_steps), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_svg_of_deep_irrational_trace_stays_in_the_viewport(tmp_path):
+    # the coordinates' rational and sqrt2 terms grow past 2^1000 while the
+    # squares shrink, so their float sum would cancel and then overflow
+    path = tmp_path / "deep.svg"
+    argv = ["decompose", "--rect", "[0,1+1*sqrt2]x[0,1]", "--max-steps", str(harness.MAX_STEPS)]
+    assert main(argv + ["--svg", str(path)]) == 0
+    text = path.read_text()
+    view = re.search(r'<svg [^>]*width="([^"]+)" height="([^"]+)"', text)
+    view_w, view_h = float(view[1]), float(view[2])
+    attrs = r'x="([^"]+)" y="([^"]+)" width="([^"]+)" height="([^"]+)"'
+    rects = re.findall(r'<rect class="(\w+)" ' + attrs, text)
+    assert [cls for cls, *_ in rects].count("square") == 2 * harness.MAX_STEPS
+    for _, *numbers in rects:
+        x, y, w, h = map(float, numbers)
+        assert all(math.isfinite(v) and v >= 0 for v in (x, y, w, h))
+        assert x + w <= view_w and y + h <= view_h
 
 
 @pytest.mark.parametrize(
@@ -514,8 +534,18 @@ def test_cmd_decompose_step_budget(tmp_path, capsys):
         ("1/" + "1" + "0" * 5000, "denominator above 1000"),
         ("1" + "0" * 5000 + "/3", "alpha must lie in [0, 2]"),
         ("-0.0" + "0" * 5000 + "1", "alpha must lie in [0, 2]"),
+        ("1" + "0" * 5000 + "/3" + "0" * 5000, f"more than {harness.MAX_ALPHA_DIGITS} digits"),
+        ("0/" + "1" * 5000, f"more than {harness.MAX_ALPHA_DIGITS} digits"),
     ],
-    ids=["long-places", "long-integer", "long-denominator", "long-numerator", "negative"],
+    ids=[
+        "long-places",
+        "long-integer",
+        "long-denominator",
+        "long-numerator",
+        "negative",
+        "long-both",
+        "long-zero",
+    ],
 )
 def test_cli_refuses_long_alpha_by_its_bound(capsys, alpha, bound):
     t0 = time.perf_counter()
@@ -536,8 +566,11 @@ def test_cmd_probe_reads_padded_alpha_text():
         ("0.5" + "0" * 5000, "1/2"),
         ("2000/1000", "2"),
         ("0.001953125", "1/512"),  # nine places, the most a decimal within budget has
+        ("1" * harness.MAX_ALPHA_DIGITS + "/" + "2" * harness.MAX_ALPHA_DIGITS, "1/2"),
     ]:
         assert cmd_probe(alpha=alpha, depth=1, offsets=1).inputs["alpha"] == value
-    for alpha in ("0.0009765625", "1/1001", "3/1"):  # 1/1024, and the two bounds
+    digits = harness.MAX_ALPHA_DIGITS + 1
+    # 1/1024, and the three bounds
+    for alpha in ("0.0009765625", "1/1001", "3/1", "1" * digits + "/" + "2" * digits):
         with pytest.raises(ValueError):
             cmd_probe(alpha=alpha)

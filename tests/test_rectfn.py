@@ -5,7 +5,7 @@ import pytest
 
 from rectadd.decompose import Step
 from rectadd.geometry import DyadicSquare, Rect, split
-from rectadd.numeric import ONE, QNum, SQRT2, ZERO
+from rectadd.numeric import ONE, QNum, SQRT2, ZERO, from_numerators
 from rectadd.rectfn import (
     COUNTEREXAMPLE,
     Constant,
@@ -255,17 +255,18 @@ def test_probe_validates_inputs():
         liminf_quotient_probe(PROD, (ZERO, ZERO), F(1), 2, 0)
 
 
+def _value_cuts(f, step):
+    # f(e, hi) - f(e, lo) at every edge of the step, from `value`
+    lo, hi = step.lo, step.lo + step.side
+    if step.along_x:
+        return [f.value(e, hi) - f.value(e, lo) for e in step.edges()]
+    return [f.value(hi, e) - f.value(lo, e) for e in step.edges()]
+
+
 def _row_cuts_mixed(F_, step):
     # True when the cuts of the row are over different denominators, so the
     # integer row sum scales some of them to their lcm
-    f = F_.point_fn.value
-    lo = step.y if step.along_x else step.x
-    hi = lo + step.side
-    if step.along_x:
-        cuts = [f(e, hi) - f(e, lo) for e in step.edges()]
-    else:
-        cuts = [f(hi, e) - f(lo, e) for e in step.edges()]
-    return len({c._D for c in cuts}) > 1
+    return len({c._D for c in _value_cuts(F_.point_fn, step)}) > 1
 
 
 def test_row_sum_matches_per_square_values():
@@ -281,12 +282,49 @@ def test_row_sum_matches_per_square_values():
             squares = step.squares
             table = rand_table_function(rng, _rect_corner_points(squares))
             functions = (PROD, CE, corner_difference(Constant(QNum(F(5, 3), F(-1, 2)))), table)
-            lo = step.y if along_x else step.x
             for F_ in functions:
-                row = F_.row_sum(step.edges(), lo, lo + side, along_x)
+                row = F_.row_sum(step)
                 assert row == sum((F_.value(sq) for sq in squares), ZERO)
                 mixed += _row_cuts_mixed(F_, step)
     assert mixed > 200
+
+
+def _rand_part(rng, irrational):
+    b = F(rng.choice([-1, 1]) * rng.randint(1, 3), rng.randint(1, 4)) if irrational else 0
+    return QNum(F(rng.randint(-60, 60), rng.randint(1, 9)), b)
+
+
+def test_row_cut_kernels_match_value():
+    rng = random.Random(437)
+    rows = set()
+    mixed_edges = 0
+    for i in range(400):
+        along_x, mode, count = i % 2 == 0, i // 2 % 4, i % 25 + 1
+        # mode 0: lo and hi rational; 1: lo rational, hi not; 2: neither;
+        # 3: lo irrational, hi rational
+        while True:
+            side = _rand_part(rng, mode in (1, 3))
+            if side > 0:
+                break
+        lo = _rand_part(rng, mode == 2)
+        if mode == 3:
+            lo = QNum(lo.a, -side.b)
+        start = _rand_part(rng, i % 3 != 0)
+        if i % 5 == 0 and side.b:
+            # edge j of the row is rational: the sqrt2 parts cancel there
+            start = QNum(start.a, -rng.randint(0, count) * side.b)
+        x, y = (start, lo) if along_x else (lo, start)
+        step = Step(x, y, side, count, along_x)
+        rows.add((step.lo.is_rational(), step.hi.is_rational()))
+        rational_edges = sum(e.is_rational() for e in step.edges())
+        mixed_edges += 0 < rational_edges < count + 1
+        for f in (PRODUCT, COUNTEREXAMPLE):
+            As, Bs, L = f.row_cuts(step)
+            assert len(As) == len(Bs) == count + 1
+            kernel = [from_numerators(a, b, L) for a, b in zip(As, Bs)]
+            assert kernel == _value_cuts(f, step)
+    assert rows == {(True, True), (True, False), (False, False), (False, True)}
+    assert mixed_edges > 30
 
 
 def test_table_of_qnum_entries_answers_as_coerced_entries():
