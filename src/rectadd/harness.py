@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from itertools import accumulate, repeat
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Optional
 
 from .decompose import Decomposition, decompose, telescope, verify_halving
@@ -527,7 +527,7 @@ _SVG_HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
 _SQRT2_FLOAT = float(SQRT2)
 # A coordinate (A + B*sqrt2)/D in width units is drawn as the float sum
 # A/D + (B/D)*sqrt2 while its terms stay below 2^20 units: the sum is then
-# within about 2^-32 units of the value, far below the 10^-3 px written.
+# within 2^-30 units of the value, far below the 10^-3 px written.
 # Deep irrational traces have terms past 2^1000 that cancel to a tiny value
 # and overflow a float, so there the coordinate is read from an integer
 # floor of the value scaled by 2^64 instead.
@@ -609,12 +609,12 @@ def write_decomposition_svg(d: Decomposition, path: str, width_px: float = 720.0
         # t_k is formatted per square; the rest of the element is the step's.
         u = step.side * inv_w
         size = f"{_to_float(u) * width_px:.3f}"
-        tail = f'width="{size}" height="{size}" {square_style}/>'
+        size_style = f'width="{size}" height="{size}" {square_style}/>'
         if step.along_x:
             t0 = (step.x - r.x1) * inv_w
             y = _to_float((r.y2 - step.y - step.side) * inv_w)
             head = '  <rect class="square" x="'
-            tail = f'" y="{y * width_px + margin:.3f}" {tail}'
+            tail = f'" y="{y * width_px + margin:.3f}" {size_style}'
         else:
             # going up a vertical step walks down the SVG, so the bottom
             # square comes first
@@ -622,7 +622,7 @@ def write_decomposition_svg(d: Decomposition, path: str, width_px: float = 720.0
             t0 = (r.y2 - step.y - step.side) * inv_w
             u = -u
             head = f'  <rect class="square" x="{x * width_px + margin:.3f}" y="'
-            tail = f'" {tail}'
+            tail = f'" {size_style}'
         (a, da), (b, db), L = numerators((t0, u))
         n = step.count
         As = list(accumulate(repeat(da, n - 1), initial=a))

@@ -356,3 +356,28 @@ def test_telescope_field_operations_grow_with_steps(monkeypatch, r, max_steps):
         assert len(calls) <= 2 * len(d.steps) + 8
         monkeypatch.undo()
         assert total == F_.value(r)
+
+
+def test_squares_and_table_lookups_share_the_step_edges():
+    # a table built from the squares' corners is looked up at the very same
+    # objects, so each lookup hashes cached values and matches by identity
+    d = decompose(Rect(QNum(F(1, 3)), QNum(F(1, 3), F(1, 2)), QNum(F(-7, 4)), QNum(40)), 6)
+    seen = []
+
+    class Recording(Table):
+        def value(self, x, y):
+            seen.append((x, y))
+            return super().value(x, y)
+
+    for step in d.steps:
+        e = step.edges()
+        assert e is step.edges() and e[0] is (step.x if step.along_x else step.y)
+        for k, sq in enumerate(step.squares):
+            along, across = ((sq.x1, sq.x2), sq.y2) if step.along_x else ((sq.y1, sq.y2), sq.x2)
+            assert along[0] is e[k] and along[1] is e[k + 1] and across is step.hi
+        Ft = corner_difference(Recording({p: QNum(1) for sq in step.squares for p in sq.corners()}))
+        seen.clear()
+        Ft.row_sum(step)
+        corners = {id(c) for sq in step.squares for c in (sq.x1, sq.x2, sq.y1, sq.y2)}
+        assert len(seen) == 2 * (step.count + 1)
+        assert all(id(x) in corners and id(y) in corners for x, y in seen)
