@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, repeat
 from typing import Optional
 
@@ -62,11 +61,23 @@ class Step:
         `along_x`, else x."""
         return self.y if self.along_x else self.x
 
-    @cached_property
+    # Memos of `hi` and `edges`, set once through object.__setattr__.  They
+    # are class attributes without annotations, not dataclass fields, so
+    # equality, hashing and repr ignore them (functools.cached_property
+    # would do as much, but before Python 3.12 it takes a lock on every
+    # first read).
+    _hi = None
+    _edges = None
+
+    @property
     def hi(self) -> QNum:
         """The far side of the row, lo + side, built once per step so that
         every square and every point function reading it shares one object."""
-        return self.lo + self.side
+        hi = self._hi
+        if hi is None:
+            hi = self.lo + self.side
+            object.__setattr__(self, "_hi", hi)
+        return hi
 
     def edge_numerators(self) -> tuple[list[int], list[int], int]:
         """The count + 1 square boundaries along the packing axis, in
@@ -85,13 +96,13 @@ class Step:
     def edges(self) -> tuple[QNum, ...]:
         """The square boundaries of `edge_numerators` as QNums, built once
         per step; the first is the step's own corner coordinate."""
-        return self._edges
-
-    @cached_property
-    def _edges(self) -> tuple[QNum, ...]:
-        As, Bs, L = self.edge_numerators()
-        c = self.x if self.along_x else self.y
-        return (c, *[from_numerators(a, b, L) for a, b in zip(As[1:], Bs[1:])])
+        edges = self._edges
+        if edges is None:
+            As, Bs, L = self.edge_numerators()
+            c = self.x if self.along_x else self.y
+            edges = (c, *[from_numerators(a, b, L) for a, b in zip(As[1:], Bs[1:])])
+            object.__setattr__(self, "_edges", edges)
+        return edges
 
     @property
     def squares(self) -> tuple[Rect, ...]:

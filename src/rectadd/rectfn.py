@@ -54,7 +54,7 @@ class PointFunction:
     def value(self, x: QNum, y: QNum) -> QNum:
         raise NotImplementedError
 
-    def row_cuts(self, step: "Step") -> tuple[list[int], list[int], int]:
+    def row_cuts(self, step: Step) -> tuple[list[int], list[int], int]:
         """The cut f(e, hi) - f(e, lo) at every square edge e of a
         decomposition step, or f(hi, e) - f(lo, e) when the step packs along
         y, as integer numerators over one denominator (see `numerators`).
@@ -73,23 +73,26 @@ class PointFunction:
         return numerators(cuts)
 
 
-def _row_ends(step: "Step") -> tuple[list[int], list[int], int, tuple[int, int], tuple[int, int]]:
+def _row_ends(step: Step) -> tuple[list[int], list[int], int, tuple[int, int], tuple[int, int]]:
     """The edge numerators As, Bs over L of a step, the common denominator
-    L*M of their products with the row's ends, and the ends lo and hi as
-    numerator pairs over M."""
+    L*M of their products with the row's ends, and the ends lo and
+    hi = lo + side as numerator pairs over M."""
     As, Bs, L = step.edge_numerators()
-    (lc, hc), (le, he), M = numerators((step.lo, step.hi))
-    return As, Bs, L * M, (lc, le), (hc, he)
+    (lc, sc), (le, se), M = numerators((step.lo, step.side))
+    return As, Bs, L * M, (lc, le), (lc + sc, le + se)
 
 
-def _times(As: list[int], Bs: list[int], C: int, E: int) -> tuple[list[int], list[int]]:
-    """Numerators of every edge (A + B*sqrt2)/L times (C + E*sqrt2)/M, over
-    L*M: A*C + 2*B*E + (A*E + B*C)*sqrt2, as QNum.__mul__ forms them."""
-    return [A * C + 2 * B * E for A, B in zip(As, Bs)], [A * E + B * C for A, B in zip(As, Bs)]
-
-
-def _minus(xs: list[int], ys: list[int]) -> list[int]:
-    return [x - y for x, y in zip(xs, ys)]
+def _product_cuts(
+    As: list[int], Bs: list[int], lo: tuple[int, int], hi: tuple[int, int]
+) -> tuple[list[int], list[int]]:
+    """Numerators over L*M of e*hi - e*lo at every edge e = (A + B*sqrt2)/L,
+    for ends (C + E*sqrt2)/M given as pairs (C, E): each product is
+    A*C + 2*B*E + (A*E + B*C)*sqrt2, as QNum.__mul__ forms it."""
+    (lc, le), (hc, he) = lo, hi
+    return (
+        [A * hc + 2 * B * he - (A * lc + 2 * B * le) for A, B in zip(As, Bs)],
+        [A * he + B * hc - (A * le + B * lc) for A, B in zip(As, Bs)],
+    )
 
 
 class Product(PointFunction):
@@ -100,13 +103,11 @@ class Product(PointFunction):
     def value(self, x: QNum, y: QNum) -> QNum:
         return x * y
 
-    def row_cuts(self, step: "Step") -> tuple[list[int], list[int], int]:
+    def row_cuts(self, step: Step) -> tuple[list[int], list[int], int]:
         # e*hi and e*lo at every edge e, on integers; x*y == y*x, so a
         # step along y has the same cuts
         As, Bs, LM, lo, hi = _row_ends(step)
-        ha, hb = _times(As, Bs, *hi)
-        la, lb = _times(As, Bs, *lo)
-        return _minus(ha, la), _minus(hb, lb), LM
+        return (*_product_cuts(As, Bs, lo, hi), LM)
 
 
 class Counterexample(PointFunction):
@@ -123,16 +124,18 @@ class Counterexample(PointFunction):
             return x * y
         return ONE
 
-    def row_cuts(self, step: "Step") -> tuple[list[int], list[int], int]:
+    def row_cuts(self, step: Step) -> tuple[list[int], list[int], int]:
         # a numerator pair over a positive denominator is rational iff its
         # sqrt2 part is 0
         As, Bs, LM, lo, hi = _row_ends(step)
         if step.along_x:
-            # the ordinate of every point is lo or hi
-            n = len(As)
-            ha, hb = _times(As, Bs, *hi) if hi[1] == 0 else ([LM] * n, [0] * n)
-            la, lb = _times(As, Bs, *lo) if lo[1] == 0 else ([LM] * n, [0] * n)
-            return _minus(ha, la), _minus(hb, lb), LM
+            # the ordinate of every point is lo or hi: f is x*y on a rational
+            # end, and 1 (LM over LM) on an irrational one, where the product
+            # term is left out
+            zero = (0, 0)
+            ca, cb = _product_cuts(As, Bs, zero if lo[1] else lo, zero if hi[1] else hi)
+            ones = (hi[1] != 0) - (lo[1] != 0)  # f's 1 at hi minus its 1 at lo
+            return ([c + ones * LM for c in ca] if ones else ca), cb, LM
         # the ordinate of both points on edge k is the edge itself: x*y at
         # each on a rational edge (B == 0), and 1 - 1 on an irrational one
         (lc, le), (hc, he) = lo, hi
@@ -206,7 +209,7 @@ class RectFunction:
         f = self.point_fn.value
         return f(r.x2, r.y2) + f(r.x1, r.y1) - f(r.x1, r.y2) - f(r.x2, r.y1)
 
-    def row_sum(self, step: "Step") -> QNum:
+    def row_sum(self, step: Step) -> QNum:
         """Sum of F over the packed squares of a decomposition step.
 
         Each corner point is evaluated once, by the point function's
