@@ -69,6 +69,28 @@ def test_cmd_counterexample_determinism():
     assert a["findings"] == c["findings"]  # all-pass findings don't depend on the draw
 
 
+@pytest.mark.parametrize(
+    "flags, status, digest",
+    [
+        ([], 0, "f3288e0ba05bea8c5a6d934289b7020392843a83925c941366e0cb74990cdfbb"),
+        (["--function", "product"], 1, "0b2bd1d93a17355529e09ce9f81d3c05c9b2335fbff9c103315dc49ab9c93270"),
+        # fails on its first sample: the report names the square and F = 0
+        (["--function", "constant:1"], 1, "150756cfbab63334204d7cdf95b5a0b4ec1d78c537ba76417fd95eb37d8786a3"),
+        (
+            ["--min-order", "20", "--max-order", "40", "--seed", "3"],
+            0,
+            "e152235d4e9fa0b912961e010df54271fce966ab9f68c7a83220744236e793f2",
+        ),
+    ],
+)
+def test_counterexample_report_pinned(tmp_path, flags, status, digest):
+    path = tmp_path / "c.json"
+    assert main(["counterexample", *flags, "--json", str(path)]) == status
+    report = json.loads(path.read_text())
+    report.pop("generated_at")
+    assert hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest() == digest
+
+
 def test_cmd_counterexample_validates():
     with pytest.raises(ValueError):
         cmd_counterexample(samples=0)
