@@ -8,6 +8,7 @@ cannot be written; `--json PATH` additionally writes the full report.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import harness
@@ -73,7 +74,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing leaves
+    it unchanged, and each call of `main` gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="rectadd",
         description="Exact verification and figures for additive rectangle "

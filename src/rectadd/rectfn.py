@@ -13,6 +13,7 @@ does not propagate to all rectangles.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
@@ -45,6 +46,10 @@ __all__ = [
     "ProbeReport",
 ]
 
+# a number (C + E*sqrt2)/M as its numerators (C, E) over a denominator M
+# given beside it
+Pair = tuple[int, int]
+
 
 class PointFunction:
     """Exactly evaluable map (x, y) -> QNum.  Implementations are immutable."""
@@ -54,37 +59,58 @@ class PointFunction:
     def value(self, x: QNum, y: QNum) -> QNum:
         raise NotImplementedError
 
-    def row_cuts(self, step: Step) -> tuple[list[int], list[int], int]:
-        """The cut f(e, hi) - f(e, lo) at every square edge e of a
-        decomposition step, or f(hi, e) - f(lo, e) when the step packs along
-        y, as integer numerators over one denominator (see `numerators`).
+    def cuts(
+        self, As: list[int], Bs: list[int], L: int, lo: Pair, hi: Pair, M: int, along_x: bool
+    ) -> tuple[list[int], list[int], int]:
+        """The cut f(e, hi) - f(e, lo) at every edge e = (As[k] + Bs[k]*sqrt2)/L,
+        or f(hi, e) - f(lo, e) when not `along_x`, for ends lo and hi given
+        as numerator pairs (C, E) of (C + E*sqrt2)/M; the cuts are returned
+        as integer numerators over one positive denominator (see
+        `numerators`).
 
-        The row spans [step.lo, step.hi] across the packing axis.  This
-        default evaluates `value` at every corner point, on the step's
-        shared QNum edges; a subclass may override it with integer
-        arithmetic on `step.edge_numerators()` that gives the same cuts.
+        This is the integer core of a row of squares: a decomposition step
+        (`row_cuts`) and a single mesh square (`cmd_counterexample`) both go
+        through it.  This default evaluates `value` at QNum corners built
+        from the numerators; a subclass may override it with integer
+        arithmetic that gives the same cuts.
         """
+        edges = [from_numerators(A, B, L) for A, B in zip(As, Bs)]
+        return self._value_cuts(edges, from_numerators(*lo, M), from_numerators(*hi, M), along_x)
+
+    def row_cuts(self, step: Step) -> tuple[list[int], list[int], int]:
+        """The `cuts` of a decomposition step, whose row spans
+        [step.lo, step.hi] across the packing axis.
+
+        This default evaluates `value` at every corner point, on the step's
+        shared QNum edges, so a `Table` built from the squares' corners is
+        looked up at the same objects; a point function with an integer
+        `cuts` runs it on `step.edge_numerators()` instead (`_IntegerCuts`).
+        """
+        return self._value_cuts(step.edges(), step.lo, step.hi, step.along_x)
+
+    def _value_cuts(
+        self, edges: Sequence[QNum], lo: QNum, hi: QNum, along_x: bool
+    ) -> tuple[list[int], list[int], int]:
         f = self.value
-        lo, hi = step.lo, step.hi
-        if step.along_x:
-            cuts = [f(e, hi) - f(e, lo) for e in step.edges()]
+        if along_x:
+            cuts = [f(e, hi) - f(e, lo) for e in edges]
         else:
-            cuts = [f(hi, e) - f(lo, e) for e in step.edges()]
+            cuts = [f(hi, e) - f(lo, e) for e in edges]
         return numerators(cuts)
 
 
-def _row_ends(step: Step) -> tuple[list[int], list[int], int, tuple[int, int], tuple[int, int]]:
-    """The edge numerators As, Bs over L of a step, the common denominator
-    L*M of their products with the row's ends, and the ends lo and
-    hi = lo + side as numerator pairs over M."""
-    As, Bs, L = step.edge_numerators()
-    (lc, sc), (le, se), M = numerators((step.lo, step.side))
-    return As, Bs, L * M, (lc, le), (lc + sc, le + se)
+class _IntegerCuts(PointFunction):
+    """A point function whose `cuts` computes every corner value on integer
+    numerators; a decomposition step goes through it too, and builds no
+    QNum per square."""
+
+    def row_cuts(self, step: Step) -> tuple[list[int], list[int], int]:
+        As, Bs, L = step.edge_numerators()
+        (lc, sc), (le, se), M = numerators((step.lo, step.side))
+        return self.cuts(As, Bs, L, (lc, le), (lc + sc, le + se), M, step.along_x)
 
 
-def _product_cuts(
-    As: list[int], Bs: list[int], lo: tuple[int, int], hi: tuple[int, int]
-) -> tuple[list[int], list[int]]:
+def _product_cuts(As: list[int], Bs: list[int], lo: Pair, hi: Pair) -> tuple[list[int], list[int]]:
     """Numerators over L*M of e*hi - e*lo at every edge e = (A + B*sqrt2)/L,
     for ends (C + E*sqrt2)/M given as pairs (C, E): each product is
     A*C + 2*B*E + (A*E + B*C)*sqrt2, as QNum.__mul__ forms it."""
@@ -95,7 +121,7 @@ def _product_cuts(
     )
 
 
-class Product(PointFunction):
+class Product(_IntegerCuts):
     """f(x, y) = x*y; its corner difference is the area of the rectangle."""
 
     label = "product"
@@ -103,14 +129,15 @@ class Product(PointFunction):
     def value(self, x: QNum, y: QNum) -> QNum:
         return x * y
 
-    def row_cuts(self, step: Step) -> tuple[list[int], list[int], int]:
-        # e*hi and e*lo at every edge e, on integers; x*y == y*x, so a
-        # step along y has the same cuts
-        As, Bs, LM, lo, hi = _row_ends(step)
-        return (*_product_cuts(As, Bs, lo, hi), LM)
+    def cuts(
+        self, As: list[int], Bs: list[int], L: int, lo: Pair, hi: Pair, M: int, along_x: bool
+    ) -> tuple[list[int], list[int], int]:
+        # e*hi and e*lo at every edge e, on integers; x*y == y*x, so a row
+        # along y has the same cuts
+        return (*_product_cuts(As, Bs, lo, hi), L * M)
 
 
-class Counterexample(PointFunction):
+class Counterexample(_IntegerCuts):
     """f(x, y) = 1 when y is irrational, x*y when y is rational.
 
     Rationality of a Q(sqrt2) ordinate is decidable (b == 0), so evaluation
@@ -124,11 +151,13 @@ class Counterexample(PointFunction):
             return x * y
         return ONE
 
-    def row_cuts(self, step: Step) -> tuple[list[int], list[int], int]:
+    def cuts(
+        self, As: list[int], Bs: list[int], L: int, lo: Pair, hi: Pair, M: int, along_x: bool
+    ) -> tuple[list[int], list[int], int]:
         # a numerator pair over a positive denominator is rational iff its
         # sqrt2 part is 0
-        As, Bs, LM, lo, hi = _row_ends(step)
-        if step.along_x:
+        LM = L * M
+        if along_x:
             # the ordinate of every point is lo or hi: f is x*y on a rational
             # end, and 1 (LM over LM) on an irrational one, where the product
             # term is left out

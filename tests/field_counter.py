@@ -1,5 +1,7 @@
-"""Count the QNum operations a piece of code makes."""
+"""Count the QNum operations a piece of code makes, and the objects it builds."""
 
+from rectadd import numeric
+from rectadd.geometry import DyadicSquare, Rect
 from rectadd.numeric import QNum
 
 
@@ -21,3 +23,23 @@ def count_field_calls(monkeypatch, *names: str) -> list:
 def count_field_additions(monkeypatch) -> list:
     """Count QNum additions and subtractions."""
     return count_field_calls(monkeypatch, "__add__", "__sub__")
+
+
+def count_builds(monkeypatch) -> list:
+    """Count the QNums, Rects and DyadicSquares built: every QNum made by
+    its constructor or from an integer triple, and every validated Rect and
+    DyadicSquare."""
+    built = []
+
+    def record(fn):
+        def counting(*args, **kwargs):
+            built.append(fn)
+            return fn(*args, **kwargs)
+
+        return counting
+
+    monkeypatch.setattr(numeric, "_alloc", record(numeric._alloc))
+    monkeypatch.setattr(QNum, "__init__", record(QNum.__init__))
+    for cls in (Rect, DyadicSquare):
+        monkeypatch.setattr(cls, "__post_init__", record(cls.__post_init__))
+    return built

@@ -12,7 +12,7 @@ import pytest
 
 from rectadd import harness
 from rectadd.cli import COMMANDS, build_parser, main
-from rectadd.geometry import Rect, parse_rect
+from rectadd.geometry import DyadicSquare, Rect, parse_rect
 from rectadd.harness import (
     EVIDENCE,
     VERIFIED,
@@ -30,11 +30,12 @@ from rectadd.harness import (
     write_decomposition_svg,
 )
 from rectadd.decompose import decompose
-from rectadd.numeric import QNum, ZERO
+from rectadd.numeric import QNum, SQRT2, ZERO
+from rectadd.rectfn import PointFunction, corner_difference, named_point_function
 from rectadd.suites import rand_rect, rand_table_function, _rect_corner_points
 
 from cover_oracle import dyadic_inner_cover
-from field_counter import count_field_additions
+from field_counter import count_builds, count_field_additions, count_field_calls
 
 F = Fraction
 
@@ -89,6 +90,86 @@ def test_counterexample_report_pinned(tmp_path, flags, status, digest):
     report = json.loads(path.read_text())
     report.pop("generated_at")
     assert hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest() == digest
+
+
+class _Quadrants(PointFunction):
+    """x*y where x >= 0, x*y*(1+sqrt2) where x < 0 <= y, and -x*y where
+    both are negative: on a square inside one quadrant F is the area, the
+    area plus an irrational part, or minus the area; a user subclass with
+    no integer kernel."""
+
+    label = "quadrants"
+
+    def value(self, x, y):
+        if x.sign() >= 0:
+            return x * y
+        return x * y * (1 + SQRT2) if y.sign() >= 0 else -(x * y)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [*map(named_point_function, ("counterexample", "product", "constant:1", "constant:0")), _Quadrants()],
+    ids=lambda f: f.label,
+)
+def test_mesh_square_check_matches_value(f):
+    F_ = corner_difference(f)
+    orders, verdicts = set(), set()
+    for seed in range(24):
+        rng = random.Random(seed)
+        for _ in range(40):
+            n, k, m = rng.randint(0, 60), rng.randint(-(2**15), 2**15), rng.randint(-(2**15), 2**15)
+            sq = DyadicSquare(n, k, m)
+            r = sq.to_rect()
+            v = F_.value(r)
+            holds = v == r.area() and v.sign() > 0
+            failure = harness._mesh_square_failure(f, n, k, m)
+            assert (failure is None) == holds, (f.label, n, k, m)
+            if failure is not None:
+                assert failure.literal() == v.literal()
+            orders.add(n)
+            verdicts.add(holds)
+    assert orders == set(range(61))
+    if isinstance(f, _Quadrants):
+        assert type(f).cuts is PointFunction.cuts and verdicts == {True, False}
+
+
+def test_counterexample_passing_samples_build_nothing(monkeypatch):
+    # a passing sample makes no field operation and builds no QNum, Rect or
+    # DyadicSquare: the work of 2000 samples is that of 200
+    calls = count_field_calls(monkeypatch, "__add__", "__sub__", "__mul__")
+    built = count_builds(monkeypatch)
+    counts = []
+    for samples in (200, 2000):
+        calls.clear()
+        built.clear()
+        assert cmd_counterexample(samples=samples).exit_status == 0
+        counts.append((len(calls), len(built)))
+    assert counts[0] == counts[1]
+
+
+def test_cmd_counterexample_budgets(tmp_path, capsys):
+    # the benchmark's stress row draws 6000 samples
+    assert harness.MAX_SAMPLES >= 6000
+    top = harness.MAX_ORDER
+    assert cmd_counterexample(samples=harness.MAX_SAMPLES).exit_status == 0
+    rep = cmd_counterexample(min_order=top, max_order=top, samples=200)
+    assert rep.findings[0].status == VERIFIED
+    over = str(top + 1)
+    for flags, bound in (
+        (["--samples", str(harness.MAX_SAMPLES + 1)], f"samples above {harness.MAX_SAMPLES}"),
+        (["--max-order", over], f"max_order above {top}"),
+        (["--min-order", over, "--max-order", over, "--samples", "3"], f"max_order above {top}"),
+    ):
+        path = tmp_path / "c.json"
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["counterexample", *flags, "--json", str(path)])
+        assert time.perf_counter() - t0 < 1.0
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("rectadd counterexample: ")
+        assert bound in err[0]
+        assert not path.exists()
 
 
 def test_cmd_counterexample_validates():
@@ -394,6 +475,16 @@ def test_cli_defaults_are_the_function_defaults(tmp_path, command, fn):
     assert main([command, "--json", str(out)]) == 0
     got = json.loads(out.read_text())
     assert got == report_to_dict(fn(), timestamp=got["generated_at"])
+
+
+def test_cli_parser_is_built_once_and_keeps_no_flags(tmp_path):
+    assert build_parser() is build_parser()
+    out = tmp_path / "p.json"
+    depths = []
+    for argv in (["probe", "--depth", "3"], ["probe"]):
+        assert main([*argv, "--json", str(out)]) == 0
+        depths.append(json.loads(out.read_text())["inputs"]["depth"])
+    assert depths == [3, 4]
 
 
 def test_cli_json_determinism(tmp_path):

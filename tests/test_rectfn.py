@@ -5,11 +5,12 @@ import pytest
 
 from rectadd.decompose import Step
 from rectadd.geometry import DyadicSquare, Rect, split
-from rectadd.numeric import ONE, QNum, SQRT2, ZERO, from_numerators
+from rectadd.numeric import ONE, QNum, SQRT2, ZERO, from_numerators, numerators
 from rectadd.rectfn import (
     COUNTEREXAMPLE,
     Constant,
     PRODUCT,
+    PointFunction,
     Table,
     check_additivity,
     corner_difference,
@@ -318,11 +319,19 @@ def test_row_cut_kernels_match_value():
         rows.add((step.lo.is_rational(), step.hi.is_rational()))
         rational_edges = sum(e.is_rational() for e in step.edges())
         mixed_edges += 0 < rational_edges < count + 1
+        # the step's edges and ends as numerators, for `cuts` called directly
+        edges = step.edge_numerators()
+        (lc, sc), (le, se), M = numerators((step.lo, step.side))
+        ends = ((lc, le), (lc + sc, le + se), M, along_x)
         for f in (PRODUCT, COUNTEREXAMPLE):
             As, Bs, L = f.row_cuts(step)
             assert len(As) == len(Bs) == count + 1
             kernel = [from_numerators(a, b, L) for a, b in zip(As, Bs)]
             assert kernel == _value_cuts(f, step)
+            # the fallback of a point function without a kernel, on the
+            # same numerators, gives the same cuts
+            As, Bs, L = PointFunction.cuts(f, *edges, *ends)
+            assert [from_numerators(a, b, L) for a, b in zip(As, Bs)] == kernel
     assert rows == {(True, True), (True, False), (False, False), (False, True)}
     assert mixed_edges > 30
 
