@@ -262,22 +262,47 @@ def test_svg_of_deep_irrational_trace_stays_in_the_viewport(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "rect, max_steps, digest",
+    "rect, max_steps, digest, function",
     [
         # horizontal rational strip: 1009 + 2 squares
-        ("[-5/2,334]x[1/4,7/12]", 20, "a12f9a5324ac56b0791db25a4d41b45c12d8cfa30a86ec1c5825a35e8300c9c5"),
+        ("[-5/2,334]x[1/4,7/12]", 20, "a12f9a5324ac56b0791db25a4d41b45c12d8cfa30a86ec1c5825a35e8300c9c5", "product"),
         # vertical strip in Q(sqrt2): 989 + 1 + 18 + ... squares, truncated
         (
             "[1/3,1/3+1/2*sqrt2]x[-7/4,2793/4]",
             6,
             "a992e2b2bfda387bcfbcb4044a4a0489ba5508c3bc5b7a78f0b77b5d47a165cd",
+            "product",
         ),
+        # silver at the step budget: coefficients past 1200 bits
+        (
+            "[0,1+1*sqrt2]x[0,1]",
+            1000,
+            "5b481bb42fcdc0ce2a48f9b1543bdd4013202ffa948bb800bc2b4004b5cdc6d5",
+            "counterexample",
+        ),
+        # negative corners, a tall rectangle packed along y first
+        (
+            "[-5,-4]x[15/2,17/2+2*sqrt2]",
+            200,
+            "d1a200a92654a1c63dcb858f12acbe449326857d9a75fe70879130c598540cdf",
+            "product",
+        ),
+        # corners over unrelated denominators
+        (
+            "[1/3,1/3+1/2*sqrt2]x[-7/4,40]",
+            30,
+            "ce82c7c5db3630dc50e9580bdce826d2a9cfdaea5b376cc89121a3b1b748ebac",
+            "counterexample",
+        ),
+        # one square, exact in one step
+        ("[0,1]x[0,1]", 20, "5c5a0813c683ed03d4c44227de5f55f8100b1d7a75aa798da87f65b81f5b8d51", "product"),
     ],
 )
-def test_decompose_product_report_pinned(tmp_path, rect, max_steps, digest):
-    # the telescoping sum of the product over a strip of about 1000 squares
+def test_decompose_product_report_pinned(tmp_path, rect, max_steps, digest, function):
+    # the JSON report, telescoping sum and side trace included, of strips of
+    # about 1000 squares and of deep irrational traces
     path = tmp_path / "d.json"
-    argv = ["decompose", "--rect", rect, "--max-steps", str(max_steps), "--function", "product"]
+    argv = ["decompose", "--rect", rect, "--max-steps", str(max_steps), "--function", function]
     assert main(argv + ["--json", str(path)]) == 0
     report = json.loads(path.read_text())
     report.pop("generated_at")
