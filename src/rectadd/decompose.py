@@ -28,7 +28,7 @@ from itertools import accumulate, repeat
 from typing import Optional
 
 from .geometry import Rect
-from .numeric import QNum, ZERO, dyadic, from_numerators, numerators
+from .numeric import QNum, ZERO, _floor, _sign2, dyadic, from_numerators, numerators
 from .rectfn import RectFunction
 
 __all__ = [
@@ -133,9 +133,10 @@ class Decomposition:
     @property
     def sides(self) -> tuple[QNum, ...]:
         """The trace of shorter sides at entry to each step, preceded by the
-        longer side of the original rectangle."""
-        w, h = self.original.width, self.original.height
-        return (w if w > h else h, *(s.side for s in self.steps))
+        longer side of the original rectangle: the side the first step packs
+        along."""
+        r = self.original
+        return (r.width if self.steps[0].along_x else r.height, *(s.side for s in self.steps))
 
     @property
     def counts(self) -> list[int]:
@@ -151,23 +152,16 @@ class Decomposition:
 
 
 def greedy_step(r: Rect) -> tuple[Step, Optional[Rect]]:
-    """Pack floor(longer/shorter) squares of the shorter side into r.
+    """Pack floor(longer/shorter) squares of the shorter side into r: the
+    first step of `decompose(r, 1)` and its remainder.
 
     Squares are laid from the min-coordinate corner along the longer axis;
     when they fill r exactly (a square, or commensurable sides at this step)
     the remainder is None, otherwise it is the strip of the remaining length
     at the max-coordinate end.  No square is built.
     """
-    w, h = r.width, r.height
-    if w >= h:
-        count = math.floor(w / h)
-        used = r.x1 + h * count
-        rem = None if used == r.x2 else Rect(used, r.x2, r.y1, r.y2)
-        return Step(r.x1, r.y1, h, count, along_x=True), rem
-    count = math.floor(h / w)
-    used = r.y1 + w * count
-    rem = None if used == r.y2 else Rect(r.x1, r.x2, used, r.y2)
-    return Step(r.x1, r.y1, w, count, along_x=False), rem
+    d = decompose(r, 1)
+    return d.steps[0], d.remainder
 
 
 def decompose(r: Rect, max_steps: int) -> Decomposition:
@@ -176,15 +170,49 @@ def decompose(r: Rect, max_steps: int) -> Decomposition:
     Incommensurable side ratios never terminate; max_steps is therefore
     mandatory and the remainder (None when `terminated`) carries the
     distinction between the finite and the truncated-infinite case.
+
+    Each step is one step of Euclid's algorithm on the two sides: it
+    subtracts an integer multiple of the shorter side from the longer one.
+    So every corner and side stays an integer pair over L, the common
+    denominator of r's coordinates, and the loop runs on those numerators:
+    a side comparison is one `_sign2`, and the count is the floor of the
+    quotient of two pairs times the conjugate of the divisor.  Per step only
+    the moved corner coordinate and the side are built as QNums; the far
+    corner (x2, y2) never moves.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    # a coordinate or side (A + B*sqrt2)/L is kept as its pair A, B
+    (xa, x2a, ya, y2a), (xb, x2b, yb, y2b), L = numerators((r.x1, r.x2, r.y1, r.y2))
+    wa, wb, ha, hb = x2a - xa, x2b - xb, y2a - ya, y2b - yb
+    x, y = r.x1, r.y1
     steps: list[Step] = []
-    current: Optional[Rect] = r
-    while current is not None and len(steps) < max_steps:
-        step, current = greedy_step(current)
-        steps.append(step)
-    return Decomposition(original=r, steps=tuple(steps), remainder=current)
+    while True:
+        along_x = _sign2(wa - ha, wb - hb) >= 0
+        # divide the longer side (pa + pb*sqrt2) by the shorter (sa + sb*sqrt2)
+        if along_x:
+            pa, pb, sa, sb = wa, wb, ha, hb
+        else:
+            pa, pb, sa, sb = ha, hb, wa, wb
+        norm = sa * sa - 2 * sb * sb
+        qa, qb = pa * sa - 2 * pb * sb, pb * sa - pa * sb
+        if norm < 0:
+            norm, qa, qb = -norm, -qa, -qb
+        count = _floor(qa, qb, norm)
+        steps.append(Step(x, y, from_numerators(sa, sb, L), count, along_x))
+        pa, pb = pa - count * sa, pb - count * sb  # the longer side left over
+        if not (pa or pb):
+            return Decomposition(original=r, steps=tuple(steps), remainder=None)
+        if along_x:
+            wa, wb = pa, pb
+            xa, xb = xa + count * sa, xb + count * sb
+            x = from_numerators(xa, xb, L)
+        else:
+            ha, hb = pa, pb
+            ya, yb = ya + count * sa, yb + count * sb
+            y = from_numerators(ya, yb, L)
+        if len(steps) == max_steps:
+            return Decomposition(original=r, steps=tuple(steps), remainder=Rect(x, r.x2, y, r.y2))
 
 
 @dataclass(frozen=True)
@@ -208,21 +236,22 @@ class HalvingCertificate:
 
 def verify_halving(d: Decomposition) -> HalvingCertificate:
     """Check sides[n+1] <= sides[n] for every n, then sides[n+2] <= sides[n]/2
-    for every n, by exact field comparisons.
+    for every n, by exact comparisons.
 
-    The certificate names the first comparison that fails, or none; traces
-    shorter than 3 make the halving part vacuous.
+    The sides are compared as integer numerators over their common
+    denominator: sides[n] - sides[n+1] >= 0 and sides[n] - 2*sides[n+2] >= 0,
+    each one `_sign2`.  The certificate names the first comparison that
+    fails, or none, and its field values are built only for a failure;
+    traces shorter than 3 make the halving part vacuous.
     """
     sides = d.sides
+    As, Bs, _ = numerators(sides)
     for n in range(len(sides) - 1):
-        lhs, rhs = sides[n + 1], sides[n]
-        if not lhs <= rhs:
-            return HalvingCertificate(HalvingCheck(n, "monotone", lhs, rhs))
-    half = dyadic(1, 1)
+        if _sign2(As[n] - As[n + 1], Bs[n] - Bs[n + 1]) < 0:
+            return HalvingCertificate(HalvingCheck(n, "monotone", sides[n + 1], sides[n]))
     for n in range(len(sides) - 2):
-        lhs, rhs = sides[n + 2], sides[n] * half
-        if not lhs <= rhs:
-            return HalvingCertificate(HalvingCheck(n, "halving", lhs, rhs))
+        if _sign2(As[n] - 2 * As[n + 2], Bs[n] - 2 * Bs[n + 2]) < 0:
+            return HalvingCertificate(HalvingCheck(n, "halving", sides[n + 2], sides[n] * dyadic(1, 1)))
     return HalvingCertificate(None)
 
 

@@ -65,7 +65,9 @@ MAX_ALPHA_DIGITS = 100
 # draws them from.  A sample costs a few integer operations on numbers of
 # about twice its order in bits: through the CLI, 100,000 samples take 0.8 s
 # at the default orders and 1.0 s all at order 1000 on the same box, and
-# 4.2 s all at order 10,000.
+# 4.2 s all at order 10,000.  MAX_ORDER also bounds `cmd_dyadic_approx`,
+# which evaluates one cover per order up to its max_order: through the CLI,
+# the witness takes 0.3 s up to order 1000 and 0.6 s up to order 2000.
 MAX_SAMPLES = 100_000
 MAX_ORDER = 1000
 
@@ -258,8 +260,8 @@ def cmd_decompose(
     """Run the greedy decomposition and certify tiling, halving, and
     telescoping exactly; optionally render the figure to SVG.
 
-    The tiling claim sums count * side^2 over the steps, so it costs
-    O(steps).  Telescoping and the SVG visit every packed square, so a
+    The tiling claim sums count * side^2 over the steps on integer
+    numerators, so it costs O(steps).  Telescoping and the SVG visit every packed square, so a
     decomposition of more than MAX_TILES squares is refused with a
     ValueError before any square is enumerated; more than MAX_STEPS steps
     are refused before the decomposition starts.
@@ -275,7 +277,14 @@ def cmd_decompose(
         )
     findings = []
 
-    tiled = sum((s.side * s.side * s.count for s in d.steps), ZERO)
+    # count * side^2 summed on the sides' numerators over L: a side
+    # (a + b*sqrt2)/L squares to (a^2 + 2b^2 + 2ab*sqrt2)/L^2
+    As, Bs, L = numerators([s.side for s in d.steps])
+    tiled = from_numerators(
+        sum(s.count * (a * a + 2 * b * b) for s, a, b in zip(d.steps, As, Bs)),
+        sum(s.count * 2 * a * b for s, a, b in zip(d.steps, As, Bs)),
+        L * L,
+    )
     if d.remainder is not None:
         tiled = tiled + d.remainder.area()
     findings.append(
@@ -363,10 +372,13 @@ def cmd_dyadic_approx(
 
     A function continuous in measure must see |gap| fall inside the shrink
     bound at every order, which is the decidable claim checked here; the
-    per-order gap trail itself is reported as evidence.
+    per-order gap trail itself is reported as evidence.  A max_order above
+    MAX_ORDER is refused before any cover is computed.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
+    if max_order > MAX_ORDER:
+        raise ValueError(f"max_order above {MAX_ORDER} (the mesh-order budget of dyadic-approx)")
     r = parse_rect(rect) if isinstance(rect, str) else rect
     F = named_rect_function(function)
     target = F.value(r)

@@ -102,7 +102,19 @@ class PointFunction:
 class _IntegerCuts(PointFunction):
     """A point function whose `cuts` computes every corner value on integer
     numerators; a decomposition step goes through it too, and builds no
-    QNum per square."""
+    QNum per square.
+
+    The integer `cuts` is the formula of one `value`, so a subclass that
+    overrides `value` without its own `cuts` is put back on the base class's
+    evaluation of `value` (`PointFunction.cuts` and `row_cuts`).
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "value" in vars(cls) and "cuts" not in vars(cls):
+            cls.cuts = PointFunction.cuts
+            if "row_cuts" not in vars(cls):
+                cls.row_cuts = PointFunction.row_cuts
 
     def row_cuts(self, step: Step) -> tuple[list[int], list[int], int]:
         As, Bs, L = step.edge_numerators()

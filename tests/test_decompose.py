@@ -14,7 +14,7 @@ from rectadd.decompose import (
     telescope,
     verify_halving,
 )
-from rectadd.geometry import Rect
+from rectadd.geometry import Rect, parse_rect
 from rectadd.numeric import ONE, QNum, SQRT2, ZERO
 from rectadd.rectfn import (
     COUNTEREXAMPLE,
@@ -30,7 +30,8 @@ from rectadd.suites import (
     rand_table_function,
 )
 
-from field_counter import count_field_calls
+from field_counter import count_builds, count_field_calls
+from greedy_oracle import field_decompose
 
 F = Fraction
 
@@ -163,6 +164,33 @@ def test_verify_halving_names_the_first_failing_comparison():
     assert (bad.kind, bad.index, bad.lhs, bad.rhs) == ("monotone", 2, 5, 3)
     bad = verify_halving(_trace(8, 5, 6)).failure
     assert (bad.kind, bad.index, bad.lhs, bad.rhs) == ("monotone", 1, 6, 5)
+
+
+def _qtrace(*sides: QNum) -> Decomposition:
+    """`_trace` for field values."""
+    original = Rect(ZERO, sides[0], ZERO, min(sides[0], sides[1]))
+    steps = tuple(Step(ZERO, ZERO, s, 1, along_x=True) for s in sides[1:])
+    return Decomposition(original, steps, remainder=None)
+
+
+def test_verify_halving_at_the_halving_boundary():
+    # sides[2] == sides[0]/2 exactly passes, over denominators 21, 6, 42
+    s0 = QNum(F(10, 3), F(2, 7))
+    s1 = QNum(F(5, 2), F(1, 6))
+    half = QNum(F(5, 3), F(1, 7))
+    assert s0 / 2 == half and s0 > s1 > half
+    assert verify_halving(_qtrace(s0, s1, half)).ok
+    # an irrational excess of sqrt2/1000 fails, and names the exact values
+    over = half + QNum(0, F(1, 1000))
+    assert s1 > over
+    assert verify_halving(_qtrace(s0, s1, over)).failure == HalvingCheck(0, "halving", over, half)
+    # and as much below passes
+    assert verify_halving(_qtrace(s0, s1, half - QNum(0, F(1, 1000)))).ok
+    # a side equal to the one before is monotone; one above it by an
+    # irrational amount is not
+    assert verify_halving(_qtrace(s0, s0)).ok
+    bigger = s0 + QNum(0, F(1, 10**9))
+    assert verify_halving(_qtrace(s0, bigger)).failure == HalvingCheck(0, "monotone", bigger, s0)
 
 
 def test_verify_halving_builds_no_check_on_a_passing_trace(monkeypatch):
@@ -381,3 +409,71 @@ def test_squares_and_table_lookups_share_the_step_edges():
         corners = {id(c) for sq in step.squares for c in (sq.x1, sq.x2, sq.y1, sq.y2)}
         assert len(seen) == 2 * (step.count + 1)
         assert all(id(x) in corners and id(y) in corners for x, y in seen)
+
+
+def _step_triples(step):
+    return (*_triples((step.x, step.y, step.side)), step.count, step.along_x)
+
+
+def _rect_triples(r):
+    return None if r is None else _triples((r.x1, r.x2, r.y1, r.y2))
+
+
+def _assert_matches_field_loop(r, max_steps):
+    d = decompose(r, max_steps)
+    steps, remainder = field_decompose(r, max_steps)
+    assert [_step_triples(s) for s in d.steps] == [_step_triples(s) for s in steps]
+    assert _rect_triples(d.remainder) == _rect_triples(remainder)
+    step, rem = greedy_step(r)
+    assert _step_triples(step) == _step_triples(d.steps[0])
+    assert _rect_triples(rem) == _rect_triples(decompose(r, 1).remainder)
+    return d
+
+
+def test_decompose_matches_field_loop_on_random_rectangles():
+    rng = random.Random(441)
+    along_y = truncated = 0
+    for i in range(600):
+        d = _assert_matches_field_loop(rand_rect(rng, i), rng.randint(1, 40))
+        along_y += not d.steps[0].along_x
+        truncated += not d.terminated
+    assert along_y > 100 and truncated > 100
+
+
+@pytest.mark.parametrize(
+    "rect, max_steps",
+    [
+        ("[0,1]x[0,1]", 5),
+        ("[0,8]x[0,5]", 20),
+        (f"[0,{10**400}]x[0,1]", 3),
+        ("[-7/3,-1/5]x[-9-1/2*sqrt2,-2]", 40),
+        ("[1/3,1/3+1/2*sqrt2]x[-7/4,40]", 30),
+        # tall: the first step packs along y
+        ("[-5,-4]x[15/2,17/2+2*sqrt2]", 200),
+        ("[0,1+1*sqrt2]x[0,1]", 1000),
+    ],
+)
+def test_decompose_matches_field_loop_on_edge_cases(rect, max_steps):
+    r = parse_rect(rect)
+    d = _assert_matches_field_loop(r, max_steps)
+    assert d.steps[0].along_x == (r.width >= r.height)
+
+
+def test_decompose_makes_no_field_division_or_product(monkeypatch):
+    post_init = Rect.__post_init__
+    calls = count_field_calls(monkeypatch, "__truediv__", "__mul__")
+    built = count_builds(monkeypatch)
+    d = decompose(SILVER, 600)
+    assert len(d.steps) == 600 and d.remainder is not None
+    assert calls == []
+    rects = built.count(post_init)
+    assert rects == 1  # the remainder
+    assert len(built) - rects <= 2 * len(d.steps)  # a step's side and moved corner
+
+
+def test_verify_halving_makes_no_field_comparison_or_product(monkeypatch):
+    d = decompose(SILVER, 600)
+    ops = ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__mul__", "__truediv__")
+    calls = count_field_calls(monkeypatch, *ops)
+    assert verify_halving(d).ok
+    assert calls == []

@@ -343,6 +343,24 @@ def test_cmd_dyadic_approx_dyadic_square_gap_zero():
     assert rep.findings[1].exact_values[1:] == ("0", "0", "0")
 
 
+def test_cmd_dyadic_approx_order_budget(tmp_path, capsys):
+    # the mesh order of counterexample bounds dyadic-approx too
+    top = harness.MAX_ORDER
+    rep = cmd_dyadic_approx(rect=WITNESS_RECT, function="product", max_order=top)
+    assert rep.exit_status == 0 and len(rep.findings[1].exact_values) == top
+    path = tmp_path / "a.json"
+    argv = ["dyadic-approx", "--rect", WITNESS_RECT.literal(), "--max-order", str(top + 1)]
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--json", str(path)])
+    assert time.perf_counter() - t0 < 1.0
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("rectadd dyadic-approx: ")
+    assert f"max_order above {top}" in err[0]
+    assert not path.exists()
+
+
 def test_shrink_bound_value():
     r = Rect(ZERO, QNum(1), ZERO, QNum(1))
     assert shrink_bound(r, 1) == QNum(3)  # 2*(1+1)/2 + 4/4

@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from rectadd.decompose import Step
+from rectadd import harness
+from rectadd.decompose import Step, decompose, telescope
 from rectadd.geometry import DyadicSquare, Rect, split
 from rectadd.numeric import ONE, QNum, SQRT2, ZERO, from_numerators, numerators
 from rectadd.rectfn import (
     COUNTEREXAMPLE,
     Constant,
+    Counterexample,
     PRODUCT,
+    Product,
     PointFunction,
     Table,
     check_additivity,
@@ -351,3 +354,61 @@ def test_table_of_qnum_entries_answers_as_coerced_entries():
     # the table holds a copy, not the caller's mapping
     as_qnum.clear()
     assert all(copied.value(QNum(x), QNum(y)) == v for (x, y), v in raw.items())
+
+
+class _Doubled(Product):
+    """Twice the product: a subclass that overrides only `value`."""
+
+    label = "doubled"
+
+    def value(self, x, y):
+        return 2 * (x * y)
+
+
+class _Shifted(Counterexample):
+    """3*x*y on a rational ordinate and x + y on an irrational one, where
+    the parent has x*y and 1."""
+
+    label = "shifted"
+
+    def value(self, x, y):
+        return 3 * (x * y) if y.is_rational() else x + y
+
+
+class _DoubledAgain(_Doubled):
+    """Inherits `_Doubled.value` and the fallback with it."""
+
+
+@pytest.mark.parametrize("f", [_Doubled(), _Shifted(), _DoubledAgain()], ids=lambda f: type(f).__name__)
+def test_subclass_overriding_value_is_summed_by_value(f):
+    # the parent's integer kernel is the parent's formula; a subclass with
+    # its own `value` and no `cuts` of its own falls back to `value`
+    assert type(f).cuts is PointFunction.cuts and type(f).row_cuts is PointFunction.row_cuts
+    F_ = corner_difference(f)
+    rng = random.Random(439)
+    rects = [Rect(ZERO, QNum(8), ZERO, QNum(5)), Rect(ZERO, ONE + SQRT2, ZERO, ONE), WITNESS]
+    rects += [rand_rect(rng, i) for i in range(40)]
+    irrational = 0
+    for r in rects:
+        d = decompose(r, rng.randint(1, 20))
+        assert telescope(F_, d) == F_.value(r)
+        irrational += not (r.x2 - r.x1).is_rational() or not (r.y2 - r.y1).is_rational()
+    assert irrational > 10
+    assert telescope(F_, decompose(rects[0], 20)) == F_.value(rects[0]) != PROD.value(rects[0])
+    verdicts = set()
+    for _ in range(300):
+        n, k, m = rng.randint(0, 40), rng.randint(-(2**15), 2**15), rng.randint(-(2**15), 2**15)
+        r = DyadicSquare(n, k, m).to_rect()
+        v = F_.value(r)
+        holds = v == r.area() and v.sign() > 0
+        failure = harness._mesh_square_failure(f, n, k, m)
+        assert (failure is None) == holds
+        assert failure is None or failure == v
+        verdicts.add(holds)
+    assert verdicts == {False}  # F is 2 or 3 times the area on every mesh square
+
+
+def test_builtin_point_functions_keep_their_integer_kernels():
+    for cls in (Product, Counterexample):
+        assert cls.cuts is not PointFunction.cuts
+        assert cls.row_cuts is not PointFunction.row_cuts
