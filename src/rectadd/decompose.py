@@ -174,45 +174,45 @@ def decompose(r: Rect, max_steps: int) -> Decomposition:
     Each step is one step of Euclid's algorithm on the two sides: it
     subtracts an integer multiple of the shorter side from the longer one.
     So every corner and side stays an integer pair over L, the common
-    denominator of r's coordinates, and the loop runs on those numerators:
-    a side comparison is one `_sign2`, and the count is the floor of the
-    quotient of two pairs times the conjugate of the divisor.  Per step only
-    the moved corner coordinate and the side are built as QNums; the far
-    corner (x2, y2) never moves.
+    denominator of r's coordinates, and the loop runs on those numerators.
+    The first step compares the sides with one `_sign2`; after it the axes
+    alternate, since what is left of the longer side is shorter than the
+    side packed.  The count is the floor of longer/shorter, taken as
+    longer * conj(shorter) over the norm N(shorter) = a^2 - 2b^2.  The norm
+    of what is left, N(p - c*s) = N(p) - 2c*q + c^2*N(s) with q the rational
+    part of p*conj(s), reuses that product, so a step multiplies only four
+    pairs of large integers.  Per
+    step only the side and the moved corner coordinate are built as QNums;
+    the far corner (x2, y2) never moves.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     # a coordinate or side (A + B*sqrt2)/L is kept as its pair A, B
     (xa, x2a, ya, y2a), (xb, x2b, yb, y2b), L = numerators((r.x1, r.x2, r.y1, r.y2))
     wa, wb, ha, hb = x2a - xa, x2b - xb, y2a - ya, y2b - yb
+    along_x = _sign2(wa - ha, wb - hb) >= 0
+    # the longer side p = pa + pb*sqrt2 and the shorter s, with their norms
+    pa, pb, sa, sb = (wa, wb, ha, hb) if along_x else (ha, hb, wa, wb)
+    pn, sn = pa * pa - 2 * pb * pb, sa * sa - 2 * sb * sb
     x, y = r.x1, r.y1
     steps: list[Step] = []
     while True:
-        along_x = _sign2(wa - ha, wb - hb) >= 0
-        # divide the longer side (pa + pb*sqrt2) by the shorter (sa + sb*sqrt2)
-        if along_x:
-            pa, pb, sa, sb = wa, wb, ha, hb
-        else:
-            pa, pb, sa, sb = ha, hb, wa, wb
-        norm = sa * sa - 2 * sb * sb
-        qa, qb = pa * sa - 2 * pb * sb, pb * sa - pa * sb
-        if norm < 0:
-            norm, qa, qb = -norm, -qa, -qb
-        count = _floor(qa, qb, norm)
+        qa, qb = pa * sa - 2 * pb * sb, pb * sa - pa * sb  # p * conj(s)
+        count = _floor(qa, qb, sn) if sn > 0 else _floor(-qa, -qb, -sn)
         steps.append(Step(x, y, from_numerators(sa, sb, L), count, along_x))
-        pa, pb = pa - count * sa, pb - count * sb  # the longer side left over
-        if not (pa or pb):
+        ta, tb = pa - count * sa, pb - count * sb  # left over, shorter than s
+        if not (ta or tb):
             return Decomposition(original=r, steps=tuple(steps), remainder=None)
         if along_x:
-            wa, wb = pa, pb
             xa, xb = xa + count * sa, xb + count * sb
             x = from_numerators(xa, xb, L)
         else:
-            ha, hb = pa, pb
             ya, yb = ya + count * sa, yb + count * sb
             y = from_numerators(ya, yb, L)
         if len(steps) == max_steps:
             return Decomposition(original=r, steps=tuple(steps), remainder=Rect(x, r.x2, y, r.y2))
+        pa, pb, pn, sa, sb, sn = sa, sb, sn, ta, tb, pn - 2 * count * qa + count * count * sn
+        along_x = not along_x
 
 
 @dataclass(frozen=True)
