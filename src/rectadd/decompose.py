@@ -8,6 +8,15 @@ ratio, the side trace at least halves every two steps, and summing any
 corner-difference function over the tiles telescopes back to its value on
 the original rectangle.
 
+The greedy loop is Euclid's algorithm on the two sides (Knuth, TAOCP vol. 2,
+4.5.3): a step only subtracts an integer multiple of the shorter side from
+the longer one.  So every corner and side of every step has integer
+numerators over one denominator L, that of the rectangle's coordinates, and
+`decompose` runs on those integers: each count is one exact floor, and only
+a step's side and moved corner are built as QNums.  `greedy_step` is one
+step of `decompose`.  `verify_halving` compares the side trace, and
+`cmd_decompose` sums the tiling, on numerators too.
+
 A step is described, not materialised: its lower-left corner, side, count
 and packing axis determine every square, so `decompose` costs O(steps)
 whatever the packing counts.  Consumers that must visit every tile read the
@@ -171,19 +180,16 @@ def decompose(r: Rect, max_steps: int) -> Decomposition:
     mandatory and the remainder (None when `terminated`) carries the
     distinction between the finite and the truncated-infinite case.
 
-    Each step is one step of Euclid's algorithm on the two sides: it
-    subtracts an integer multiple of the shorter side from the longer one.
-    So every corner and side stays an integer pair over L, the common
-    denominator of r's coordinates, and the loop runs on those numerators.
-    The first step compares the sides with one `_sign2`; after it the axes
+    The loop runs on the integer pairs of the sides and corners over L, the
+    common denominator of r's coordinates (see the module docstring).  The
+    first step compares the sides with one `_sign2`; after it the axes
     alternate, since what is left of the longer side is shorter than the
     side packed.  The count is the floor of longer/shorter, taken as
     longer * conj(shorter) over the norm N(shorter) = a^2 - 2b^2.  The norm
     of what is left, N(p - c*s) = N(p) - 2c*q + c^2*N(s) with q the rational
     part of p*conj(s), reuses that product, so a step multiplies only four
-    pairs of large integers.  Per
-    step only the side and the moved corner coordinate are built as QNums;
-    the far corner (x2, y2) never moves.
+    pairs of large integers.  Per step only the side and the moved corner
+    coordinate are built as QNums; the far corner (x2, y2) never moves.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")

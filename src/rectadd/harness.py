@@ -49,8 +49,9 @@ DISPLAY_DIGITS = 6
 MAX_TILES = 200_000
 # Most greedy steps `cmd_decompose` takes.  The coefficients of an irrational
 # rectangle grow every step, so the cost grows faster than the step count:
-# `[0,355/113+1/1000*sqrt2]x[0,1]` takes 0.4 s at 1000 steps and 1.7 s at
-# 2000 on the same box.
+# through the CLI, `[0,355/113+1/1000*sqrt2]x[0,1]` takes 0.20 s at 1000
+# steps and 0.46 s at 2000, and `[0,1+1*sqrt2]x[0,1]` 0.18 s at 1000, on
+# the same box.
 MAX_STEPS = 1000
 # Largest denominator q of `cmd_probe`'s alpha.  A quotient outside the field
 # is rendered through a q-th power and a q-th root: with 4 offsets, depth 4
@@ -261,10 +262,10 @@ def cmd_decompose(
     telescoping exactly; optionally render the figure to SVG.
 
     The tiling claim sums count * side^2 over the steps on integer
-    numerators, so it costs O(steps).  Telescoping and the SVG visit every packed square, so a
-    decomposition of more than MAX_TILES squares is refused with a
-    ValueError before any square is enumerated; more than MAX_STEPS steps
-    are refused before the decomposition starts.
+    numerators, so it costs O(steps).  Telescoping and the SVG visit every
+    packed square, so a decomposition of more than MAX_TILES squares is
+    refused with a ValueError before any square is enumerated; more than
+    MAX_STEPS steps are refused before the decomposition starts.
     """
     if max_steps > MAX_STEPS:
         raise ValueError(f"max_steps above {MAX_STEPS} (the step budget of the decomposition)")

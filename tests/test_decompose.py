@@ -15,7 +15,7 @@ from rectadd.decompose import (
     verify_halving,
 )
 from rectadd.geometry import Rect, parse_rect
-from rectadd.numeric import ONE, QNum, SQRT2, ZERO
+from rectadd.numeric import ONE, QNum, SQRT2, ZERO, qnum
 from rectadd.rectfn import (
     COUNTEREXAMPLE,
     Constant,
@@ -142,11 +142,13 @@ def test_verify_halving_vacuous_for_squares():
     assert cert.ok and cert.failure is None
 
 
-def _trace(*sides: int) -> Decomposition:
-    """A hand-built decomposition whose side trace is `sides`: the original
-    rectangle's longer side is sides[0], and each later side is one step."""
-    original = Rect(ZERO, QNum(sides[0]), ZERO, QNum(min(sides[0], sides[1])))
-    steps = tuple(Step(ZERO, ZERO, QNum(s), 1, along_x=True) for s in sides[1:])
+def _trace(*sides) -> Decomposition:
+    """A hand-built decomposition whose side trace is `sides` (ints or
+    QNums): the original rectangle's longer side is sides[0], and each later
+    side is one step."""
+    sides = [qnum(s) for s in sides]
+    original = Rect(ZERO, sides[0], ZERO, min(sides[0], sides[1]))
+    steps = tuple(Step(ZERO, ZERO, s, 1, along_x=True) for s in sides[1:])
     return Decomposition(original, steps, remainder=None)
 
 
@@ -166,31 +168,24 @@ def test_verify_halving_names_the_first_failing_comparison():
     assert (bad.kind, bad.index, bad.lhs, bad.rhs) == ("monotone", 1, 6, 5)
 
 
-def _qtrace(*sides: QNum) -> Decomposition:
-    """`_trace` for field values."""
-    original = Rect(ZERO, sides[0], ZERO, min(sides[0], sides[1]))
-    steps = tuple(Step(ZERO, ZERO, s, 1, along_x=True) for s in sides[1:])
-    return Decomposition(original, steps, remainder=None)
-
-
 def test_verify_halving_at_the_halving_boundary():
     # sides[2] == sides[0]/2 exactly passes, over denominators 21, 6, 42
     s0 = QNum(F(10, 3), F(2, 7))
     s1 = QNum(F(5, 2), F(1, 6))
     half = QNum(F(5, 3), F(1, 7))
     assert s0 / 2 == half and s0 > s1 > half
-    assert verify_halving(_qtrace(s0, s1, half)).ok
+    assert verify_halving(_trace(s0, s1, half)).ok
     # an irrational excess of sqrt2/1000 fails, and names the exact values
     over = half + QNum(0, F(1, 1000))
     assert s1 > over
-    assert verify_halving(_qtrace(s0, s1, over)).failure == HalvingCheck(0, "halving", over, half)
+    assert verify_halving(_trace(s0, s1, over)).failure == HalvingCheck(0, "halving", over, half)
     # and as much below passes
-    assert verify_halving(_qtrace(s0, s1, half - QNum(0, F(1, 1000)))).ok
+    assert verify_halving(_trace(s0, s1, half - QNum(0, F(1, 1000)))).ok
     # a side equal to the one before is monotone; one above it by an
     # irrational amount is not
-    assert verify_halving(_qtrace(s0, s0)).ok
+    assert verify_halving(_trace(s0, s0)).ok
     bigger = s0 + QNum(0, F(1, 10**9))
-    assert verify_halving(_qtrace(s0, bigger)).failure == HalvingCheck(0, "monotone", bigger, s0)
+    assert verify_halving(_trace(s0, bigger)).failure == HalvingCheck(0, "monotone", bigger, s0)
 
 
 def test_verify_halving_builds_no_check_on_a_passing_trace(monkeypatch):
