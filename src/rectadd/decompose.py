@@ -19,13 +19,13 @@ step of `decompose`.  `verify_halving` compares the side trace, and
 
 A step is described, not materialised: its lower-left corner, side, count
 and packing axis determine every square, so `decompose` costs O(steps)
-whatever the packing counts.  Consumers that must visit every tile read the
-square edges of a step as integer numerators over the common denominator of
-the step's corner and side (`Step.edge_numerators`), one integer addition
-each.  `telescope` sums a step through its point function's row kernel
-(`PointFunction.row_cuts`): the built-in product and counterexample compute
-every corner value on those numerators and build no QNum per square; any
-other point function is evaluated by `value` at the step's QNum edges, which
+whatever the packing counts.  `Step.row_numerators` gives a step's square
+edges and the two ends of its row as integer numerators over one
+denominator, from one `numerators` call and one integer addition per edge.
+`telescope` sums a step by `RectFunction.row_sum`: a point function with an
+integer kernel (`PointFunction.cuts`, as the built-in product and
+counterexample have) runs it on those numerators and builds no QNum per
+square; any other is evaluated by `value` at the step's QNum edges, which
 are built once per step and shared with `Step.squares`.
 """
 
@@ -38,7 +38,7 @@ from typing import Optional
 
 from .geometry import Rect
 from .numeric import QNum, ZERO, _floor, _sign2, dyadic, from_numerators, numerators
-from .rectfn import RectFunction
+from .rectfn import Pair, RectFunction
 
 __all__ = [
     "Step",
@@ -88,26 +88,29 @@ class Step:
             object.__setattr__(self, "_hi", hi)
         return hi
 
-    def edge_numerators(self) -> tuple[list[int], list[int], int]:
-        """The count + 1 square boundaries along the packing axis, in
-        increasing order, as integer numerators over L, the common
-        denominator of the start and the side: boundary k is
+    def row_numerators(self) -> tuple[list[int], list[int], Pair, Pair, int]:
+        """The step's row as integer numerators over L, the common
+        denominator of its corner and side: the count + 1 square boundaries
+        along the packing axis, in increasing order, boundary k being
         (As[k] + Bs[k]*sqrt2)/L with As[k] = a + k*da and Bs[k] = b + k*db,
-        one integer addition each."""
+        one integer addition each; then the row's ends `lo` and `hi` across
+        that axis, as pairs (C, E) of (C + E*sqrt2)/L."""
         c = self.x if self.along_x else self.y
-        (a, da), (b, db), L = numerators((c, self.side))
+        (a, lc, da), (b, le, db), L = numerators((c, self.lo, self.side))
         return (
             list(accumulate(repeat(da, self.count), initial=a)),
             list(accumulate(repeat(db, self.count), initial=b)),
+            (lc, le),
+            (lc + da, le + db),
             L,
         )
 
     def edges(self) -> tuple[QNum, ...]:
-        """The square boundaries of `edge_numerators` as QNums, built once
+        """The square boundaries of `row_numerators` as QNums, built once
         per step; the first is the step's own corner coordinate."""
         edges = self._edges
         if edges is None:
-            As, Bs, L = self.edge_numerators()
+            As, Bs, _, _, L = self.row_numerators()
             c = self.x if self.along_x else self.y
             edges = (c, *[from_numerators(a, b, L) for a, b in zip(As[1:], Bs[1:])])
             object.__setattr__(self, "_edges", edges)

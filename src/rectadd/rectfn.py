@@ -46,47 +46,45 @@ __all__ = [
     "ProbeReport",
 ]
 
-# a number (C + E*sqrt2)/M as its numerators (C, E) over a denominator M
+# a number (C + E*sqrt2)/L as its numerators (C, E) over a denominator L
 # given beside it
 Pair = tuple[int, int]
 
 
 class PointFunction:
-    """Exactly evaluable map (x, y) -> QNum.  Implementations are immutable."""
+    """Exactly evaluable map (x, y) -> QNum.  Implementations are immutable.
+
+    An integer `cuts` is the formula of one `value`: a subclass that
+    overrides `value` without its own `cuts` gets this class's `cuts`.
+    """
 
     label: str = "point-function"
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "value" in vars(cls) and "cuts" not in vars(cls):
+            cls.cuts = PointFunction.cuts
 
     def value(self, x: QNum, y: QNum) -> QNum:
         raise NotImplementedError
 
     def cuts(
-        self, As: list[int], Bs: list[int], L: int, lo: Pair, hi: Pair, M: int, along_x: bool
+        self, As: list[int], Bs: list[int], lo: Pair, hi: Pair, L: int, along_x: bool
     ) -> tuple[list[int], list[int], int]:
         """The cut f(e, hi) - f(e, lo) at every edge e = (As[k] + Bs[k]*sqrt2)/L,
         or f(hi, e) - f(lo, e) when not `along_x`, for ends lo and hi given
-        as numerator pairs (C, E) of (C + E*sqrt2)/M; the cuts are returned
+        as numerator pairs (C, E) of (C + E*sqrt2)/L; the cuts are returned
         as integer numerators over one positive denominator (see
         `numerators`).
 
-        This is the integer core of a row of squares: a decomposition step
-        (`row_cuts`) and a single mesh square (`cmd_counterexample`) both go
-        through it.  This default evaluates `value` at QNum corners built
-        from the numerators; a subclass may override it with integer
-        arithmetic that gives the same cuts.
+        This is the kernel of a row of squares: a single mesh square
+        (`cmd_counterexample`) goes through it, and so does a decomposition
+        step when a subclass overrides it with integer arithmetic that gives
+        the same cuts (`RectFunction.row_sum`).  This default evaluates
+        `value` at QNum corners built from the numerators.
         """
         edges = [from_numerators(A, B, L) for A, B in zip(As, Bs)]
-        return self._value_cuts(edges, from_numerators(*lo, M), from_numerators(*hi, M), along_x)
-
-    def row_cuts(self, step: Step) -> tuple[list[int], list[int], int]:
-        """The `cuts` of a decomposition step, whose row spans
-        [step.lo, step.hi] across the packing axis.
-
-        This default evaluates `value` at every corner point, on the step's
-        shared QNum edges, so a `Table` built from the squares' corners is
-        looked up at the same objects; a point function with an integer
-        `cuts` runs it on `step.edge_numerators()` instead (`_IntegerCuts`).
-        """
-        return self._value_cuts(step.edges(), step.lo, step.hi, step.along_x)
+        return self._value_cuts(edges, from_numerators(*lo, L), from_numerators(*hi, L), along_x)
 
     def _value_cuts(
         self, edges: Sequence[QNum], lo: QNum, hi: QNum, along_x: bool
@@ -99,32 +97,9 @@ class PointFunction:
         return numerators(cuts)
 
 
-class _IntegerCuts(PointFunction):
-    """A point function whose `cuts` computes every corner value on integer
-    numerators; a decomposition step goes through it too, and builds no
-    QNum per square.
-
-    The integer `cuts` is the formula of one `value`, so a subclass that
-    overrides `value` without its own `cuts` is put back on the base class's
-    evaluation of `value` (`PointFunction.cuts` and `row_cuts`).
-    """
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        if "value" in vars(cls) and "cuts" not in vars(cls):
-            cls.cuts = PointFunction.cuts
-            if "row_cuts" not in vars(cls):
-                cls.row_cuts = PointFunction.row_cuts
-
-    def row_cuts(self, step: Step) -> tuple[list[int], list[int], int]:
-        As, Bs, L = step.edge_numerators()
-        (lc, sc), (le, se), M = numerators((step.lo, step.side))
-        return self.cuts(As, Bs, L, (lc, le), (lc + sc, le + se), M, step.along_x)
-
-
 def _product_cuts(As: list[int], Bs: list[int], lo: Pair, hi: Pair) -> tuple[list[int], list[int]]:
-    """Numerators over L*M of e*hi - e*lo at every edge e = (A + B*sqrt2)/L,
-    for ends (C + E*sqrt2)/M given as pairs (C, E): each product is
+    """Numerators over L*L of e*hi - e*lo at every edge e = (A + B*sqrt2)/L,
+    for ends (C + E*sqrt2)/L given as pairs (C, E): each product is
     A*C + 2*B*E + (A*E + B*C)*sqrt2, as QNum.__mul__ forms it."""
     (lc, le), (hc, he) = lo, hi
     return (
@@ -133,7 +108,7 @@ def _product_cuts(As: list[int], Bs: list[int], lo: Pair, hi: Pair) -> tuple[lis
     )
 
 
-class Product(_IntegerCuts):
+class Product(PointFunction):
     """f(x, y) = x*y; its corner difference is the area of the rectangle."""
 
     label = "product"
@@ -142,14 +117,14 @@ class Product(_IntegerCuts):
         return x * y
 
     def cuts(
-        self, As: list[int], Bs: list[int], L: int, lo: Pair, hi: Pair, M: int, along_x: bool
+        self, As: list[int], Bs: list[int], lo: Pair, hi: Pair, L: int, along_x: bool
     ) -> tuple[list[int], list[int], int]:
         # e*hi and e*lo at every edge e, on integers; x*y == y*x, so a row
         # along y has the same cuts
-        return (*_product_cuts(As, Bs, lo, hi), L * M)
+        return (*_product_cuts(As, Bs, lo, hi), L * L)
 
 
-class Counterexample(_IntegerCuts):
+class Counterexample(PointFunction):
     """f(x, y) = 1 when y is irrational, x*y when y is rational.
 
     Rationality of a Q(sqrt2) ordinate is decidable (b == 0), so evaluation
@@ -164,25 +139,25 @@ class Counterexample(_IntegerCuts):
         return ONE
 
     def cuts(
-        self, As: list[int], Bs: list[int], L: int, lo: Pair, hi: Pair, M: int, along_x: bool
+        self, As: list[int], Bs: list[int], lo: Pair, hi: Pair, L: int, along_x: bool
     ) -> tuple[list[int], list[int], int]:
         # a numerator pair over a positive denominator is rational iff its
         # sqrt2 part is 0
-        LM = L * M
+        LL = L * L
         if along_x:
             # the ordinate of every point is lo or hi: f is x*y on a rational
-            # end, and 1 (LM over LM) on an irrational one, where the product
+            # end, and 1 (LL over LL) on an irrational one, where the product
             # term is left out
             zero = (0, 0)
             ca, cb = _product_cuts(As, Bs, zero if lo[1] else lo, zero if hi[1] else hi)
             ones = (hi[1] != 0) - (lo[1] != 0)  # f's 1 at hi minus its 1 at lo
-            return ([c + ones * LM for c in ca] if ones else ca), cb, LM
+            return ([c + ones * LL for c in ca] if ones else ca), cb, LL
         # the ordinate of both points on edge k is the edge itself: x*y at
         # each on a rational edge (B == 0), and 1 - 1 on an irrational one
         (lc, le), (hc, he) = lo, hi
         ca = [0 if B else A * hc - A * lc for A, B in zip(As, Bs)]
         cb = [0 if B else A * he - A * le for A, B in zip(As, Bs)]
-        return ca, cb, LM
+        return ca, cb, LL
 
 
 class Constant(PointFunction):
@@ -253,13 +228,20 @@ class RectFunction:
     def row_sum(self, step: Step) -> QNum:
         """Sum of F over the packed squares of a decomposition step.
 
-        Each corner point is evaluated once, by the point function's
-        `row_cuts`, and shared by the two squares meeting at it; the value
-        of square i is the corner difference cut_{i+1} - cut_i, and it is
-        added to the total one square at a time, as integer numerators over
-        the common denominator of the cuts.
+        Each corner point is evaluated once and shared by the two squares
+        meeting at it; square i adds its corner difference cut_{i+1} - cut_i
+        to the total as integer numerators over the cuts' denominator.  This
+        is the one place that picks the path: a point function with its own
+        integer `cuts` runs it on `Step.row_numerators` and builds no QNum
+        per square; any other runs `value` on the step's shared QNum edges,
+        so a `Table` built from the squares' corners is looked up at the
+        same objects.
         """
-        As, Bs, L = self.point_fn.row_cuts(step)
+        f = self.point_fn
+        if type(f).cuts is not PointFunction.cuts:
+            As, Bs, L = f.cuts(*step.row_numerators(), step.along_x)
+        else:
+            As, Bs, L = f._value_cuts(step.edges(), step.lo, step.hi, step.along_x)
         return from_numerators(sum(map(sub, As[1:], As)), sum(map(sub, Bs[1:], Bs)), L)
 
 

@@ -1,4 +1,7 @@
-"""Count the QNum operations a piece of code makes, and the objects it builds."""
+"""Count the QNum operations a piece of code makes, the objects it builds,
+and the calls it makes to a function of rectadd."""
+
+import sys
 
 from rectadd import numeric
 from rectadd.geometry import DyadicSquare, Rect
@@ -43,3 +46,20 @@ def count_builds(monkeypatch) -> list:
     for cls in (Rect, DyadicSquare):
         monkeypatch.setattr(cls, "__post_init__", record(cls.__post_init__))
     return built
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Patch every rectadd module attribute bound to fn (its home module's
+    and each name a module imported it under) to record each call; the
+    returned list grows by one per call until the monkeypatch is undone."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(fn)
+        return fn(*args, **kwargs)
+
+    modules = [m for n, m in sys.modules.items() if n == "rectadd" or n.startswith("rectadd.")]
+    for m in modules:
+        for name in [k for k, v in vars(m).items() if v is fn]:
+            monkeypatch.setattr(m, name, counting)
+    return calls

@@ -15,7 +15,7 @@ from rectadd.decompose import (
     verify_halving,
 )
 from rectadd.geometry import Rect, parse_rect
-from rectadd.numeric import ONE, QNum, SQRT2, ZERO, qnum
+from rectadd.numeric import ONE, QNum, SQRT2, ZERO, numerators, qnum
 from rectadd.rectfn import (
     COUNTEREXAMPLE,
     Constant,
@@ -30,7 +30,7 @@ from rectadd.suites import (
     rand_table_function,
 )
 
-from field_counter import count_builds, count_field_calls
+from field_counter import count_builds, count_calls, count_field_calls
 from greedy_oracle import field_decompose
 
 F = Fraction
@@ -472,3 +472,15 @@ def test_verify_halving_makes_no_field_comparison_or_product(monkeypatch):
     calls = count_field_calls(monkeypatch, *ops)
     assert verify_halving(d).ok
     assert calls == []
+
+
+def test_telescope_takes_one_numerators_call_per_step(monkeypatch):
+    # a step's edges and ends come over one denominator from one call, and
+    # the integer kernels take them as they are
+    d = decompose(SILVER, 600)
+    for F_ in (PROD, CE):
+        calls = count_calls(monkeypatch, numerators)
+        total = telescope(F_, d)
+        assert len(calls) == len(d.steps) == 600
+        monkeypatch.undo()
+        assert total == F_.value(SILVER)

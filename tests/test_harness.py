@@ -30,12 +30,12 @@ from rectadd.harness import (
     write_decomposition_svg,
 )
 from rectadd.decompose import decompose
-from rectadd.numeric import QNum, SQRT2, ZERO
+from rectadd.numeric import QNum, SQRT2, ZERO, numerators
 from rectadd.rectfn import PointFunction, corner_difference, named_point_function
 from rectadd.suites import rand_rect, rand_table_function, _rect_corner_points
 
 from cover_oracle import dyadic_inner_cover
-from field_counter import count_builds, count_field_additions, count_field_calls
+from field_counter import count_builds, count_calls, count_field_additions, count_field_calls
 
 F = Fraction
 
@@ -359,6 +359,33 @@ def test_cmd_dyadic_approx_order_budget(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("rectadd dyadic-approx: ")
     assert f"max_order above {top}" in err[0]
     assert not path.exists()
+
+
+def test_cmd_proptest_case_budget(capsys):
+    # the benchmark's stress call runs field at 3000 cases
+    top = harness.MAX_CASES
+    assert top >= 3000
+    assert main(["proptest", "--suite", "field", "--cases", str(top)]) == 0
+    assert capsys.readouterr().out == f"[verified] suite field: invariant held on {top} cases\n"
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["proptest", "--suite", "telescope", "--cases", str(top + 1)])
+    assert time.perf_counter() - t0 < 1.0
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("rectadd proptest: ")
+    assert f"cases above {top}" in err[0]
+    assert captured.out == ""
+
+
+def test_cmd_decompose_takes_one_numerators_call_per_step(monkeypatch):
+    # the tiling sum, the halving check and the decomposition itself take
+    # one call each; telescope takes one per step
+    calls = count_calls(monkeypatch, numerators)
+    rep = cmd_decompose(rect="[0,1+1*sqrt2]x[0,1]", max_steps=600)
+    assert rep.exit_status == 0
+    assert 600 < len(calls) <= 600 + 3
 
 
 def test_shrink_bound_value():
@@ -713,6 +740,17 @@ def test_cli_refuses_long_alpha_by_its_bound(capsys, alpha, bound):
     assert len(err) == 1 and err[0].startswith("rectadd probe: ")
     assert bound in err[0]
     assert "Exceeds the limit" not in err[0] and "int_max_str_digits" not in err[0]
+
+
+@pytest.mark.parametrize("alpha", ["1/0", "-1/000", "1/0_0", "1/\u0660"])
+def test_cli_names_a_zero_alpha_denominator(capsys, alpha):
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", f"--alpha={alpha}", "--depth", "1", "--offsets", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["rectadd probe: alpha has a zero denominator"]
+    with pytest.raises(ValueError, match="zero denominator"):
+        cmd_probe(alpha=alpha)
 
 
 def test_cmd_probe_reads_padded_alpha_text():

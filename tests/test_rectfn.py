@@ -6,7 +6,7 @@ import pytest
 from rectadd import harness
 from rectadd.decompose import Step, decompose, telescope
 from rectadd.geometry import DyadicSquare, Rect, split
-from rectadd.numeric import ONE, QNum, SQRT2, ZERO, from_numerators, numerators
+from rectadd.numeric import ONE, QNum, SQRT2, ZERO, from_numerators
 from rectadd.rectfn import (
     COUNTEREXAMPLE,
     Constant,
@@ -20,10 +20,13 @@ from rectadd.rectfn import (
     liminf_quotient_probe,
     named_point_function,
     named_rect_function,
+    _product_cuts,
     pow2_exact,
     strong_continuity_witness,
 )
 from rectadd.suites import _rect_corner_points, rand_rect, rand_split_params, rand_table_function
+
+from field_counter import count_builds
 
 F = Fraction
 
@@ -267,7 +270,7 @@ def _value_cuts(f, step):
     return [f.value(hi, e) - f.value(lo, e) for e in step.edges()]
 
 
-def _row_cuts_mixed(F_, step):
+def _cuts_mixed(F_, step):
     # True when the cuts of the row are over different denominators, so the
     # integer row sum scales some of them to their lcm
     return len({c._D for c in _value_cuts(F_.point_fn, step)}) > 1
@@ -289,7 +292,7 @@ def test_row_sum_matches_per_square_values():
             for F_ in functions:
                 row = F_.row_sum(step)
                 assert row == sum((F_.value(sq) for sq in squares), ZERO)
-                mixed += _row_cuts_mixed(F_, step)
+                mixed += _cuts_mixed(F_, step)
     assert mixed > 200
 
 
@@ -322,18 +325,20 @@ def test_row_cut_kernels_match_value():
         rows.add((step.lo.is_rational(), step.hi.is_rational()))
         rational_edges = sum(e.is_rational() for e in step.edges())
         mixed_edges += 0 < rational_edges < count + 1
-        # the step's edges and ends as numerators, for `cuts` called directly
-        edges = step.edge_numerators()
-        (lc, sc), (le, se), M = numerators((step.lo, step.side))
-        ends = ((lc, le), (lc + sc, le + se), M, along_x)
+        # the step's edges and ends as numerators over one denominator, as
+        # `RectFunction.row_sum` passes them to `cuts`
+        row = step.row_numerators()
+        As, Bs, lo, hi, L = row
+        assert [from_numerators(a, b, L) for a, b in zip(As, Bs)] == list(step.edges())
+        assert (from_numerators(*lo, L), from_numerators(*hi, L)) == (step.lo, step.hi)
         for f in (PRODUCT, COUNTEREXAMPLE):
-            As, Bs, L = f.row_cuts(step)
+            As, Bs, L = f.cuts(*row, along_x)
             assert len(As) == len(Bs) == count + 1
             kernel = [from_numerators(a, b, L) for a, b in zip(As, Bs)]
             assert kernel == _value_cuts(f, step)
             # the fallback of a point function without a kernel, on the
             # same numerators, gives the same cuts
-            As, Bs, L = PointFunction.cuts(f, *edges, *ends)
+            As, Bs, L = PointFunction.cuts(f, *row, along_x)
             assert [from_numerators(a, b, L) for a, b in zip(As, Bs)] == kernel
     assert rows == {(True, True), (True, False), (False, False), (False, True)}
     assert mixed_edges > 30
@@ -383,7 +388,7 @@ class _DoubledAgain(_Doubled):
 def test_subclass_overriding_value_is_summed_by_value(f):
     # the parent's integer kernel is the parent's formula; a subclass with
     # its own `value` and no `cuts` of its own falls back to `value`
-    assert type(f).cuts is PointFunction.cuts and type(f).row_cuts is PointFunction.row_cuts
+    assert type(f).cuts is PointFunction.cuts
     F_ = corner_difference(f)
     rng = random.Random(439)
     rects = [Rect(ZERO, QNum(8), ZERO, QNum(5)), Rect(ZERO, ONE + SQRT2, ZERO, ONE), WITNESS]
@@ -411,4 +416,42 @@ def test_subclass_overriding_value_is_summed_by_value(f):
 def test_builtin_point_functions_keep_their_integer_kernels():
     for cls in (Product, Counterexample):
         assert cls.cuts is not PointFunction.cuts
-        assert cls.row_cuts is not PointFunction.row_cuts
+
+
+class _TwiceProduct(PointFunction):
+    """2*x*y, a direct subclass with its own integer kernel."""
+
+    label = "twice-product"
+
+    def value(self, x, y):
+        return 2 * (x * y)
+
+    def cuts(self, As, Bs, lo, hi, L, along_x):
+        ca, cb = _product_cuts(As, Bs, lo, hi)
+        return [2 * c for c in ca], [2 * c for c in cb], L * L
+
+
+def test_point_function_with_its_own_kernel_is_summed_by_it(monkeypatch):
+    f = _TwiceProduct()
+    assert type(f).cuts is not PointFunction.cuts
+    F_ = corner_difference(f)
+    rng = random.Random(443)
+    rects = [Rect(ZERO, QNum(8), ZERO, QNum(5)), Rect(ZERO, ONE + SQRT2, ZERO, ONE), WITNESS]
+    rects += [rand_rect(rng, i) for i in range(40)]
+    irrational = 0
+    for r in rects:
+        d = decompose(r, rng.randint(1, 20))
+        assert telescope(F_, d) == F_.value(r) == 2 * PROD.value(r)
+        irrational += not (r.x2 - r.x1).is_rational() or not (r.y2 - r.y1).is_rational()
+    assert irrational > 10
+    # a strip of 1009 + 2 squares: each step goes through the kernel, builds
+    # no QNum edge and makes one QNum, its row sum
+    r = Rect(QNum(F(-5, 2)), QNum(334), QNum(F(1, 4)), QNum(F(7, 12)))
+    d = decompose(r, 20)
+    assert d.total_squares > 1000 > 40 * len(d.steps)
+    built = count_builds(monkeypatch)
+    rows = [F_.row_sum(step) for step in d.steps]
+    assert len(built) == len(d.steps)
+    monkeypatch.undo()
+    assert all(step._edges is None for step in d.steps)
+    assert rows == [sum((F_.value(sq) for sq in step.squares), ZERO) for step in d.steps]
