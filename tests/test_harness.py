@@ -234,6 +234,25 @@ def test_svg_square_count_matches_decomposition(tmp_path):
         ),
         # rational trace truncated with a remainder
         ("[0,8]x[0,5]", 2, "0c678536b3f5cb1655174dd443ae1b05fa702da6e791b8f75d5beeb0ef491fd2"),
+        # deep irrational traces: terms past 2^1000 drawn from integer floors;
+        # silver's width has a negative norm, 3+sqrt2's a positive one
+        (
+            "[0,1+1*sqrt2]x[0,1]",
+            1000,
+            "ed276a0fa16fb85543559485649c0b7150f49fca2a1c917c8eb684af88f8a579",
+        ),
+        (
+            "[0,355/113+1/1000*sqrt2]x[0,1]",
+            1000,
+            "58fe099caf87999de2c41f3d55ceaed8d4c444ba4952c248e0e33f1a89cc6548",
+        ),
+        ("[0,3+1*sqrt2]x[0,1]", 40, "cbe04f68b8b192111c268f8d0a8e444a930b1ef955583b5a2e5701fd55ecaecb"),
+        # a square too large for a float, drawn to the width
+        (
+            f"[0,1{'0' * 400}]x[0,1{'0' * 400}]",
+            1,
+            "43c209448e8c2f2488b60c015f3148828e1dfd4ad0bc33781db1b3c9517b9e08",
+        ),
     ],
 )
 def test_svg_bytes_pinned(tmp_path, rect, max_steps, digest):
