@@ -10,7 +10,6 @@ render to static SVG.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -20,7 +19,7 @@ from typing import Optional
 
 from .decompose import Decomposition, decompose, telescope, verify_halving
 from .geometry import DyadicSquare, Rect, dyadic_inner_cover_rect, parse_rect
-from .numeric import ONE, QNum, SQRT2, ZERO, dyadic, from_numerators, numerators, parse_qnum, qnum
+from .numeric import ONE, QNum, SQRT2, ZERO, _floor, dyadic, from_numerators, numerators, parse_qnum, qnum
 from .rectfn import (
     PointFunction,
     RectFunction,
@@ -592,24 +591,16 @@ _FLOAT_TERM_BITS = 20
 _FLOOR_BITS = 64
 
 
-def _terms_cancel(As: tuple[int, ...], Bs: tuple[int, ...], D: int) -> bool:
-    """True when values over D with these numerators have a sqrt2 term and
-    a term of 2^_FLOAT_TERM_BITS units or more, decided on bit lengths."""
-    return any(Bs) and max(map(abs, As + Bs)).bit_length() - D.bit_length() >= _FLOAT_TERM_BITS
-
-
-def _floor_float(A: int, B: int, D: int) -> float:
-    """(A + B*sqrt2)/D rounded down to a multiple of 2^-64, as a float."""
-    m = math.floor(from_numerators(A << _FLOOR_BITS, B << _FLOOR_BITS, D))
-    return m / (1 << _FLOOR_BITS)
-
-
-def _to_float(v: QNum) -> float:
-    """A coordinate in width units as the SVG draws it."""
-    (A,), (B,), D = numerators((v,))
-    if _terms_cancel((A,), (B,), D):
-        return _floor_float(A, B, D)
-    return A / D + (B / D) * _SQRT2_FLOAT
+def _floats(As: list[int], Bs: list[int], D: int) -> list[float]:
+    """The coordinates (A + B*sqrt2)/D in width units as the SVG draws them,
+    all one way: from integer floors when the values have a sqrt2 term and
+    a term of 2^_FLOAT_TERM_BITS units or more, decided once for the list
+    on bit lengths, else as float sums."""
+    big = max(max(As), -min(As), max(Bs), -min(Bs))
+    if any(Bs) and big.bit_length() - D.bit_length() >= _FLOAT_TERM_BITS:
+        scale = 1 << _FLOOR_BITS
+        return [_floor(A << _FLOOR_BITS, B << _FLOOR_BITS, D) / scale for A, B in zip(As, Bs)]
+    return [A / D + (B / D) * _SQRT2_FLOAT for A, B in zip(As, Bs)]
 
 
 def write_decomposition_svg(d: Decomposition, path: str, width_px: float = 720.0) -> int:
@@ -620,84 +611,87 @@ def write_decomposition_svg(d: Decomposition, path: str, width_px: float = 720.0
     Returns the number of square elements written.
     """
     r = d.original
-    # Coordinates are normalised by the width in the field before any float
-    # conversion, so huge or tiny rectangles still give floats in range.
-    inv_w = ONE / r.width
-
-    def px(length: QNum) -> float:
-        return _to_float(length * inv_w) * width_px
-
-    height_px = px(r.height)
+    rem = r if d.remainder is None else d.remainder
+    # Every coordinate is drawn in units of the width, so huge or tiny
+    # rectangles still give floats in range.  One `numerators` call puts the
+    # figure's values over one denominator L, and a value (A + B*sqrt2)/L
+    # over the width (wa + wb*sqrt2)/L is (A*wa - 2*B*wb + (B*wa - A*wb)*sqrt2)/N,
+    # N = wa^2 - 2*wb^2 the width's norm: every drawn length is then a
+    # difference of these integer pairs over N.
+    values = [r.x1, r.x2, r.y1, r.y2, rem.x1, rem.y1]
+    for s in d.steps:
+        values += (s.x, s.y, s.side)
+    As, Bs, _ = numerators(values)
+    wa, wb = As[1] - As[0], Bs[1] - Bs[0]
+    N = wa * wa - 2 * wb * wb
+    if N < 0:
+        N, wa, wb = -N, -wa, -wb
+    As, Bs = [A * wa - 2 * B * wb for A, B in zip(As, Bs)], [B * wa - A * wb for A, B in zip(As, Bs)]
+    # SVG y grows downward, so a rectangle's y is its top edge's distance
+    # below the original's top edge y2
+    (x1a, x2a, y1a, y2a), (x1b, x2b, y1b, y2b) = As[:4], Bs[:4]
+    height, rem_x, rem_w, rem_h = _floats(
+        [y2a - y1a, As[4] - x1a, x2a - As[4], y2a - As[5]],
+        [y2b - y1b, Bs[4] - x1b, x2b - Bs[4], y2b - Bs[5]],
+        N,
+    )
+    sides = _floats(As[8::3], Bs[8::3], N)
     margin = 8.0
+    stroke = max(0.3, min(2.5, min(sides) * width_px * 0.04))
 
-    smallest = min((px(s.side) for s in d.steps), default=width_px)
-    stroke = max(0.3, min(2.5, smallest * 0.04))
+    def px(a: int, b: int) -> str:
+        return f"{_floats([a], [b], N)[0] * width_px + margin:.3f}"
 
-    def region_el(rc: Rect, cls: str, style: str) -> str:
-        # SVG y grows downward, so a rectangle's top edge gives its y
-        x = _to_float((rc.x1 - r.x1) * inv_w)
-        y = _to_float((r.y2 - rc.y2) * inv_w)
-        w = _to_float(rc.width * inv_w)
-        h = _to_float(rc.height * inv_w)
+    def region_el(x: float, w: float, h: float, cls: str, fill: str) -> str:
+        # every region drawn reaches up to the original's top edge
         return (
-            f'  <rect class="{cls}" x="{x * width_px + margin:.3f}" '
-            f'y="{y * width_px + margin:.3f}" '
-            f'width="{w * width_px:.3f}" height="{h * width_px:.3f}" {style}/>'
+            f'  <rect class="{cls}" x="{x * width_px + margin:.3f}" y="{margin:.3f}" '
+            f'width="{w * width_px:.3f}" height="{h * width_px:.3f}" '
+            f'fill="{fill}" stroke="#000" stroke-width="{stroke:.3f}"/>'
         )
 
     square_style = f'fill="#fff" stroke="#000" stroke-width="{stroke:.3f}"'
     lines = [
         _SVG_HEADER,
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width_px + 2 * margin:.0f}" height="{height_px + 2 * margin:.0f}">',
+        f'width="{width_px + 2 * margin:.0f}" height="{height * width_px + 2 * margin:.0f}">',
         "  <defs>",
         '    <pattern id="hatch" width="6" height="6" patternUnits="userSpaceOnUse" '
         'patternTransform="rotate(45)">',
         '      <line x1="0" y1="0" x2="0" y2="6" stroke="#777" stroke-width="1.2"/>',
         "    </pattern>",
         "  </defs>",
-        region_el(r, "original", f'fill="none" stroke="#000" stroke-width="{stroke:.3f}"'),
+        region_el(0.0, 1.0, height, "original", "none"),
     ]
     first_square = len(lines)
-    for step in d.steps:
-        # Walk the squares of the step in normalised units: t_k = t_0 ± k*u is
-        # the exact offset of square k along the packing axis, kept as integer
-        # numerators (a, b) over the common denominator L of t_0 and u.  Only
-        # t_k is formatted per square; the rest of the element is the step's.
-        u = step.side * inv_w
-        size = f"{_to_float(u) * width_px:.3f}"
+    for i, (step, side) in enumerate(zip(d.steps, sides), 2):
+        # Walk the squares of the step: t_k = t_0 ± k*u is the exact offset
+        # of square k along the packing axis, kept as integer numerators
+        # over N.  Only t_k is formatted per square; the rest of the element
+        # is the step's.
+        xa, ya, ua = As[3 * i : 3 * i + 3]
+        xb, yb, ub = Bs[3 * i : 3 * i + 3]
+        left, top = (xa - x1a, xb - x1b), (y2a - ya - ua, y2b - yb - ub)
+        size = f"{side * width_px:.3f}"
         size_style = f'width="{size}" height="{size}" {square_style}/>'
         if step.along_x:
-            t0 = (step.x - r.x1) * inv_w
-            y = _to_float((r.y2 - step.y - step.side) * inv_w)
-            head = '  <rect class="square" x="'
-            tail = f'" y="{y * width_px + margin:.3f}" {size_style}'
+            a, b = left
+            head, tail = '  <rect class="square" x="', f'" y="{px(*top)}" {size_style}'
         else:
             # going up a vertical step walks down the SVG, so the bottom
             # square comes first
-            x = _to_float((step.x - r.x1) * inv_w)
-            t0 = (r.y2 - step.y - step.side) * inv_w
-            u = -u
-            head = f'  <rect class="square" x="{x * width_px + margin:.3f}" y="'
-            tail = f'" {size_style}'
-        (a, da), (b, db), L = numerators((t0, u))
+            (a, b), ua, ub = top, -ua, -ub
+            head, tail = f'  <rect class="square" x="{px(*left)}" y="', f'" {size_style}'
         n = step.count
-        As = list(accumulate(repeat(da, n - 1), initial=a))
-        Bs = list(accumulate(repeat(db, n - 1), initial=b))
-        if _terms_cancel((As[0], As[-1]), (Bs[0], Bs[-1]), L):
-            ts = [_floor_float(a, b, L) for a, b in zip(As, Bs)]
-        else:
-            ts = [a / L + (b / L) * _SQRT2_FLOAT for a, b in zip(As, Bs)]
+        ts = _floats(
+            list(accumulate(repeat(ua, n - 1), initial=a)),
+            list(accumulate(repeat(ub, n - 1), initial=b)),
+            N,
+        )
         lines.extend([f"{head}{t * width_px + margin:.3f}{tail}" for t in ts])
     drawn = len(lines) - first_square
     if d.remainder is not None:
-        lines.append(
-            region_el(
-                d.remainder,
-                "remainder",
-                f'fill="url(#hatch)" stroke="#000" stroke-width="{stroke:.3f}"',
-            )
-        )
+        lines.append(region_el(rem_x, rem_w, rem_h, "remainder", "url(#hatch)"))
     lines.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

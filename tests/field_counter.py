@@ -23,11 +23,6 @@ def count_field_calls(monkeypatch, *names: str) -> list:
     return calls
 
 
-def count_field_additions(monkeypatch) -> list:
-    """Count QNum additions and subtractions."""
-    return count_field_calls(monkeypatch, "__add__", "__sub__")
-
-
 def count_builds(monkeypatch) -> list:
     """Count the QNums, Rects and DyadicSquares built: every QNum made by
     its constructor or from an integer triple, and every validated Rect and

@@ -35,7 +35,7 @@ from rectadd.rectfn import PointFunction, corner_difference, named_point_functio
 from rectadd.suites import rand_rect, rand_table_function, _rect_corner_points
 
 from cover_oracle import dyadic_inner_cover
-from field_counter import count_builds, count_calls, count_field_additions, count_field_calls
+from field_counter import count_builds, count_calls, count_field_calls
 
 F = Fraction
 
@@ -248,10 +248,11 @@ def test_svg_square_count_matches_decomposition(tmp_path):
         ),
         ("[0,3+1*sqrt2]x[0,1]", 40, "cbe04f68b8b192111c268f8d0a8e444a930b1ef955583b5a2e5701fd55ecaecb"),
         # a square too large for a float, drawn to the width
-        (
+        pytest.param(
             f"[0,1{'0' * 400}]x[0,1{'0' * 400}]",
             1,
             "43c209448e8c2f2488b60c015f3148828e1dfd4ad0bc33781db1b3c9517b9e08",
+            id="10^400-square",
         ),
     ],
 )
@@ -698,14 +699,22 @@ def test_cli_refuses_decomposition_over_tile_budget(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "rect, max_steps",
-    [("[-5/2,334]x[1/4,7/12]", 20), ("[1/2,1/2+1/5*sqrt2]x[-1/9,300+1/18*sqrt2]", 8)],
+    [
+        ("[-5/2,334]x[1/4,7/12]", 20),
+        ("[1/2,1/2+1/5*sqrt2]x[-1/9,300+1/18*sqrt2]", 8),
+        ("[0,1+1*sqrt2]x[0,1]", harness.MAX_STEPS),
+    ],
 )
 def test_svg_walk_makes_no_field_addition_per_square(tmp_path, monkeypatch, rect, max_steps):
+    # the figure is drawn on integer numerators from one `numerators` call:
+    # no field arithmetic and no QNum built, whatever the step count
     d = decompose(parse_rect(rect), max_steps)
-    assert d.total_squares > 1000
-    calls = count_field_additions(monkeypatch)
+    assert d.total_squares > 1000 or len(d.steps) == harness.MAX_STEPS
+    ops = count_field_calls(monkeypatch, "__add__", "__sub__", "__mul__", "__truediv__")
+    built = count_builds(monkeypatch)
+    calls = count_calls(monkeypatch, numerators)
     assert write_decomposition_svg(d, str(tmp_path / "d.svg")) == d.total_squares
-    assert len(calls) <= 3 * len(d.steps) + 12
+    assert (len(ops), len(built), len(calls)) == (0, 0, 1)
 
 
 def test_cmd_decompose_step_budget(tmp_path, capsys):
