@@ -74,6 +74,10 @@ MAX_ORDER = 1000
 # telescope, takes 7.8 s at 3000 cases and 10.6 s at 5000, and field 0.5 s
 # at 5000, on the same box.
 MAX_CASES = 5000
+# Most squares `cmd_probe` samples, depth times offsets, at a depth of at most
+# MAX_ORDER (a probe scale 2^-j is a mesh order).  Through the CLI at alpha 1,
+# 20,000 squares take 0.8 s at depth 12, 1.1 s at 100 and 2.2 s at 1000.
+MAX_PROBE_SQUARES = 20_000
 
 VERIFIED = "verified"
 VIOLATED = "violated"
@@ -493,8 +497,13 @@ def cmd_probe(
     `point` is a pair of coordinates or the text `x,y` of two QNum literals;
     `alpha` is a Fraction or text `Fraction` accepts without an exponent,
     such as `3/2` or `0.5`.  With `within`, each scale's claim also counts
-    its squares that lie inside that rectangle.
+    its squares that lie inside that rectangle.  A depth above MAX_ORDER or
+    more than MAX_PROBE_SQUARES squares is refused before any is sampled.
     """
+    if depth > MAX_ORDER:
+        raise ValueError(f"depth above {MAX_ORDER} (the mesh-order budget of probe)")
+    if depth * offsets > MAX_PROBE_SQUARES:
+        raise ValueError(f"depth * offsets above {MAX_PROBE_SQUARES} (the square budget of probe)")
     coords = point.split(",") if isinstance(point, str) else point
     if len(coords) != 2:
         raise ValueError(f"point wants two coordinates 'x,y', got {point!r}")
@@ -583,21 +592,19 @@ _SVG_HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
 _SQRT2_FLOAT = float(SQRT2)
 # A coordinate (A + B*sqrt2)/D in width units is drawn as the float sum
 # A/D + (B/D)*sqrt2 while its terms stay below 2^20 units: the sum is then
-# within 2^-30 units of the value, far below the 10^-3 px written.
-# Deep irrational traces have terms past 2^1000 that cancel to a tiny value
-# and overflow a float, so there the coordinate is read from an integer
-# floor of the value scaled by 2^64 instead.
+# within 2^-30 units of the value, far below the 10^-3 px written.  Deep
+# irrational traces have terms past 2^1000 that cancel to a tiny value and
+# overflow a float, so there it is read from an integer floor of the value
+# scaled by 2^64 instead.
 _FLOAT_TERM_BITS = 20
 _FLOOR_BITS = 64
 
 
 def _floats(As: list[int], Bs: list[int], D: int) -> list[float]:
     """The coordinates (A + B*sqrt2)/D in width units as the SVG draws them,
-    all one way: from integer floors when the values have a sqrt2 term and
-    a term of 2^_FLOAT_TERM_BITS units or more, decided once for the list
-    on bit lengths, else as float sums."""
-    big = max(max(As), -min(As), max(Bs), -min(Bs))
-    if any(Bs) and big.bit_length() - D.bit_length() >= _FLOAT_TERM_BITS:
+    all one way: the way is decided once for the list, on bit lengths."""
+    big = any(Bs) and max(max(As), -min(As), max(Bs), -min(Bs))
+    if big and big.bit_length() - D.bit_length() >= _FLOAT_TERM_BITS:
         scale = 1 << _FLOOR_BITS
         return [_floor(A << _FLOOR_BITS, B << _FLOOR_BITS, D) / scale for A, B in zip(As, Bs)]
     return [A / D + (B / D) * _SQRT2_FLOAT for A, B in zip(As, Bs)]
@@ -612,16 +619,12 @@ def write_decomposition_svg(d: Decomposition, path: str, width_px: float = 720.0
     """
     r = d.original
     rem = r if d.remainder is None else d.remainder
-    # Every coordinate is drawn in units of the width, so huge or tiny
-    # rectangles still give floats in range.  One `numerators` call puts the
-    # figure's values over one denominator L, and a value (A + B*sqrt2)/L
-    # over the width (wa + wb*sqrt2)/L is (A*wa - 2*B*wb + (B*wa - A*wb)*sqrt2)/N,
-    # N = wa^2 - 2*wb^2 the width's norm: every drawn length is then a
-    # difference of these integer pairs over N.
-    values = [r.x1, r.x2, r.y1, r.y2, rem.x1, rem.y1]
-    for s in d.steps:
-        values += (s.x, s.y, s.side)
-    As, Bs, _ = numerators(values)
+    # Every coordinate is drawn in units of the width, so huge or tiny rectangles
+    # give floats in range: one `numerators` call puts the figure's values over
+    # one L, and (A + B*sqrt2)/L over the width (wa + wb*sqrt2)/L is the integer
+    # pair (A*wa - 2*B*wb, B*wa - A*wb) over the width's norm N = wa^2 - 2*wb^2.
+    steps = [v for s in d.steps for v in (s.x, s.y, s.side)]
+    As, Bs, _ = numerators([r.x1, r.x2, r.y1, r.y2, rem.x1, rem.y1, *steps])
     wa, wb = As[1] - As[0], Bs[1] - Bs[0]
     N = wa * wa - 2 * wb * wb
     if N < 0:
@@ -665,10 +668,9 @@ def write_decomposition_svg(d: Decomposition, path: str, width_px: float = 720.0
     ]
     first_square = len(lines)
     for i, (step, side) in enumerate(zip(d.steps, sides), 2):
-        # Walk the squares of the step: t_k = t_0 ± k*u is the exact offset
-        # of square k along the packing axis, kept as integer numerators
-        # over N.  Only t_k is formatted per square; the rest of the element
-        # is the step's.
+        # Walk the squares of the step: t_k = t_0 ± k*u, the exact offset of
+        # square k along the packing axis, is one integer addition over N.
+        # Only t_k is formatted per square; the rest of the element is the step's.
         xa, ya, ua = As[3 * i : 3 * i + 3]
         xb, yb, ub = Bs[3 * i : 3 * i + 3]
         left, top = (xa - x1a, xb - x1b), (y2a - ya - ua, y2b - yb - ub)
@@ -678,16 +680,11 @@ def write_decomposition_svg(d: Decomposition, path: str, width_px: float = 720.0
             a, b = left
             head, tail = '  <rect class="square" x="', f'" y="{px(*top)}" {size_style}'
         else:
-            # going up a vertical step walks down the SVG, so the bottom
-            # square comes first
+            # up a vertical step is down the SVG: the bottom square comes first
             (a, b), ua, ub = top, -ua, -ub
             head, tail = f'  <rect class="square" x="{px(*left)}" y="', f'" {size_style}'
-        n = step.count
-        ts = _floats(
-            list(accumulate(repeat(ua, n - 1), initial=a)),
-            list(accumulate(repeat(ub, n - 1), initial=b)),
-            N,
-        )
+        n = step.count - 1
+        ts = _floats([*accumulate(repeat(ua, n), initial=a)], [*accumulate(repeat(ub, n), initial=b)], N)
         lines.extend([f"{head}{t * width_px + margin:.3f}{tail}" for t in ts])
     drawn = len(lines) - first_square
     if d.remainder is not None:

@@ -431,6 +431,11 @@ SQRT2 = QNum(0, 1)
 
 
 _LITERAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?(?:([+-]\d+)(?:/(\d+))?\*sqrt2)?")
+# Most digits in a part p, q, r or s of a literal `p/q+r/s*sqrt2`.  A rectangle
+# of four literals with distinct parts has an area of up to 8 times as many
+# digits, and `dyadic-approx` at order 1000 adds the 602 of 4^1000 to its gaps:
+# 8*450 + 602 stays under the 4300 digits Python renders as text.
+MAX_LITERAL_DIGITS = 450
 
 
 def parse_qnum(text: str) -> QNum:
@@ -438,12 +443,15 @@ def parse_qnum(text: str) -> QNum:
 
     Accepted forms: `p/q`, `p/q+r/s*sqrt2`, `p/q-r/s*sqrt2`, with integer
     shorthand (`3` for `3/1`) in either slot.  Decimal input is rejected on
-    purpose; inputs must be exact.
+    purpose; inputs must be exact.  A part of more than MAX_LITERAL_DIGITS
+    digits is refused before it is converted.
     """
     m = _LITERAL_RE.fullmatch(text.strip().replace(" ", ""))
     if m is None:
         raise ValueError(f"not a QNum literal: {text!r}")
     p, q, r, s = m.groups()
+    if max(len(part.lstrip("+-")) for part in m.groups("")) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"a literal part has more than {MAX_LITERAL_DIGITS} digits (the digit budget)")
     q, s = int(q or 1), int(s or 1)
     if q == 0 or s == 0:
         raise ZeroDivisionError(f"zero denominator in QNum literal {text!r}")

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from rectadd import harness
+from rectadd import harness, numeric
 from rectadd.cli import COMMANDS, build_parser, main
 from rectadd.geometry import DyadicSquare, Rect, parse_rect
 from rectadd.harness import (
@@ -796,3 +796,73 @@ def test_cmd_probe_reads_padded_alpha_text():
     for alpha in ("0.0009765625", "1/1001", "3/1", "1" * digits + "/" + "2" * digits):
         with pytest.raises(ValueError):
             cmd_probe(alpha=alpha)
+
+
+def _refused_in_time(capsys, argv: list, command: str, bound: str) -> None:
+    """argv exits 2 with one stderr line naming the bound, in under 1 s."""
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"rectadd {command}: ")
+    assert bound in err[0]
+    assert captured.out == ""
+
+
+def test_cli_literal_digit_budget(tmp_path, capsys):
+    # four coordinates whose sixteen parts all differ give the largest
+    # numbers a report renders; at the budget every command still renders
+    # them, and one more digit is refused before any work
+    top = numeric.MAX_LITERAL_DIGITS
+    assert top >= 401  # the 10^400 rectangles of the tests
+
+    def literal(seed: int, digits: int = top, sign: str = "") -> str:
+        rng = random.Random(seed)
+        p, q, r, s = (rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(4))
+        return f"{sign}{p}/{q}{sign or '+'}{r}/{s}*sqrt2"
+
+    def rect(digits: int) -> str:
+        return f"[{literal(1, digits, '-')},{literal(2)}]x[{literal(3, sign='-')},{literal(4)}]"
+
+    point, boundary = literal(5), rect(top)
+    json_path = tmp_path / "r.json"
+    for argv, status in [
+        (["decompose", "--rect", boundary, "--svg", str(tmp_path / "d.svg")], 0),
+        (["decompose", "--rect", boundary, "--function", f"constant:{point}"], 0),
+        (["dyadic-approx", "--rect", boundary], 0),
+        (["probe", "--point", f"{point},{point}", "--within", boundary], 0),
+        (["counterexample", "--function", f"constant:{point}", "--samples", "1"], 1),
+    ]:
+        assert main([*argv, "--json", str(json_path)]) == status
+        assert json.loads(json_path.read_text())["exit_status"] == status
+    # the largest number rendered: a gap of dyadic-approx at its top order
+    r, F_ = parse_rect(boundary), corner_difference(named_point_function("product"))
+    gap = F_.value(r) - inner_cover_sum(F_, r, harness.MAX_ORDER)
+    assert len(gap.literal()) > 8 * top
+    capsys.readouterr()
+    over, bound = literal(5, top + 1), f"more than {top} digits (the digit budget)"
+    for command, argv in [
+        ("decompose", ["--rect", rect(top + 1)]),
+        ("dyadic-approx", ["--rect", rect(top + 1)]),
+        ("probe", ["--point", f"0,{over}"]),
+        ("probe", ["--within", rect(top + 1)]),
+        ("counterexample", ["--function", f"constant:{over}"]),
+    ]:
+        _refused_in_time(capsys, [command, *argv, "--json", str(json_path)], command, bound)
+
+
+def test_cmd_probe_depth_and_square_budgets(capsys):
+    # the benchmark probes at depth 400 with 3 offsets and at depth 12 with 4
+    top, squares = harness.MAX_ORDER, harness.MAX_PROBE_SQUARES
+    assert 400 * 3 <= squares and 400 <= top
+    assert cmd_probe(depth=12, offsets=4).exit_status == 0
+    assert main(["probe", "--depth", str(top), "--offsets", "1"]) == 0
+    assert main(["probe", "--depth", "2", "--offsets", str(squares // 2)]) == 0
+    capsys.readouterr()
+    argv = ["probe", "--depth", str(top + 1), "--offsets", "1"]
+    _refused_in_time(capsys, argv, "probe", f"depth above {top}")
+    argv = ["probe", "--depth", "1", "--offsets", str(squares + 1)]
+    _refused_in_time(capsys, argv, "probe", f"depth * offsets above {squares}")
