@@ -32,7 +32,7 @@ are built once per step and shared with `Step.squares`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, repeat
 from typing import Optional
 
@@ -53,16 +53,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(namedtuple("Step", "x y side count along_x")):
     """`count` squares of side `side` packed in a single pass, the first with
     its lower-left corner at (x, y), laid along x (`along_x`) or along y."""
-
-    x: QNum
-    y: QNum
-    side: QNum
-    count: int
-    along_x: bool
 
     @property
     def lo(self) -> QNum:
@@ -70,11 +63,10 @@ class Step:
         `along_x`, else x."""
         return self.y if self.along_x else self.x
 
-    # Memos of `hi` and `edges`, set once through object.__setattr__.  They
-    # are class attributes without annotations, not dataclass fields, so
-    # equality, hashing and repr ignore them (functools.cached_property
-    # would do as much, but before Python 3.12 it takes a lock on every
-    # first read).
+    # Memos of `hi` and `edges`, set once in the instance dict that Step
+    # keeps by declaring no __slots__.  They are not fields, so equality,
+    # hashing and repr ignore them (functools.cached_property would do as
+    # much, but before Python 3.12 it takes a lock on every first read).
     _hi = None
     _edges = None
 
@@ -84,8 +76,7 @@ class Step:
         every square and every point function reading it shares one object."""
         hi = self._hi
         if hi is None:
-            hi = self.lo + self.side
-            object.__setattr__(self, "_hi", hi)
+            hi = self._hi = self.lo + self.side
         return hi
 
     def row_numerators(self) -> tuple[list[int], list[int], Pair, Pair, int]:
@@ -112,8 +103,7 @@ class Step:
         if edges is None:
             As, Bs, _, _, L = self.row_numerators()
             c = self.x if self.along_x else self.y
-            edges = (c, *[from_numerators(a, b, L) for a, b in zip(As[1:], Bs[1:])])
-            object.__setattr__(self, "_edges", edges)
+            edges = self._edges = (c, *[from_numerators(a, b, L) for a, b in zip(As[1:], Bs[1:])])
         return edges
 
     @property
@@ -126,17 +116,15 @@ class Step:
         return tuple(Rect(self.x, self.hi, e0, e1) for e0, e1 in zip(e, e[1:]))
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Result of iterating greedy steps.
+class Decomposition(namedtuple("Decomposition", "original steps remainder")):
+    """Result of iterating greedy steps: the original `Rect`, the tuple of
+    `Step`s, and the remainder `Rect`.
 
     `remainder` is None exactly when the last packing was exact, which
     happens iff the aspect ratio is rational (finite continued fraction).
     """
 
-    original: Rect
-    steps: tuple[Step, ...]
-    remainder: Optional[Rect]
+    __slots__ = ()
 
     @property
     def terminated(self) -> bool:
@@ -197,13 +185,13 @@ def decompose(r: Rect, max_steps: int) -> Decomposition:
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     # a coordinate or side (A + B*sqrt2)/L is kept as its pair A, B
-    (xa, x2a, ya, y2a), (xb, x2b, yb, y2b), L = numerators((r.x1, r.x2, r.y1, r.y2))
+    (xa, x2a, ya, y2a), (xb, x2b, yb, y2b), L = numerators(r)
     wa, wb, ha, hb = x2a - xa, x2b - xb, y2a - ya, y2b - yb
     along_x = _sign2(wa - ha, wb - hb) >= 0
     # the longer side p = pa + pb*sqrt2 and the shorter s, with their norms
     pa, pb, sa, sb = (wa, wb, ha, hb) if along_x else (ha, hb, wa, wb)
     pn, sn = pa * pa - 2 * pb * pb, sa * sa - 2 * sb * sb
-    x, y = r.x1, r.y1
+    x, x2, y, y2 = r
     steps: list[Step] = []
     while True:
         qa, qb = pa * sa - 2 * pb * sb, pb * sa - pa * sb  # p * conj(s)
@@ -219,24 +207,20 @@ def decompose(r: Rect, max_steps: int) -> Decomposition:
             ya, yb = ya + count * sa, yb + count * sb
             y = from_numerators(ya, yb, L)
         if len(steps) == max_steps:
-            return Decomposition(original=r, steps=tuple(steps), remainder=Rect(x, r.x2, y, r.y2))
+            return Decomposition(original=r, steps=tuple(steps), remainder=Rect(x, x2, y, y2))
         pa, pb, pn, sa, sb, sn = sa, sb, sn, ta, tb, pn - 2 * count * qa + count * count * sn
         along_x = not along_x
 
 
-@dataclass(frozen=True)
-class HalvingCheck:
-    """One exact comparison backing the halving guarantee: lhs <= rhs."""
-
-    index: int
-    kind: str  # "monotone" or "halving"
-    lhs: QNum
-    rhs: QNum
+# One exact comparison backing the halving guarantee, lhs <= rhs, at side
+# `index`; `kind` is "monotone" or "halving".
+HalvingCheck = namedtuple("HalvingCheck", "index kind lhs rhs")
 
 
-@dataclass(frozen=True)
-class HalvingCertificate:
-    failure: Optional[HalvingCheck]  # the first comparison that fails
+class HalvingCertificate(namedtuple("HalvingCertificate", "failure")):
+    """`failure` is the first `HalvingCheck` that fails, or None."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

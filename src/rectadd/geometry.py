@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Literal, Optional
 
 from .numeric import QNum, dyadic, parse_qnum, qnum
@@ -29,34 +29,39 @@ __all__ = [
 Axis = Literal["vertical", "horizontal"]
 
 
-@dataclass(frozen=True)
-class Rect:
-    """[x1, x2] x [y1, y2] with strictly positive width and height."""
+class Rect(namedtuple("Rect", "x1 x2 y1 y2")):
+    """[x1, x2] x [y1, y2] with strictly positive width and height.
 
-    x1: QNum
-    x2: QNum
-    y1: QNum
-    y2: QNum
+    An immutable record, compared and hashed by its corners: `__new__`
+    coerces them to QNum and `__init__` checks that the rectangle is not
+    degenerate.
+    """
 
-    def __post_init__(self) -> None:
-        x1, x2, y1, y2 = self.x1, self.x2, self.y1, self.y2
+    __slots__ = ()
+
+    def __new__(cls, x1: QNum, x2: QNum, y1: QNum, y2: QNum) -> "Rect":
         if not (
             isinstance(x1, QNum) and isinstance(x2, QNum)
             and isinstance(y1, QNum) and isinstance(y2, QNum)
         ):
             x1, x2, y1, y2 = qnum(x1), qnum(x2), qnum(y1), qnum(y2)
-            for name, v in (("x1", x1), ("x2", x2), ("y1", y1), ("y2", y2)):
-                object.__setattr__(self, name, v)
+        return tuple.__new__(cls, (x1, x2, y1, y2))
+
+    def __init__(self, *args, **kwargs) -> None:
+        # the corners as given; self holds them coerced
+        x1, x2, y1, y2 = self
         if not (x1 < x2 and y1 < y2):
             raise ValueError(f"degenerate rectangle: [{x1},{x2}]x[{y1},{y2}]")
 
     @property
     def width(self) -> QNum:
-        return self.x2 - self.x1
+        x1, x2, _, _ = self
+        return x2 - x1
 
     @property
     def height(self) -> QNum:
-        return self.y2 - self.y1
+        _, _, y1, y2 = self
+        return y2 - y1
 
     def area(self) -> QNum:
         return self.width * self.height
@@ -80,32 +85,26 @@ class Rect:
 
     def corners(self) -> tuple[tuple[QNum, QNum], ...]:
         """The four corner points, lower-left first, row-major."""
-        return (
-            (self.x1, self.y1),
-            (self.x2, self.y1),
-            (self.x1, self.y2),
-            (self.x2, self.y2),
-        )
+        x1, x2, y1, y2 = self
+        return (x1, y1), (x2, y1), (x1, y2), (x2, y2)
 
     def literal(self) -> str:
-        return f"[{self.x1.literal()},{self.x2.literal()}]x[{self.y1.literal()},{self.y2.literal()}]"
+        x1, x2, y1, y2 = self
+        return f"[{x1.literal()},{x2.literal()}]x[{y1.literal()},{y2.literal()}]"
 
     def __str__(self) -> str:
         return self.literal()
 
 
-@dataclass(frozen=True)
-class DyadicSquare:
+class DyadicSquare(namedtuple("DyadicSquare", "order k m")):
     """Mesh identity (order n, column k, row m) of the square
     [k*2^-n, (k+1)*2^-n] x [m*2^-n, (m+1)*2^-n].  k and m may be negative;
     the mesh covers the whole plane.
     """
 
-    order: int
-    k: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if self.order < 0:
             raise ValueError("dyadic order must be >= 0")
 
@@ -114,7 +113,7 @@ class DyadicSquare:
         return dyadic(1, self.order)
 
     def to_rect(self) -> Rect:
-        n, k, m = self.order, self.k, self.m
+        n, k, m = self
         return Rect(dyadic(k, n), dyadic(k + 1, n), dyadic(m, n), dyadic(m + 1, n))
 
 
@@ -122,14 +121,15 @@ def split(r: Rect, axis: Axis, c: QNum) -> tuple[Rect, Rect]:
     """Cut r along x = c (vertical) or y = c (horizontal) into two adjacent
     rectangles, left/bottom piece first.  c must lie strictly inside."""
     c = qnum(c)
+    x1, x2, y1, y2 = r
     if axis == "vertical":
-        if not (r.x1 < c < r.x2):
-            raise ValueError(f"split abscissa {c} not strictly inside ({r.x1}, {r.x2})")
-        return Rect(r.x1, c, r.y1, r.y2), Rect(c, r.x2, r.y1, r.y2)
+        if not (x1 < c < x2):
+            raise ValueError(f"split abscissa {c} not strictly inside ({x1}, {x2})")
+        return Rect(x1, c, y1, y2), Rect(c, x2, y1, y2)
     if axis == "horizontal":
-        if not (r.y1 < c < r.y2):
-            raise ValueError(f"split ordinate {c} not strictly inside ({r.y1}, {r.y2})")
-        return Rect(r.x1, r.x2, r.y1, c), Rect(r.x1, r.x2, c, r.y2)
+        if not (y1 < c < y2):
+            raise ValueError(f"split ordinate {c} not strictly inside ({y1}, {y2})")
+        return Rect(x1, x2, y1, c), Rect(x1, x2, c, y2)
     raise ValueError(f"axis must be 'vertical' or 'horizontal', got {axis!r}")
 
 
@@ -143,7 +143,7 @@ def _dyadic_index(v: QNum, n: int) -> Optional[int]:
 def as_dyadic_square(r: Rect) -> Optional[DyadicSquare]:
     """The mesh identity of r when it coincides exactly with a dyadic square
     of some order n >= 0, else None."""
-    if not all(v.is_dyadic() for v in (r.x1, r.x2, r.y1, r.y2)):
+    if not all(v.is_dyadic() for v in r):
         return None
     if not r.is_square():
         return None

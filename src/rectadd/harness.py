@@ -9,10 +9,8 @@ render to static SVG.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass
-from datetime import datetime, timezone
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import Optional
@@ -88,19 +86,14 @@ EVIDENCE = "evidence-only"
 WITNESS_RECT = Rect(ZERO, ONE, ONE, SQRT2)
 
 
-@dataclass(frozen=True)
-class Finding:
-    claim: str
-    status: str
-    exact_values: tuple[str, ...] = ()
-    approximations: tuple[str, ...] = ()
+# A claim, its status, and tuples of exact literals and display decimals.
+Finding = namedtuple("Finding", "claim status exact_values approximations", defaults=((), ()))
 
 
-@dataclass(frozen=True)
-class Report:
-    command: str
-    inputs: dict
-    findings: tuple[Finding, ...]
+class Report(namedtuple("Report", "command inputs findings")):
+    """A command's name, the dict of its inputs, and its tuple of Findings."""
+
+    __slots__ = ()
 
     @property
     def exit_status(self) -> int:
@@ -119,6 +112,8 @@ def report_to_dict(report: Report, timestamp: Optional[str] = None) -> dict:
     """JSON-ready dict.  `generated_at` is the only field excluded from
     byte-for-byte determinism guarantees."""
     if timestamp is None:
+        from datetime import datetime, timezone  # on use: a CLI launch without --json skips it
+
         timestamp = datetime.now(timezone.utc).isoformat()
     return {
         "schema": SCHEMA_VERSION,
@@ -139,6 +134,8 @@ def report_to_dict(report: Report, timestamp: Optional[str] = None) -> dict:
 
 
 def write_report_json(report: Report, path: str) -> None:
+    import json  # on use: a CLI launch without --json skips it
+
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report_to_dict(report), fh, indent=2)
         fh.write("\n")

@@ -13,8 +13,8 @@ does not propagate to all rectangles.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 from typing import TYPE_CHECKING, Mapping, Optional
@@ -211,11 +211,11 @@ def named_point_function(name: str) -> PointFunction:
     raise ValueError(f"unknown point function {name!r}")
 
 
-@dataclass(frozen=True)
-class RectFunction:
-    """Additive rectangle function realized as a corner difference of f."""
+class RectFunction(namedtuple("RectFunction", "point_fn")):
+    """Additive rectangle function realized as a corner difference of the
+    `PointFunction` point_fn."""
 
-    point_fn: PointFunction
+    __slots__ = ()
 
     @property
     def label(self) -> str:
@@ -223,7 +223,8 @@ class RectFunction:
 
     def value(self, r: Rect) -> QNum:
         f = self.point_fn.value
-        return f(r.x2, r.y2) + f(r.x1, r.y1) - f(r.x1, r.y2) - f(r.x2, r.y1)
+        x1, x2, y1, y2 = r
+        return f(x2, y2) + f(x1, y1) - f(x1, y2) - f(x2, y1)
 
     def row_sum(self, step: Step) -> QNum:
         """Sum of F over the packed squares of a decomposition step.
@@ -299,30 +300,28 @@ def pow2_exact(e: Fraction) -> Optional[QNum]:
 APPROX_DIGITS = 12
 
 
-@dataclass(frozen=True)
-class ProbeSample:
+class ProbeSample(
+    namedtuple("ProbeSample", "square value quotient quotient_approx inside_within", defaults=(None,))
+):
     """One sampled square: its exact value and the quotient value / area^alpha.
 
     `quotient` is None when the power of the area leaves the field; the
     truncated decimal `quotient_approx` is then the only record, and
-    `flagged` marks it as non-exact evidence.
+    `flagged` marks it as non-exact evidence.  `inside_within` records
+    whether the square lies inside the probe's `within`, or is None.
     """
 
-    square: Rect
-    value: QNum
-    quotient: Optional[QNum]
-    quotient_approx: str
-    inside_within: Optional[bool] = None
+    __slots__ = ()
 
     @property
     def flagged(self) -> bool:
         return self.quotient is None
 
 
-@dataclass(frozen=True)
-class ProbeScale:
-    level: int  # squares of side 2^-level
-    samples: tuple[ProbeSample, ...]
+class ProbeScale(namedtuple("ProbeScale", "level samples")):
+    """The samples of one scale: squares of side 2^-level."""
+
+    __slots__ = ()
 
     @property
     def side(self) -> QNum:
@@ -339,11 +338,8 @@ class ProbeScale:
         return min(exact, default=None)
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    point: tuple[QNum, QNum]
-    alpha: Fraction
-    scales: tuple[ProbeScale, ...]
+# The probed point (x, y), the Fraction alpha, and the tuple of ProbeScales.
+ProbeReport = namedtuple("ProbeReport", "point alpha scales")
 
 
 def liminf_quotient_probe(

@@ -9,7 +9,7 @@ is already a near-minimal one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .decompose import decompose, telescope, verify_halving, continued_fraction_counts
@@ -20,11 +20,9 @@ from .rectfn import RectFunction, Table, check_additivity, corner_difference
 __all__ = ["SuiteResult", "run_suite", "SUITE_NAMES"]
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    cases_run: int
-    violations: list[str]
+# The suite's name, the number of cases it ran, and the list of its
+# violation echoes.
+SuiteResult = namedtuple("SuiteResult", "name cases_run violations")
 
 
 # -- generators -------------------------------------------------------------

@@ -39,7 +39,7 @@ def count_builds(monkeypatch) -> list:
     monkeypatch.setattr(numeric, "_alloc", record(numeric._alloc))
     monkeypatch.setattr(QNum, "__init__", record(QNum.__init__))
     for cls in (Rect, DyadicSquare):
-        monkeypatch.setattr(cls, "__post_init__", record(cls.__post_init__))
+        monkeypatch.setattr(cls, "__init__", record(cls.__init__))
     return built
 
 

@@ -455,13 +455,13 @@ def test_decompose_matches_field_loop_on_edge_cases(rect, max_steps):
 
 
 def test_decompose_makes_no_field_division_or_product(monkeypatch):
-    post_init = Rect.__post_init__
+    validate = Rect.__init__
     calls = count_field_calls(monkeypatch, "__truediv__", "__mul__")
     built = count_builds(monkeypatch)
     d = decompose(SILVER, 600)
     assert len(d.steps) == 600 and d.remainder is not None
     assert calls == []
-    rects = built.count(post_init)
+    rects = built.count(validate)
     assert rects == 1  # the remainder
     assert len(built) - rects <= 2 * len(d.steps)  # a step's side and moved corner
 
