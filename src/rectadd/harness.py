@@ -54,6 +54,15 @@ MAX_STEPS = 1000
 # is rendered through a q-th power and a q-th root: with 4 offsets, depth 4
 # takes 0.4 s at q = 997 and 2.2 s at q = 1999 on the same box.
 MAX_ALPHA_DENOMINATOR = 1000
+# Most work `cmd_probe` may spend on quotients outside the field, for an
+# alpha p/q with q not dividing 4: offsets times the sum over the scales j of
+# (q*(j + 20))^2.  Such a quotient's digits come from a q-th power of about
+# 2q(j + 20) bits (APPROX_DIGITS digits are 40 bits, and the area at scale j
+# adds up to 2j), and the time grows about with the square of that size.
+# Near alpha 2 with q = 997, the slowest kind, the budget admits 4 offsets at
+# depth 4 (0.6 s on the same box) and 1 offset at depth 13 (0.8 s); 1 offset
+# at depth 40 took 5.1 s.  The square overstates the work of small q.
+MAX_ROOT_WORK = 10**10
 # Most digits in either part of a `p/q` alpha, past leading zeros.  An alpha
 # in [0, 2] within the denominator budget has at most 4 digits in lowest
 # terms; Python refuses to convert more digits than its int-string limit,
@@ -494,8 +503,10 @@ def cmd_probe(
     `point` is a pair of coordinates or the text `x,y` of two QNum literals;
     `alpha` is a Fraction or text `Fraction` accepts without an exponent,
     such as `3/2` or `0.5`.  With `within`, each scale's claim also counts
-    its squares that lie inside that rectangle.  A depth above MAX_ORDER or
-    more than MAX_PROBE_SQUARES squares is refused before any is sampled.
+    its squares that lie inside that rectangle.  A depth above MAX_ORDER,
+    more than MAX_PROBE_SQUARES squares, or an alpha whose quotients leave
+    the field with more work than MAX_ROOT_WORK is refused before any
+    square is sampled.
     """
     if depth > MAX_ORDER:
         raise ValueError(f"depth above {MAX_ORDER} (the mesh-order budget of probe)")
@@ -506,8 +517,14 @@ def cmd_probe(
         raise ValueError(f"point wants two coordinates 'x,y', got {point!r}")
     px, py = (parse_qnum(c) if isinstance(c, str) else qnum(c) for c in coords)
     alpha = _alpha_from_text(alpha) if isinstance(alpha, str) else Fraction(alpha)
-    if alpha.denominator > MAX_ALPHA_DENOMINATOR:
+    q = alpha.denominator
+    if q > MAX_ALPHA_DENOMINATOR:
         raise ValueError(_ALPHA_DENOMINATOR_REFUSAL)
+    if 4 % q and offsets * sum((q * (j + 20)) ** 2 for j in range(1, depth + 1)) > MAX_ROOT_WORK:
+        raise ValueError(
+            f"offsets * (q*(j+20))^2 summed over the scales j above {MAX_ROOT_WORK} "
+            "(the root budget of an alpha whose quotients leave the field)"
+        )
     F = named_rect_function(function)
     w = parse_rect(within) if isinstance(within, str) else within
     probe = liminf_quotient_probe(F, (px, py), alpha, depth, offsets, within=w)

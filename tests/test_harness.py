@@ -866,3 +866,34 @@ def test_cmd_probe_depth_and_square_budgets(capsys):
     _refused_in_time(capsys, argv, "probe", f"depth above {top}")
     argv = ["probe", "--depth", "1", "--offsets", str(squares + 1)]
     _refused_in_time(capsys, argv, "probe", f"depth * offsets above {squares}")
+
+
+def test_cli_probe_root_budget(capsys):
+    # an alpha p/q whose quotients leave the field (q not dividing 4) costs
+    # about (q*(j+20))^2 per square at scale j; the reports workload, the
+    # largest denominator at depth 1 and at the default depth and offsets
+    # stay inside the budget
+    def work(q, depth, offsets):
+        return offsets * sum((q * (j + 20)) ** 2 for j in range(1, depth + 1))
+
+    budget = harness.MAX_ROOT_WORK
+    assert work(1000, 4, 4) <= budget < work(1000, 4, 5)
+    assert work(997, 13, 1) <= budget < work(997, 14, 1)
+    for argv in (
+        ["--alpha", "1/3", "--depth", "12", "--offsets", "4"],
+        ["--alpha", "999/1000", "--depth", "1", "--offsets", "1"],
+        ["--alpha", "1/1000"],
+        ["--alpha", "999/1000", "--depth", "4", "--offsets", "4"],
+    ):
+        assert main(["probe", *argv]) == 0
+    # a field alpha takes no root, whatever its denominator would cost
+    assert work(4, 1000, 2) > budget
+    assert main(["probe", "--alpha", "3/4", "--depth", "1000", "--offsets", "2"]) == 0
+    capsys.readouterr()
+    bound = "the root budget"
+    for argv in (
+        ["--alpha", "999/1000", "--depth", "4", "--offsets", "5"],
+        ["--alpha", "1993/997", "--depth", "14", "--offsets", "1"],
+        ["--alpha", "1/997", "--depth", "40", "--offsets", "500"],
+    ):
+        _refused_in_time(capsys, ["probe", *argv], "probe", bound)
