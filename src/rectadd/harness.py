@@ -638,7 +638,7 @@ def write_decomposition_svg(d: Decomposition, path: str, width_px: float = 720.0
     # one L, and (A + B*sqrt2)/L over the width (wa + wb*sqrt2)/L is the integer
     # pair (A*wa - 2*B*wb, B*wa - A*wb) over the width's norm N = wa^2 - 2*wb^2.
     step_values = [v for s in d.steps for v in (s.x, s.y, s.side)]
-    As, Bs, _ = numerators([r.x1, r.x2, r.y1, r.y2, rem.x1, rem.y1, *step_values])
+    As, Bs, _ = numerators([*r, rem.x1, rem.y1, *step_values])
     wa, wb = As[1] - As[0], Bs[1] - Bs[0]
     N = wa * wa - 2 * wb * wb
     if N < 0:
