@@ -60,8 +60,8 @@ MAX_ALPHA_DENOMINATOR = 1000
 # 2q(j + 20) bits (APPROX_DIGITS digits are 40 bits, and the area at scale j
 # adds up to 2j), and the time grows about with the square of that size.
 # Near alpha 2 with q = 997, the slowest kind, the budget admits 4 offsets at
-# depth 4 (0.6 s on the same box) and 1 offset at depth 13 (0.8 s); 1 offset
-# at depth 40 took 5.1 s.  The square overstates the work of small q.
+# depth 4 (0.7 s on the same box) and 1 offset at depth 13 (0.6 s); 1 offset
+# at depth 40 took 5.9 s.  The square overstates the work of small q.
 MAX_ROOT_WORK = 10**10
 # Most digits in either part of a `p/q` alpha, past leading zeros.  An alpha
 # in [0, 2] within the denominator budget has at most 4 digits in lowest
