@@ -612,6 +612,8 @@ _SQRT2_FLOAT = float(SQRT2)
 # scaled by 2^64 instead.
 _FLOAT_TERM_BITS = 20
 _FLOOR_BITS = 64
+# the drawn width of the original rectangle, margins aside
+_WIDTH_PX = 720.0
 
 
 def _floats(As: list[int], Bs: list[int], D: int) -> list[float]:
@@ -624,7 +626,7 @@ def _floats(As: list[int], Bs: list[int], D: int) -> list[float]:
     return [A / D + (B / D) * _SQRT2_FLOAT for A, B in zip(As, Bs)]
 
 
-def write_decomposition_svg(d: Decomposition, path: str, width_px: float = 720.0) -> int:
+def write_decomposition_svg(d: Decomposition, path: str) -> int:
     """Render the decomposition: packed squares outlined, remainder hatched.
 
     The viewport is scaled to the original rectangle and stroke width is
@@ -654,16 +656,16 @@ def write_decomposition_svg(d: Decomposition, path: str, width_px: float = 720.0
     )
     sides = _floats(As[8::3], Bs[8::3], N)
     margin = 8.0
-    stroke = max(0.3, min(2.5, min(sides) * width_px * 0.04))
+    stroke = max(0.3, min(2.5, min(sides) * _WIDTH_PX * 0.04))
 
     def px(a: int, b: int) -> str:
-        return f"{_floats([a], [b], N)[0] * width_px + margin:.3f}"
+        return f"{_floats([a], [b], N)[0] * _WIDTH_PX + margin:.3f}"
 
     def region_el(x: float, w: float, h: float, cls: str, fill: str) -> str:
         # every region drawn reaches up to the original's top edge
         return (
-            f'  <rect class="{cls}" x="{x * width_px + margin:.3f}" y="{margin:.3f}" '
-            f'width="{w * width_px:.3f}" height="{h * width_px:.3f}" '
+            f'  <rect class="{cls}" x="{x * _WIDTH_PX + margin:.3f}" y="{margin:.3f}" '
+            f'width="{w * _WIDTH_PX:.3f}" height="{h * _WIDTH_PX:.3f}" '
             f'fill="{fill}" stroke="#000" stroke-width="{stroke:.3f}"/>'
         )
 
@@ -671,7 +673,7 @@ def write_decomposition_svg(d: Decomposition, path: str, width_px: float = 720.0
     lines = [
         _SVG_HEADER,
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width_px + 2 * margin:.0f}" height="{height * width_px + 2 * margin:.0f}">',
+        f'width="{_WIDTH_PX + 2 * margin:.0f}" height="{height * _WIDTH_PX + 2 * margin:.0f}">',
         "  <defs>",
         '    <pattern id="hatch" width="6" height="6" patternUnits="userSpaceOnUse" '
         'patternTransform="rotate(45)">',
@@ -688,7 +690,7 @@ def write_decomposition_svg(d: Decomposition, path: str, width_px: float = 720.0
         xa, ya, ua = As[3 * i : 3 * i + 3]
         xb, yb, ub = Bs[3 * i : 3 * i + 3]
         left, top = (xa - x1a, xb - x1b), (y2a - ya - ua, y2b - yb - ub)
-        size = f"{side * width_px:.3f}"
+        size = f"{side * _WIDTH_PX:.3f}"
         size_style = f'width="{size}" height="{size}" {square_style}/>'
         if step.along_x:
             a, b = left
@@ -699,7 +701,7 @@ def write_decomposition_svg(d: Decomposition, path: str, width_px: float = 720.0
             head, tail = f'  <rect class="square" x="{px(*left)}" y="', f'" {size_style}'
         n = step.count - 1
         ts = _floats([*accumulate(repeat(ua, n), initial=a)], [*accumulate(repeat(ub, n), initial=b)], N)
-        lines.extend([f"{head}{t * width_px + margin:.3f}{tail}" for t in ts])
+        lines.extend([f"{head}{t * _WIDTH_PX + margin:.3f}{tail}" for t in ts])
     drawn = len(lines) - first_square
     if d.remainder is not None:
         lines.append(region_el(rem_x, rem_w, rem_h, "remainder", "url(#hatch)"))

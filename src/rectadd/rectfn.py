@@ -98,14 +98,11 @@ class PointFunction:
 
 
 def _product_cuts(As: list[int], Bs: list[int], lo: Pair, hi: Pair) -> tuple[list[int], list[int]]:
-    """Numerators over L*L of e*hi - e*lo at every edge e = (A + B*sqrt2)/L,
-    for ends (C + E*sqrt2)/L given as pairs (C, E): each product is
-    A*C + 2*B*E + (A*E + B*C)*sqrt2, as QNum.__mul__ forms it."""
-    (lc, le), (hc, he) = lo, hi
-    return (
-        [A * hc + 2 * B * he - (A * lc + 2 * B * le) for A, B in zip(As, Bs)],
-        [A * he + B * hc - (A * le + B * lc) for A, B in zip(As, Bs)],
-    )
+    """Numerators over L*L of x*hi - x*lo at every edge x = (A + B*sqrt2)/L,
+    for ends (C + E*sqrt2)/L given as pairs (C, E), formed as x*(hi - lo):
+    with (c, e) = hi - lo, each cut is A*c + 2*B*e + (A*e + B*c)*sqrt2."""
+    c, e = hi[0] - lo[0], hi[1] - lo[1]
+    return [A * c + 2 * B * e for A, B in zip(As, Bs)], [A * e + B * c for A, B in zip(As, Bs)]
 
 
 class Product(PointFunction):
@@ -119,7 +116,7 @@ class Product(PointFunction):
     def cuts(
         self, As: list[int], Bs: list[int], lo: Pair, hi: Pair, L: int, along_x: bool
     ) -> tuple[list[int], list[int], int]:
-        # e*hi and e*lo at every edge e, on integers; x*y == y*x, so a row
+        # e*(hi - lo) at every edge e, on integers; x*y == y*x, so a row
         # along y has the same cuts
         return (*_product_cuts(As, Bs, lo, hi), L * L)
 
@@ -152,11 +149,11 @@ class Counterexample(PointFunction):
             ca, cb = _product_cuts(As, Bs, zero if lo[1] else lo, zero if hi[1] else hi)
             ones = (hi[1] != 0) - (lo[1] != 0)  # f's 1 at hi minus its 1 at lo
             return ([c + ones * LL for c in ca] if ones else ca), cb, LL
-        # the ordinate of both points on edge k is the edge itself: x*y at
-        # each on a rational edge (B == 0), and 1 - 1 on an irrational one
-        (lc, le), (hc, he) = lo, hi
-        ca = [0 if B else A * hc - A * lc for A, B in zip(As, Bs)]
-        cb = [0 if B else A * he - A * le for A, B in zip(As, Bs)]
+        # the ordinate of both points on edge k is the edge itself: the cut is
+        # (hi - lo)*y on a rational edge y (B == 0), and 1 - 1 on an irrational one
+        c, e = hi[0] - lo[0], hi[1] - lo[1]
+        ca = [0 if B else A * c for A, B in zip(As, Bs)]
+        cb = [0 if B else A * e for A, B in zip(As, Bs)]
         return ca, cb, LL
 
 

@@ -3,18 +3,18 @@
 Each suite draws cases from Python's Mersenne Twister with the given seed
 and checks an exact invariant; any violation is echoed with exact literals.
 Case magnitudes ramp up with the case index, so the first reported failure
-is already a near-minimal one.
+is already a near-minimal one.  The generators build each field value from
+the integers drawn for it, as one QNum triple.
 """
 
 from __future__ import annotations
 
 import random
 from collections import namedtuple
-from fractions import Fraction
 
 from .decompose import decompose, telescope, verify_halving, continued_fraction_counts
 from .geometry import Rect, split
-from .numeric import QNum, ZERO, dyadic
+from .numeric import QNum, ZERO, dyadic, from_numerators
 from .rectfn import RectFunction, Table, check_additivity, corner_difference
 
 __all__ = ["SuiteResult", "run_suite", "SUITE_NAMES"]
@@ -33,28 +33,29 @@ def _ramp(index: int, lo: int, hi: int) -> int:
     return min(hi, lo + index // 8)
 
 
-def rand_fraction(rng: random.Random, max_num: int, max_den: int) -> Fraction:
-    return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-
-
-def rand_qnum(rng: random.Random, index: int = 64, rational_only: bool = False) -> QNum:
+def rand_qnum(rng: random.Random, index: int = 64) -> QNum:
+    """p/q, or p/q + (r/s)*sqrt2, from small drawn integers."""
     m = _ramp(index, 4, 30)
-    a = rand_fraction(rng, m, 8)
-    if rational_only or rng.random() < 0.5:
-        return QNum(a)
-    return QNum(a, rand_fraction(rng, max(1, m // 2), 4))
+    p, q = rng.randint(-m, m), rng.randint(1, 8)
+    if rng.random() < 0.5:
+        return from_numerators(p, 0, q)
+    h = max(1, m // 2)
+    r, s = rng.randint(-h, h), rng.randint(1, 4)
+    return from_numerators(p * s, r * q, q * s)
 
 
 def rand_positive_side(rng: random.Random, index: int = 64) -> QNum:
     """A side length in roughly [1/4, 8], possibly with a sqrt2 part."""
     while True:
-        a = Fraction(rng.randint(1, 4 * _ramp(index, 2, 8)), rng.randint(1, 4))
+        p, q = rng.randint(1, 4 * _ramp(index, 2, 8)), rng.randint(1, 4)
         if rng.random() < 0.5:
-            q = QNum(a)
+            x = from_numerators(p, 0, q)
         else:
-            q = QNum(a, Fraction(rng.choice([-1, 1]) * rng.randint(1, 4), 4))
-        if q > Fraction(1, 4):
-            return q
+            # p/q + (r/4)*sqrt2
+            r = rng.choice([-1, 1]) * rng.randint(1, 4)
+            x = from_numerators(4 * p, r * q, 4 * q)
+        if x > dyadic(1, 2):
+            return x
 
 
 def rand_rect(rng: random.Random, index: int = 64) -> Rect:
@@ -70,11 +71,11 @@ def rand_rect(rng: random.Random, index: int = 64) -> Rect:
 
 def rand_split_params(rng: random.Random, r: Rect):
     axis = rng.choice(["vertical", "horizontal"])
-    t = Fraction(rng.randint(1, 15), 16)
+    t = dyadic(rng.randint(1, 15), 4)
     if axis == "vertical":
-        c = r.x1 + r.width * QNum(t)
+        c = r.x1 + r.width * t
     else:
-        c = r.y1 + r.height * QNum(t)
+        c = r.y1 + r.height * t
     return axis, c
 
 
