@@ -26,7 +26,9 @@ denominator, from one `numerators` call and one integer addition per edge.
 integer kernel (`PointFunction.cuts`, as the built-in product and
 counterexample have) runs it on those numerators and builds no QNum per
 square; any other is evaluated by `value` at the step's QNum edges, which
-are built once per step and shared with `Step.squares`.
+are built once per step, hashed from one modular inverse of L, and shared
+with `Step.squares`, which checks once per step that the side is positive
+and then builds each square as a plain tuple.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from itertools import accumulate, repeat
 from typing import Optional
 
 from .geometry import Rect
-from .numeric import QNum, ZERO, _floor, _sign2, dyadic, from_numerators, numerators
+from .numeric import (
+    _HASH_MODULUS, QNum, ZERO, _floor, _hash_over, _sign2, dyadic, from_numerators, numerators,
+)
 from .rectfn import Pair, RectFunction
 
 __all__ = [
@@ -98,22 +102,32 @@ class Step(namedtuple("Step", "x y side count along_x")):
 
     def edges(self) -> tuple[QNum, ...]:
         """The square boundaries of `row_numerators` as QNums, built once
-        per step; the first is the step's own corner coordinate."""
+        per step; the first is the step's own corner coordinate.  The others
+        come hashed, from one modular inverse of L for the whole step."""
         edges = self._edges
         if edges is None:
             As, Bs, _, _, L = self.row_numerators()
-            c = self.x if self.along_x else self.y
-            edges = self._edges = (c, *[from_numerators(a, b, L) for a, b in zip(As[1:], Bs[1:])])
+            built = [from_numerators(a, b, L) for a, b in zip(As[1:], Bs[1:])]
+            if L % _HASH_MODULUS:
+                inv = pow(L, -1, _HASH_MODULUS)
+                for e, a, b in zip(built, As[1:], Bs[1:]):
+                    e._hash = _hash_over(a, b, inv)
+            edges = self._edges = (self.x if self.along_x else self.y, *built)
         return edges
 
     @property
     def squares(self) -> tuple[Rect, ...]:
-        """The packed squares, built on demand (one `Rect` per tile) from
-        the step's shared edges and far side."""
+        """The packed squares, built on demand from the step's shared edges
+        and far side.  side > 0, checked once, puts every edge below the
+        next and lo below hi, so no square is checked by `Rect.__init__`."""
+        if self.side.sign() <= 0:
+            raise ValueError(f"degenerate step: side {self.side}")
         e = self.edges()
         if self.along_x:
-            return tuple(Rect(e0, e1, self.y, self.hi) for e0, e1 in zip(e, e[1:]))
-        return tuple(Rect(self.x, self.hi, e0, e1) for e0, e1 in zip(e, e[1:]))
+            rows = zip(e, e[1:], repeat(self.y), repeat(self.hi))
+        else:
+            rows = zip(repeat(self.x), repeat(self.hi), e, e[1:])
+        return tuple(map(Rect._make, rows))
 
 
 class Decomposition(namedtuple("Decomposition", "original steps remainder")):

@@ -34,7 +34,7 @@ class Rect(namedtuple("Rect", "x1 x2 y1 y2")):
 
     An immutable record, compared and hashed by its corners: `__new__`
     coerces them to QNum and `__init__` checks that the rectangle is not
-    degenerate.
+    degenerate; `Rect._make` does neither, for corners known to be ordered.
     """
 
     __slots__ = ()
@@ -122,14 +122,15 @@ def split(r: Rect, axis: Axis, c: QNum) -> tuple[Rect, Rect]:
     rectangles, left/bottom piece first.  c must lie strictly inside."""
     c = qnum(c)
     x1, x2, y1, y2 = r
+    # c strictly inside a valid r makes both pieces valid: built unchecked
     if axis == "vertical":
         if not (x1 < c < x2):
             raise ValueError(f"split abscissa {c} not strictly inside ({x1}, {x2})")
-        return Rect(x1, c, y1, y2), Rect(c, x2, y1, y2)
+        return Rect._make((x1, c, y1, y2)), Rect._make((c, x2, y1, y2))
     if axis == "horizontal":
         if not (y1 < c < y2):
             raise ValueError(f"split ordinate {c} not strictly inside ({y1}, {y2})")
-        return Rect(x1, x2, y1, c), Rect(x1, x2, c, y2)
+        return Rect._make((x1, x2, y1, c)), Rect._make((x1, x2, c, y2))
     raise ValueError(f"axis must be 'vertical' or 'horizontal', got {axis!r}")
 
 

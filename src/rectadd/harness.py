@@ -52,7 +52,7 @@ MAX_TILES = 200_000
 MAX_STEPS = 1000
 # Largest denominator q of `cmd_probe`'s alpha.  A quotient outside the field
 # is rendered through a q-th power and a q-th root: with 4 offsets, depth 4
-# takes 0.4 s at q = 997 and 2.2 s at q = 1999 on the same box.
+# takes 0.03 s at q = 997 and 0.12 s at q = 1999 in process on the same box.
 MAX_ALPHA_DENOMINATOR = 1000
 # Most work `cmd_probe` may spend on quotients outside the field, for an
 # alpha p/q with q not dividing 4: offsets times the sum over the scales j of
@@ -60,8 +60,9 @@ MAX_ALPHA_DENOMINATOR = 1000
 # 2q(j + 20) bits (APPROX_DIGITS digits are 40 bits, and the area at scale j
 # adds up to 2j), and the time grows about with the square of that size.
 # Near alpha 2 with q = 997, the slowest kind, the budget admits 4 offsets at
-# depth 4 (0.7 s on the same box) and 1 offset at depth 13 (0.6 s); 1 offset
-# at depth 40 took 5.9 s.  The square overstates the work of small q.
+# depth 4 and 1 offset at depth 13 (0.03 s each in process on the same box);
+# 1 offset at depth 40 takes 0.23 s.  The square overstates the work of
+# small q.
 MAX_ROOT_WORK = 10**10
 # Most digits in either part of a `p/q` alpha, past leading zeros.  An alpha
 # in [0, 2] within the denominator budget has at most 4 digits in lowest

@@ -59,6 +59,15 @@ def _scaled_hash(n: int, inv: int) -> int:
     return -2 if h == -1 else h
 
 
+def _hash_over(A: int, B: int, inv: int) -> int:
+    """The hash of the QNum (A + B*sqrt2)/D, given inv, the inverse of D > 0
+    modulo the hash modulus; (A, B, D) need not be reduced.  b == 0 values
+    hash like their Fraction so QNum(3) and 3 can mix as keys; other values
+    hash like the pair (a, b)."""
+    ha = _scaled_hash(A, inv)
+    return ha if B == 0 else hash((ha, _scaled_hash(B, inv)))
+
+
 def _floor(A: int, B: int, D: int) -> int:
     """floor((A + B*sqrt2)/D) for integers with D > 0, without floating point.
 
@@ -128,18 +137,13 @@ class QNum:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            # b == 0 values hash like their Fraction so QNum(3) and 3 can mix
-            # as keys; other values hash like the pair (a, b).
             A, B, D = self._A, self._B, self._D
-            if D == 1:
-                ha, hb = hash(A), hash(B)
-            elif D % _HASH_MODULUS:
-                inv = pow(D, -1, _HASH_MODULUS)  # one inverse for both parts
-                ha, hb = _scaled_hash(A, inv), _scaled_hash(B, inv)
+            if D % _HASH_MODULUS:
+                h = _hash_over(A, B, 1 if D == 1 else pow(D, -1, _HASH_MODULUS))
             else:
                 # the modulus divides D, so the reduced denominators decide
-                ha, hb = hash(Fraction(A, D)), hash(Fraction(B, D))
-            h = ha if B == 0 else hash((ha, hb))
+                a = Fraction(A, D)
+                h = hash(a) if B == 0 else hash((a, Fraction(B, D)))
             self._hash = h
         return h
 
@@ -467,7 +471,14 @@ def iroot(n: int, k: int) -> int:
         return 0
     if k == 1:
         return n
-    x = 1 << -(-n.bit_length() // k)  # >= true root
+    # Newton's iteration falls to the root from above, by a factor of only
+    # about 1 - 1/k a step while far off, so start just above it: the float
+    # root's leading 53 bits, shifted by t, are off by far less than the
+    # 1 + 2^-30 added for roots under 100,000 bits.  The loops after
+    # Newton's keep the result exact whatever the start.
+    r = math.log2(n) / k
+    t = max(0, int(r) - 52)
+    x = int(2.0 ** (r - t) * (1 + 2**-30) + 2) << t
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:

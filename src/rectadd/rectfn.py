@@ -89,12 +89,14 @@ class PointFunction:
     def _value_cuts(
         self, edges: Sequence[QNum], lo: QNum, hi: QNum, along_x: bool
     ) -> tuple[list[int], list[int], int]:
+        # every corner value over one denominator, f at hi then at lo per
+        # edge, so that each cut is a difference of integers
         f = self.value
         if along_x:
-            cuts = [f(e, hi) - f(e, lo) for e in edges]
+            As, Bs, L = numerators([v for e in edges for v in (f(e, hi), f(e, lo))])
         else:
-            cuts = [f(hi, e) - f(lo, e) for e in edges]
-        return numerators(cuts)
+            As, Bs, L = numerators([v for e in edges for v in (f(hi, e), f(lo, e))])
+        return list(map(sub, As[::2], As[1::2])), list(map(sub, Bs[::2], Bs[1::2])), L
 
 
 def _product_cuts(As: list[int], Bs: list[int], lo: Pair, hi: Pair) -> tuple[list[int], list[int]]:

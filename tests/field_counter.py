@@ -26,7 +26,9 @@ def count_field_calls(monkeypatch, *names: str) -> list:
 def count_builds(monkeypatch) -> list:
     """Count the QNums, Rects and DyadicSquares built: every QNum made by
     its constructor or from an integer triple, and every validated Rect and
-    DyadicSquare."""
+    DyadicSquare, the ones that pass through `__init__`.  The squares of a
+    decomposition step and the pieces of a split are built unchecked
+    (`Rect._make`), so they are not counted."""
     built = []
 
     def record(fn):

@@ -370,7 +370,10 @@ def test_edges_match_repeated_field_addition():
 def test_telescope_field_operations_grow_with_steps(monkeypatch, r, max_steps):
     d = decompose(r, max_steps)
     assert d.total_squares > 1000 > 40 * len(d.steps)
-    for F_ in (CE, PROD):
+    # a table over every corner goes through `value`, not an integer kernel
+    tiles = d.all_squares() + ([d.remainder] if d.remainder is not None else [])
+    table = rand_table_function(random.Random(459), _rect_corner_points(tiles + [r]))
+    for F_ in (CE, PROD, table):
         calls = count_field_calls(monkeypatch, "__add__", "__sub__", "__mul__")
         total = telescope(F_, d)
         # the running total, one per step, and for the remainder its four
@@ -404,6 +407,72 @@ def test_squares_and_table_lookups_share_the_step_edges():
         corners = {id(c) for sq in step.squares for c in (sq.x1, sq.x2, sq.y1, sq.y2)}
         assert len(seen) == 2 * (step.count + 1)
         assert all(id(x) in corners and id(y) in corners for x, y in seen)
+
+
+def test_squares_are_valid_rects_built_unchecked():
+    rng = random.Random(451)
+    along_y = 0
+    for i in range(300):
+        d = decompose(rand_rect(rng, i), rng.randint(1, 30))
+        along_y += sum(not s.along_x for s in d.steps)
+        for sq in d.all_squares():
+            assert type(sq) is Rect and sq == Rect(*sq)
+            assert sq.x1 < sq.x2 and sq.y1 < sq.y2
+    assert along_y > 300
+
+
+@pytest.mark.parametrize("side", [ZERO, QNum(-1), ONE - SQRT2])
+def test_squares_of_a_degenerate_step_are_refused(side):
+    for along_x in (True, False):
+        with pytest.raises(ValueError, match="degenerate"):
+            Step(QNum(F(1, 3)), SQRT2, side, 3, along_x).squares
+
+
+@pytest.mark.parametrize(
+    "r, max_steps",
+    # a strip of 1009 + 2 squares, and silver's two squares a step
+    [(Rect(QNum(F(-5, 2)), QNum(334), QNum(F(1, 4)), QNum(F(7, 12))), 20), (SILVER, 200)],
+)
+def test_squares_make_one_comparison_at_most_per_step(monkeypatch, r, max_steps):
+    d = decompose(r, max_steps)
+    calls = count_field_calls(monkeypatch, "__lt__", "__le__", "__gt__", "__ge__", "__eq__")
+    squares = d.all_squares()
+    assert len(calls) <= len(d.steps)
+    monkeypatch.undo()
+    assert len(squares) == d.total_squares
+
+
+def _value_hash(q):
+    # the documented numeric hash: a rational value hashes like its
+    # Fraction, any other like the pair (a, b)
+    return hash((q.a, q.b)) if q._B else hash(q.a)
+
+
+def test_step_edges_carry_their_hash():
+    rng = random.Random(453)
+    rational = irrational = 0
+    for i in range(300):
+        for step in decompose(rand_rect(rng, i), rng.randint(1, 30)).steps:
+            for e in step.edges()[1:]:
+                primed = e._hash
+                assert primed is not None
+                e._hash = None
+                assert hash(e) == primed == _value_hash(e)
+                rational += e.is_rational()
+                irrational += not e.is_rational()
+    assert rational > 400 and irrational > 400
+
+
+def test_step_edges_over_the_hash_modulus_hash_on_demand():
+    # no inverse of L exists when the hash modulus divides it
+    m = sys.hash_info.modulus
+    for side in (QNum(F(1, m)), QNum(F(2, m), F(1, 3)), QNum(F(1, 2 * m), F(1, 3 * m))):
+        step = Step(ZERO, QNum(F(1, 5)), side, 6, True)
+        _, _, _, _, L = step.row_numerators()
+        assert L % m == 0
+        edges = step.edges()[1:]
+        assert all(e._hash is None for e in edges)
+        assert [hash(e) for e in edges] == [_value_hash(e) for e in edges]
 
 
 def _step_triples(step):

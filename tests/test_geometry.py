@@ -79,6 +79,19 @@ def test_split_conservation_property():
         assert b.diameter_sq() < r.diameter_sq()
 
 
+def test_split_pieces_are_valid_rects_built_unchecked():
+    rng = random.Random(203)
+    axes = set()
+    for i in range(400):
+        r = rand_rect(rng, i)
+        axis, c = rand_split_params(rng, r)
+        axes.add(axis)
+        for piece in split(r, axis, c):
+            assert type(piece) is Rect and piece == Rect(*piece)
+            assert piece.x1 < piece.x2 and piece.y1 < piece.y2
+    assert axes == {"vertical", "horizontal"}
+
+
 def test_as_dyadic_square_examples():
     assert as_dyadic_square(UNIT) == DyadicSquare(0, 0, 0)
     quarter = parse_rect("[1/2,3/4]x[1/4,1/2]")

@@ -200,6 +200,40 @@ def test_iroot_exhaustive_small():
     assert iroot(10**40, 4) == 10**10
 
 
+def test_iroot_large_roots_exact():
+    # perfect powers, their neighbours below, and random numbers, up to the
+    # 997th roots of 45,000-bit numbers a non-field probe quotient takes
+    rng = random.Random(211)
+    for k in (2, 3, 5, 31, 101, 997):
+        for bits in (10, 60, 200, 5000, 45000):
+            x = rng.getrandbits(max(1, bits // k)) | 1
+            for n in (x**k, x**k - 1, rng.getrandbits(bits) | 1):
+                r = iroot(n, k)
+                assert r**k <= n < (r + 1) ** k, (bits, k)
+
+
+class _Divisions(int):
+    """An int that counts the long divisions made of it: one per Newton step
+    of `iroot`."""
+
+    def __floordiv__(self, other):
+        self.divisions += 1
+        return int(self) // other
+
+
+def test_iroot_starts_next_to_the_root():
+    # from 2^ceil(bits/k), up to twice the root, each step shrank the
+    # estimate by about a factor 1 - 1/k: 100 to 600 steps here
+    rng = random.Random(213)
+    for _ in range(4):
+        n = _Divisions(rng.getrandbits(45000) | 1 << 44999)
+        n.divisions = 0
+        r = iroot(n, 997)
+        assert r**997 <= n < (r + 1) ** 997
+        assert n.divisions <= 3
+
+
+
 def test_numerators_over_the_lcm_rebuild_the_values():
     rng = random.Random(437)
     for n in (1, 2, 3, 17):
