@@ -19,15 +19,13 @@ step of `decompose`.  `verify_halving` compares the side trace, and
 
 A step is described, not materialised: its lower-left corner, side, count
 and packing axis determine every square, so `decompose` costs O(steps)
-whatever the packing counts.  `Step.row_numerators` gives a step's square
-edges and the two ends of its row as integer numerators over one
-denominator, from one `numerators` call and one integer addition per edge.
-`telescope` sums a step by `RectFunction.row_sum`: a point function with an
-integer kernel (`PointFunction.cuts`, as the built-in product and
-counterexample have) runs it on those numerators and builds no QNum per
-square; any other is evaluated by `value` at the step's QNum edges, which
-are built once per step, hashed from one modular inverse of L, and shared
-with `Step.squares`, which checks once per step that the side is positive
+whatever the packing counts, and so does `telescope`: `RectFunction.row_sum`
+sums a step from its row's two end cuts, since inner cuts cancel between
+neighbouring squares, on the integer numerators of `Step.row_ends` (one
+`numerators` call) or by `value` at the first and far edges.  Only
+`Step.squares` (and `Decomposition.all_squares`) builds every edge, by
+`Step.edges`: once per step, one integer addition per edge, each hashed from
+one modular inverse of L; it checks once per step that the side is positive
 and then builds each square as a plain tuple.
 """
 
@@ -83,34 +81,32 @@ class Step(namedtuple("Step", "x y side count along_x")):
             hi = self._hi = self.lo + self.side
         return hi
 
-    def row_numerators(self) -> tuple[list[int], list[int], Pair, Pair, int]:
+    def row_ends(self) -> tuple[list[int], list[int], Pair, Pair, int]:
         """The step's row as integer numerators over L, the common
-        denominator of its corner and side: the count + 1 square boundaries
-        along the packing axis, in increasing order, boundary k being
-        (As[k] + Bs[k]*sqrt2)/L with As[k] = a + k*da and Bs[k] = b + k*db,
-        one integer addition each; then the row's ends `lo` and `hi` across
-        that axis, as pairs (C, E) of (C + E*sqrt2)/L."""
+        denominator of its corner and side: the first and far square
+        boundaries along the packing axis, As = [a, a + count*da] and
+        Bs = [b, b + count*db] for a side (da + db*sqrt2)/L, then the
+        row's ends `lo` and `hi` across that axis as pairs (C, E) of
+        (C + E*sqrt2)/L."""
         c = self.x if self.along_x else self.y
         (a, lc, da), (b, le, db), L = numerators((c, self.lo, self.side))
-        return (
-            list(accumulate(repeat(da, self.count), initial=a)),
-            list(accumulate(repeat(db, self.count), initial=b)),
-            (lc, le),
-            (lc + da, le + db),
-            L,
-        )
+        return [a, a + self.count * da], [b, b + self.count * db], (lc, le), (lc + da, le + db), L
 
     def edges(self) -> tuple[QNum, ...]:
-        """The square boundaries of `row_numerators` as QNums, built once
-        per step; the first is the step's own corner coordinate.  The others
-        come hashed, from one modular inverse of L for the whole step."""
+        """The count + 1 square boundaries along the packing axis as QNums,
+        built once per step from `row_ends` by one integer addition each;
+        the first is the step's own corner coordinate, and the others come
+        hashed, from one modular inverse of L for the whole step."""
         edges = self._edges
         if edges is None:
-            As, Bs, _, _, L = self.row_numerators()
-            built = [from_numerators(a, b, L) for a, b in zip(As[1:], Bs[1:])]
+            (a, _), (b, _), (lc, le), (hc, he), L = self.row_ends()
+            da, db, n = hc - lc, he - le, self.count - 1
+            As = list(accumulate(repeat(da, n), initial=a + da))
+            Bs = list(accumulate(repeat(db, n), initial=b + db))
+            built = [from_numerators(a, b, L) for a, b in zip(As, Bs)]
             if L % _HASH_MODULUS:
                 inv = pow(L, -1, _HASH_MODULUS)
-                for e, a, b in zip(built, As[1:], Bs[1:]):
+                for e, a, b in zip(built, As, Bs):
                     e._hash = _hash_over(a, b, inv)
             edges = self._edges = (self.x if self.along_x else self.y, *built)
         return edges
@@ -265,11 +261,10 @@ def verify_halving(d: Decomposition) -> HalvingCertificate:
 def telescope(F: RectFunction, d: Decomposition) -> QNum:
     """Sum of F over all packed squares plus the remainder (when present).
 
-    Each step's squares are summed by `F.row_sum`: every corner point is
-    evaluated once and shared by the squares meeting at it, and one corner
-    difference per square is added to the total as integers.  For
-    corner-difference F the sum equals F(original) exactly: shared-edge
-    corner terms cancel in pairs across the tiling.
+    Each step's squares are summed by `F.row_sum` from the two ends of the
+    row, so the cost is O(steps) whatever the packing counts and no square
+    is built.  For corner-difference F the sum equals F(original) exactly:
+    shared-edge corner terms cancel in pairs across the tiling.
     """
     total = ZERO
     for step in d.steps:

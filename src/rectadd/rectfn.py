@@ -77,11 +77,12 @@ class PointFunction:
         as integer numerators over one positive denominator (see
         `numerators`).
 
-        This is the kernel of a row of squares: a single mesh square
-        (`cmd_counterexample`) goes through it, and so does a decomposition
-        step when a subclass overrides it with integer arithmetic that gives
-        the same cuts (`RectFunction.row_sum`).  This default evaluates
-        `value` at QNum corners built from the numerators.
+        This is the kernel of a row of squares, at the edges given: a mesh
+        square (`cmd_counterexample`) goes through it, and so do a
+        decomposition step's first and far edges (`RectFunction.row_sum`)
+        when a subclass overrides it with integer arithmetic that gives the
+        same cuts.  This default evaluates `value` at QNum corners built
+        from the numerators.
         """
         edges = [from_numerators(A, B, L) for A, B in zip(As, Bs)]
         return self._value_cuts(edges, from_numerators(*lo, L), from_numerators(*hi, L), along_x)
@@ -228,21 +229,21 @@ class RectFunction(namedtuple("RectFunction", "point_fn")):
     def row_sum(self, step: Step) -> QNum:
         """Sum of F over the packed squares of a decomposition step.
 
-        Each corner point is evaluated once and shared by the two squares
-        meeting at it; square i adds its corner difference cut_{i+1} - cut_i
-        to the total as integer numerators over the cuts' denominator.  This
-        is the one place that picks the path: a point function with its own
-        integer `cuts` runs it on `Step.row_numerators` and builds no QNum
-        per square; any other runs `value` on the step's shared QNum edges,
-        so a `Table` built from the squares' corners is looked up at the
-        same objects.
+        Square i adds its corner difference cut_{i+1} - cut_i, and squares
+        meeting at an inner edge share its cut, so the sum is cut_count -
+        cut_0 and costs O(1) whatever the count.  This is the one place that
+        picks the path: a point function with its own integer `cuts` runs it
+        on `Step.row_ends`; any other runs `value` at the step's first edge
+        and its far edge, one QNum built from its numerators.
         """
         f = self.point_fn
         if type(f).cuts is not PointFunction.cuts:
-            As, Bs, L = f.cuts(*step.row_numerators(), step.along_x)
+            As, Bs, L = f.cuts(*step.row_ends(), step.along_x)
         else:
-            As, Bs, L = f._value_cuts(step.edges(), step.lo, step.hi, step.along_x)
-        return from_numerators(sum(map(sub, As[1:], As)), sum(map(sub, Bs[1:], Bs)), L)
+            (_, a), (_, b), _, _, L = step.row_ends()
+            first = step.x if step.along_x else step.y
+            As, Bs, L = f._value_cuts((first, from_numerators(a, b, L)), step.lo, step.hi, step.along_x)
+        return from_numerators(As[1] - As[0], Bs[1] - Bs[0], L)
 
 
 def corner_difference(f: PointFunction) -> RectFunction:

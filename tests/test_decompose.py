@@ -384,10 +384,61 @@ def test_telescope_field_operations_grow_with_steps(monkeypatch, r, max_steps):
         assert total == F_.value(r)
 
 
-def test_squares_and_table_lookups_share_the_step_edges():
-    # a table built from the squares' corners is looked up at the very same
-    # objects, so each lookup hashes cached values and matches by identity
+@pytest.mark.parametrize(
+    "r, max_steps",
+    [
+        # 100,000 unit squares and 3 of side 1/3: terminated in 2 steps
+        (Rect(ZERO, QNum(100_000 + F(1, 3)), ZERO, ONE), 5),
+        # 200,000 squares of side sqrt2 along y, then 3 more steps, truncated
+        (Rect(QNum(F(-1, 2)), QNum(F(-1, 2), F(1)), ZERO, QNum(282_843)), 4),
+    ],
+)
+def test_telescope_cost_does_not_grow_with_the_packing_count(monkeypatch, r, max_steps):
+    d = decompose(r, max_steps)
+    assert d.total_squares >= 100_000 and len(d.steps) <= 4
+    widths = []
+
+    class RecordingProduct(type(PRODUCT)):
+        def cuts(self, As, Bs, lo, hi, L, along_x):
+            widths.append((len(As), len(Bs)))
+            return super().cuts(As, Bs, lo, hi, L, along_x)
+
+    # a table over the rectangle's, the row ends' and the remainder's
+    # corners, each row's corners built by field arithmetic on the step
+    rows = []
+    for s in d.steps:
+        first, lo = (s.x, s.y) if s.along_x else (s.y, s.x)
+        far, hi = first + s.count * s.side, lo + s.side
+        rows.append(Rect(first, far, lo, hi) if s.along_x else Rect(lo, hi, first, far))
+    tiles = [r, *rows] + ([d.remainder] if d.remainder is not None else [])
+    table = rand_table_function(random.Random(463), _rect_corner_points(tiles))
+
+    def refuse(*args):
+        raise AssertionError("the telescope enumerated a step's squares")
+
+    monkeypatch.setattr(Step, "edges", refuse)
+    monkeypatch.setattr(Step, "squares", property(refuse))
+    for F_ in (PROD, CE, table, corner_difference(RecordingProduct())):
+        assert telescope(F_, d) == F_.value(r)
+    assert widths == [(2, 2)] * len(d.steps)
+
+
+def test_squares_share_the_step_edges():
+    # every square reads the step's edges and far side, built once per step
     d = decompose(Rect(QNum(F(1, 3)), QNum(F(1, 3), F(1, 2)), QNum(F(-7, 4)), QNum(40)), 6)
+    for step in d.steps:
+        e = step.edges()
+        assert e is step.edges() and e[0] is (step.x if step.along_x else step.y)
+        for k, sq in enumerate(step.squares):
+            along, across = ((sq.x1, sq.x2), sq.y2) if step.along_x else ((sq.y1, sq.y2), sq.x2)
+            assert along[0] is e[k] and along[1] is e[k + 1] and across is step.hi
+
+
+def test_row_sum_looks_up_the_row_ends_only():
+    # a point function without an integer kernel is evaluated at the first
+    # and far edges crossed with lo and hi: 4 lookups a step, whatever the count
+    d = decompose(Rect(QNum(F(1, 3)), QNum(F(1, 3), F(1, 2)), QNum(F(-7, 4)), QNum(40)), 6)
+    assert max(d.counts) > 50
     seen = []
 
     class Recording(Table):
@@ -395,18 +446,21 @@ def test_squares_and_table_lookups_share_the_step_edges():
             seen.append((x, y))
             return super().value(x, y)
 
+    rng = random.Random(461)
     for step in d.steps:
-        e = step.edges()
-        assert e is step.edges() and e[0] is (step.x if step.along_x else step.y)
-        for k, sq in enumerate(step.squares):
-            along, across = ((sq.x1, sq.x2), sq.y2) if step.along_x else ((sq.y1, sq.y2), sq.x2)
-            assert along[0] is e[k] and along[1] is e[k + 1] and across is step.hi
-        Ft = corner_difference(Recording({p: QNum(1) for sq in step.squares for p in sq.corners()}))
+        squares = step.squares
+        corners = {p: QNum(F(rng.randint(-99, 99), rng.randint(1, 9))) for sq in squares for p in sq.corners()}
+        Ft = corner_difference(Recording(corners))
         seen.clear()
-        Ft.row_sum(step)
-        corners = {id(c) for sq in step.squares for c in (sq.x1, sq.x2, sq.y1, sq.y2)}
-        assert len(seen) == 2 * (step.count + 1)
-        assert all(id(x) in corners and id(y) in corners for x, y in seen)
+        row = Ft.row_sum(step)
+        e = step.edges()
+        if step.along_x:
+            ends = {(x, y) for x in (e[0], e[-1]) for y in (step.lo, step.hi)}
+        else:
+            ends = {(x, y) for x in (step.lo, step.hi) for y in (e[0], e[-1])}
+        assert len(seen) == 4 and set(seen) == ends
+        seen.clear()
+        assert row == sum((Ft.value(sq) for sq in squares), ZERO)
 
 
 def test_squares_are_valid_rects_built_unchecked():
@@ -468,7 +522,7 @@ def test_step_edges_over_the_hash_modulus_hash_on_demand():
     m = sys.hash_info.modulus
     for side in (QNum(F(1, m)), QNum(F(2, m), F(1, 3)), QNum(F(1, 2 * m), F(1, 3 * m))):
         step = Step(ZERO, QNum(F(1, 5)), side, 6, True)
-        _, _, _, _, L = step.row_numerators()
+        _, _, _, _, L = step.row_ends()
         assert L % m == 0
         edges = step.edges()[1:]
         assert all(e._hash is None for e in edges)

@@ -6,7 +6,7 @@ import pytest
 from rectadd import harness
 from rectadd.decompose import Step, decompose, telescope
 from rectadd.geometry import DyadicSquare, Rect, split
-from rectadd.numeric import ONE, QNum, SQRT2, ZERO, from_numerators
+from rectadd.numeric import ONE, QNum, SQRT2, ZERO, from_numerators, numerators
 from rectadd.rectfn import (
     COUNTEREXAMPLE,
     Constant,
@@ -262,38 +262,55 @@ def test_probe_validates_inputs():
         liminf_quotient_probe(PROD, (ZERO, ZERO), F(1), 2, 0)
 
 
-def _value_cuts(f, step):
-    # f(e, hi) - f(e, lo) at every edge of the step, from `value`
-    lo, hi = step.lo, step.lo + step.side
-    if step.along_x:
-        return [f.value(e, hi) - f.value(e, lo) for e in step.edges()]
-    return [f.value(hi, e) - f.value(lo, e) for e in step.edges()]
+def _value_cuts(f, edges, lo, hi, along_x):
+    # f(e, hi) - f(e, lo) at every edge e of a row, from `value`
+    if along_x:
+        return [f.value(e, hi) - f.value(e, lo) for e in edges]
+    return [f.value(hi, e) - f.value(lo, e) for e in edges]
 
 
-def _cuts_mixed(F_, step):
+def _cuts_mixed(f, edges, lo, hi, along_x):
     # True when the cuts of the row are over different denominators, so the
     # integer row sum scales some of them to their lcm
-    return len({c._D for c in _value_cuts(F_.point_fn, step)}) > 1
+    return len({c._D for c in _value_cuts(f, edges, lo, hi, along_x)}) > 1
+
+
+class _ValueOnly(Counterexample):
+    # overrides only `value`, so `row_sum` takes the value path
+    def value(self, x, y):
+        return x * x * y - x if y.is_rational() else y * x + ONE
 
 
 def test_row_sum_matches_per_square_values():
+    # the oracle sums F over squares built by field arithmetic, x + k*side,
+    # sharing no code with the step's edges or row ends
     rng = random.Random(433)
-    mixed = 0
+    mixed = large = 0
     for i in range(120):
         x = QNum(F(rng.randint(-60, 60), rng.randint(1, 9)), F(rng.randint(-3, 3), rng.randint(1, 4)))
         y = QNum(F(rng.randint(-60, 60), rng.randint(1, 9)), F(rng.randint(-3, 3), rng.randint(1, 4)) * (i % 2))
         side = QNum(F(rng.randint(1, 30), rng.randint(1, 7)), F(rng.randint(0, 2), rng.randint(1, 5)))
-        count = 1 if i % 7 == 0 else rng.randint(2, 25)
+        count = 1 if i % 7 == 0 else rng.randint(200, 1000) if i % 10 == 3 else rng.randint(2, 25)
+        large += count >= 200
         for along_x in (True, False):
             step = Step(x, y, side, count, along_x)
-            squares = step.squares
+            start, lo = (x, y) if along_x else (y, x)
+            hi = lo + side
+            edges = [start + k * side for k in range(count + 1)]
+            if along_x:
+                squares = [Rect(e, f, lo, hi) for e, f in zip(edges, edges[1:])]
+            else:
+                squares = [Rect(lo, hi, e, f) for e, f in zip(edges, edges[1:])]
             table = rand_table_function(rng, _rect_corner_points(squares))
-            functions = (PROD, CE, corner_difference(Constant(QNum(F(5, 3), F(-1, 2)))), table)
+            functions = (
+                PROD, CE, corner_difference(Constant(QNum(F(5, 3), F(-1, 2)))), table,
+                corner_difference(_ValueOnly()),
+            )
             for F_ in functions:
                 row = F_.row_sum(step)
                 assert row == sum((F_.value(sq) for sq in squares), ZERO)
-                mixed += _cuts_mixed(F_, step)
-    assert mixed > 200
+                mixed += _cuts_mixed(F_.point_fn, edges, lo, hi, along_x)
+    assert mixed > 200 and large >= 10
 
 
 def _rand_part(rng, irrational):
@@ -325,17 +342,23 @@ def test_row_cut_kernels_match_value():
         rows.add((step.lo.is_rational(), step.hi.is_rational()))
         rational_edges = sum(e.is_rational() for e in step.edges())
         mixed_edges += 0 < rational_edges < count + 1
-        # the step's edges and ends as numerators over one denominator, as
-        # `RectFunction.row_sum` passes them to `cuts`
-        row = step.row_numerators()
-        As, Bs, lo, hi, L = row
-        assert [from_numerators(a, b, L) for a, b in zip(As, Bs)] == list(step.edges())
+        # the row's first and far edges and its ends over one denominator,
+        # as `RectFunction.row_sum` passes them to `cuts`
+        ends = step.row_ends()
+        As, Bs, lo, hi, L = ends
+        e = step.edges()
+        assert [from_numerators(a, b, L) for a, b in zip(As, Bs)] == [e[0], e[-1]]
         assert (from_numerators(*lo, L), from_numerators(*hi, L)) == (step.lo, step.hi)
+        # every edge and both ends over one denominator, for the per-edge kernel
+        As, Bs, L = numerators((*e, step.lo, step.hi))
+        row = As[:-2], Bs[:-2], (As[-2], Bs[-2]), (As[-1], Bs[-1]), L
         for f in (PRODUCT, COUNTEREXAMPLE):
             As, Bs, L = f.cuts(*row, along_x)
             assert len(As) == len(Bs) == count + 1
             kernel = [from_numerators(a, b, L) for a, b in zip(As, Bs)]
-            assert kernel == _value_cuts(f, step)
+            assert kernel == _value_cuts(f, e, step.lo, step.lo + side, along_x)
+            As, Bs, L = f.cuts(*ends, along_x)
+            assert [from_numerators(a, b, L) for a, b in zip(As, Bs)] == [kernel[0], kernel[-1]]
             # the fallback of a point function without a kernel, on the
             # same numerators, gives the same cuts
             As, Bs, L = PointFunction.cuts(f, *row, along_x)
