@@ -19,12 +19,11 @@ step of `decompose`.  `verify_halving` compares the side trace, and
 
 A step is described, not materialised: its lower-left corner, side, count
 and packing axis determine every square, so `decompose` costs O(steps)
-whatever the packing counts, and so does `telescope`: `RectFunction.row_sum`
-sums a step from its row's two end cuts, since inner cuts cancel between
-neighbouring squares, on the integer numerators of `Step.row_ends` (one
-`numerators` call) or by `value` at the first and far edges.  Only
-`Step.squares` (and `Decomposition.all_squares`) builds every edge, by
-`Step.edges`: once per step, one integer addition per edge, each hashed from
+whatever the packing counts, and so does `telescope`: the squares of a step
+fill one rectangle, `Step.row_coords` (one `numerators` call), and
+`RectFunction.row_sum` sums them as F of that rectangle, since F is
+additive.  Only `Step.squares` (and `Decomposition.all_squares`) builds
+every edge, by `Step.edges`: one integer addition per edge, each hashed from
 one modular inverse of L; it checks once per step that the side is positive
 and then builds each square as a plain tuple.
 """
@@ -40,7 +39,7 @@ from .geometry import Rect
 from .numeric import (
     _HASH_MODULUS, QNum, ZERO, _floor, _hash_over, _sign2, dyadic, from_numerators, numerators,
 )
-from .rectfn import Pair, RectFunction
+from .rectfn import RectFunction
 
 __all__ = [
     "Step",
@@ -65,12 +64,11 @@ class Step(namedtuple("Step", "x y side count along_x")):
         `along_x`, else x."""
         return self.y if self.along_x else self.x
 
-    # Memos of `hi` and `edges`, set once in the instance dict that Step
-    # keeps by declaring no __slots__.  They are not fields, so equality,
-    # hashing and repr ignore them (functools.cached_property would do as
-    # much, but before Python 3.12 it takes a lock on every first read).
+    # A memo of `hi`, set once in the instance dict that Step keeps by
+    # declaring no __slots__.  It is not a field, so equality, hashing and
+    # repr ignore it (functools.cached_property would do as much, but before
+    # Python 3.12 it takes a lock on every first read).
     _hi = None
-    _edges = None
 
     @property
     def hi(self) -> QNum:
@@ -81,40 +79,36 @@ class Step(namedtuple("Step", "x y side count along_x")):
             hi = self._hi = self.lo + self.side
         return hi
 
-    def row_ends(self) -> tuple[list[int], list[int], Pair, Pair, int]:
-        """The step's row as integer numerators over L, the common
-        denominator of its corner and side: the first and far square
-        boundaries along the packing axis, As = [a, a + count*da] and
-        Bs = [b, b + count*db] for a side (da + db*sqrt2)/L, then the
-        row's ends `lo` and `hi` across that axis as pairs (C, E) of
-        (C + E*sqrt2)/L."""
-        c = self.x if self.along_x else self.y
-        (a, lc, da), (b, le, db), L = numerators((c, self.lo, self.side))
-        return [a, a + self.count * da], [b, b + self.count * db], (lc, le), (lc + da, le + db), L
+    def row_coords(self) -> tuple[list[int], list[int], int]:
+        """The rectangle the step's squares fill, as integer numerators over
+        L in `numerators` order: x1, x2, y1, y2 == (As[k] + Bs[k]*sqrt2)/L,
+        `count` sides long along the packing axis and one side across it,
+        from one `numerators` call."""
+        (xa, ya, sa), (xb, yb, sb), L = numerators((self.x, self.y, self.side))
+        w, h = (self.count, 1) if self.along_x else (1, self.count)
+        return [xa, xa + w * sa, ya, ya + h * sa], [xb, xb + w * sb, yb, yb + h * sb], L
 
     def edges(self) -> tuple[QNum, ...]:
         """The count + 1 square boundaries along the packing axis as QNums,
-        built once per step from `row_ends` by one integer addition each;
-        the first is the step's own corner coordinate, and the others come
-        hashed, from one modular inverse of L for the whole step."""
-        edges = self._edges
-        if edges is None:
-            (a, _), (b, _), (lc, le), (hc, he), L = self.row_ends()
-            da, db, n = hc - lc, he - le, self.count - 1
-            As = list(accumulate(repeat(da, n), initial=a + da))
-            Bs = list(accumulate(repeat(db, n), initial=b + db))
-            built = [from_numerators(a, b, L) for a, b in zip(As, Bs)]
-            if L % _HASH_MODULUS:
-                inv = pow(L, -1, _HASH_MODULUS)
-                for e, a, b in zip(built, As, Bs):
-                    e._hash = _hash_over(a, b, inv)
-            edges = self._edges = (self.x if self.along_x else self.y, *built)
-        return edges
+        by one integer addition each; the first is the step's own corner
+        coordinate, and the others come hashed, from one modular inverse of
+        L for the whole step."""
+        first = self.x if self.along_x else self.y
+        (a, da), (b, db), L = numerators((first, self.side))
+        n = self.count - 1
+        As = list(accumulate(repeat(da, n), initial=a + da))
+        Bs = list(accumulate(repeat(db, n), initial=b + db))
+        built = [from_numerators(a, b, L) for a, b in zip(As, Bs)]
+        if L % _HASH_MODULUS:
+            inv = pow(L, -1, _HASH_MODULUS)
+            for e, a, b in zip(built, As, Bs):
+                e._hash = _hash_over(a, b, inv)
+        return (first, *built)
 
     @property
     def squares(self) -> tuple[Rect, ...]:
-        """The packed squares, built on demand from the step's shared edges
-        and far side.  side > 0, checked once, puts every edge below the
+        """The packed squares, built on demand from the step's edges and
+        shared far side.  side > 0, checked once, puts every edge below the
         next and lo below hi, so no square is checked by `Rect.__init__`."""
         if self.side.sign() <= 0:
             raise ValueError(f"degenerate step: side {self.side}")
@@ -261,10 +255,10 @@ def verify_halving(d: Decomposition) -> HalvingCertificate:
 def telescope(F: RectFunction, d: Decomposition) -> QNum:
     """Sum of F over all packed squares plus the remainder (when present).
 
-    Each step's squares are summed by `F.row_sum` from the two ends of the
-    row, so the cost is O(steps) whatever the packing counts and no square
-    is built.  For corner-difference F the sum equals F(original) exactly:
-    shared-edge corner terms cancel in pairs across the tiling.
+    Each step's squares are summed by `F.row_sum` as F of the rectangle
+    they fill, so the cost is O(steps) whatever the packing counts and no
+    square is built.  For corner-difference F the sum equals F(original)
+    exactly: shared-edge corner terms cancel in pairs across the tiling.
     """
     total = ZERO
     for step in d.steps:

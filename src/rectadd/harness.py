@@ -160,15 +160,12 @@ def _mesh_square_failure(f: PointFunction, n: int, k: int, m: int) -> Optional[Q
     """None when F equals the area and is positive on the order-n mesh square
     [k, k+1]x[m, m+1] over 2^n, else F's value there.
 
-    The square is a row of one square along x: F, the corner difference of
-    f, is the difference (a + b*sqrt2)/D of the cuts `f.cuts` forms at its
-    two edges on integer numerators, and the area is 1 over 4^n, so F
-    equals the area exactly when b == 0 and a*4^n == D, and is positive
-    when a > 0, D being positive.
+    F, the corner difference of f, comes from `f.rect_kernel` on the
+    square's integer numerators over 2^n as (a + b*sqrt2)/D, and the area is
+    1 over 4^n, so F equals the area exactly when b == 0 and a*4^n == D,
+    and is positive when a > 0, D being positive.
     """
-    side = 1 << n
-    ca, cb, D = f.cuts([k, k + 1], [0, 0], (m, 0), (m + 1, 0), side, True)
-    a, b = ca[1] - ca[0], cb[1] - cb[0]
+    a, b, D = f.rect_kernel([k, k + 1, m, m + 1], [0, 0, 0, 0], 1 << n)
     if b == 0 and a << 2 * n == D and a > 0:
         return None
     return from_numerators(a, b, D)

@@ -9,14 +9,17 @@ built-in point function evaluates to 1 on points with irrational ordinate and
 to x*y on rational rows: its corner difference equals the area on every
 dyadic square yet is -1 on [0,1]x[1,sqrt2], so positivity on the dyadic mesh
 does not propagate to all rectangles.
+
+Each point function has one integer kernel, `PointFunction.rect_kernel`: F
+of a rectangle from the numerators of its four coordinates over one
+denominator.  The squares of a decomposition step fill one rectangle, so
+`RectFunction.row_sum` sums them with one kernel call.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
 from fractions import Fraction
-from operator import sub
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .geometry import Axis, Rect, split
@@ -46,66 +49,43 @@ __all__ = [
     "ProbeReport",
 ]
 
-# a number (C + E*sqrt2)/L as its numerators (C, E) over a denominator L
-# given beside it
-Pair = tuple[int, int]
-
-
 class PointFunction:
     """Exactly evaluable map (x, y) -> QNum.  Implementations are immutable.
 
-    An integer `cuts` is the formula of one `value`: a subclass that
-    overrides `value` without its own `cuts` gets this class's `cuts`.
+    An integer `rect_kernel` is the formula of one `value`: a subclass that
+    overrides `value` without its own `rect_kernel` gets this class's.
     """
 
     label: str = "point-function"
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        if "value" in vars(cls) and "cuts" not in vars(cls):
-            cls.cuts = PointFunction.cuts
+        if "value" in vars(cls) and "rect_kernel" not in vars(cls):
+            cls.rect_kernel = PointFunction.rect_kernel
 
     def value(self, x: QNum, y: QNum) -> QNum:
         raise NotImplementedError
 
-    def cuts(
-        self, As: list[int], Bs: list[int], lo: Pair, hi: Pair, L: int, along_x: bool
-    ) -> tuple[list[int], list[int], int]:
-        """The cut f(e, hi) - f(e, lo) at every edge e = (As[k] + Bs[k]*sqrt2)/L,
-        or f(hi, e) - f(lo, e) when not `along_x`, for ends lo and hi given
-        as numerator pairs (C, E) of (C + E*sqrt2)/L; the cuts are returned
-        as integer numerators over one positive denominator (see
-        `numerators`).
+    def rect_kernel(self, As: list[int], Bs: list[int], L: int) -> tuple[int, int, int]:
+        """F([x1,x2]x[y1,y2]), the corner difference of f, as integer
+        numerators (A, B, D) of (A + B*sqrt2)/D with D > 0, for coordinates
+        x1, x2, y1, y2 = (As[k] + Bs[k]*sqrt2)/L given in `numerators`
+        order, so that `f.rect_kernel(*numerators(r))` is F(r) on any Rect.
 
-        This is the kernel of a row of squares, at the edges given: a mesh
-        square (`cmd_counterexample`) goes through it, and so do a
-        decomposition step's first and far edges (`RectFunction.row_sum`)
-        when a subclass overrides it with integer arithmetic that gives the
-        same cuts.  This default evaluates `value` at QNum corners built
-        from the numerators.
+        A mesh square (`cmd_counterexample`) goes through it, and so does
+        the rectangle a decomposition step's squares fill
+        (`RectFunction.row_sum`) when a subclass overrides it with integer
+        arithmetic that gives the same value.  This default evaluates
+        `value` at QNum corners built from the numerators.
         """
-        edges = [from_numerators(A, B, L) for A, B in zip(As, Bs)]
-        return self._value_cuts(edges, from_numerators(*lo, L), from_numerators(*hi, L), along_x)
+        return self._value_difference(*[from_numerators(A, B, L) for A, B in zip(As, Bs)])
 
-    def _value_cuts(
-        self, edges: Sequence[QNum], lo: QNum, hi: QNum, along_x: bool
-    ) -> tuple[list[int], list[int], int]:
-        # every corner value over one denominator, f at hi then at lo per
-        # edge, so that each cut is a difference of integers
+    def _value_difference(self, x1: QNum, x2: QNum, y1: QNum, y2: QNum) -> tuple[int, int, int]:
+        # the four corner values over one denominator, so that the corner
+        # difference is a sum of integers
         f = self.value
-        if along_x:
-            As, Bs, L = numerators([v for e in edges for v in (f(e, hi), f(e, lo))])
-        else:
-            As, Bs, L = numerators([v for e in edges for v in (f(hi, e), f(lo, e))])
-        return list(map(sub, As[::2], As[1::2])), list(map(sub, Bs[::2], Bs[1::2])), L
-
-
-def _product_cuts(As: list[int], Bs: list[int], lo: Pair, hi: Pair) -> tuple[list[int], list[int]]:
-    """Numerators over L*L of x*hi - x*lo at every edge x = (A + B*sqrt2)/L,
-    for ends (C + E*sqrt2)/L given as pairs (C, E), formed as x*(hi - lo):
-    with (c, e) = hi - lo, each cut is A*c + 2*B*e + (A*e + B*c)*sqrt2."""
-    c, e = hi[0] - lo[0], hi[1] - lo[1]
-    return [A * c + 2 * B * e for A, B in zip(As, Bs)], [A * e + B * c for A, B in zip(As, Bs)]
+        As, Bs, D = numerators((f(x2, y2), f(x1, y1), f(x1, y2), f(x2, y1)))
+        return As[0] + As[1] - As[2] - As[3], Bs[0] + Bs[1] - Bs[2] - Bs[3], D
 
 
 class Product(PointFunction):
@@ -116,12 +96,10 @@ class Product(PointFunction):
     def value(self, x: QNum, y: QNum) -> QNum:
         return x * y
 
-    def cuts(
-        self, As: list[int], Bs: list[int], lo: Pair, hi: Pair, L: int, along_x: bool
-    ) -> tuple[list[int], list[int], int]:
-        # e*(hi - lo) at every edge e, on integers; x*y == y*x, so a row
-        # along y has the same cuts
-        return (*_product_cuts(As, Bs, lo, hi), L * L)
+    def rect_kernel(self, As: list[int], Bs: list[int], L: int) -> tuple[int, int, int]:
+        # (x2 - x1)*(y2 - y1), one pair product on integers over L*L
+        a, b, c, e = As[1] - As[0], Bs[1] - Bs[0], As[3] - As[2], Bs[3] - Bs[2]
+        return a * c + 2 * b * e, a * e + b * c, L * L
 
 
 class Counterexample(PointFunction):
@@ -138,26 +116,13 @@ class Counterexample(PointFunction):
             return x * y
         return ONE
 
-    def cuts(
-        self, As: list[int], Bs: list[int], lo: Pair, hi: Pair, L: int, along_x: bool
-    ) -> tuple[list[int], list[int], int]:
-        # a numerator pair over a positive denominator is rational iff its
-        # sqrt2 part is 0
-        LL = L * L
-        if along_x:
-            # the ordinate of every point is lo or hi: f is x*y on a rational
-            # end, and 1 (LL over LL) on an irrational one, where the product
-            # term is left out
-            zero = (0, 0)
-            ca, cb = _product_cuts(As, Bs, zero if lo[1] else lo, zero if hi[1] else hi)
-            ones = (hi[1] != 0) - (lo[1] != 0)  # f's 1 at hi minus its 1 at lo
-            return ([c + ones * LL for c in ca] if ones else ca), cb, LL
-        # the ordinate of both points on edge k is the edge itself: the cut is
-        # (hi - lo)*y on a rational edge y (B == 0), and 1 - 1 on an irrational one
-        c, e = hi[0] - lo[0], hi[1] - lo[1]
-        ca = [0 if B else A * c for A, B in zip(As, Bs)]
-        cb = [0 if B else A * e for A, B in zip(As, Bs)]
-        return ca, cb, LL
+    def rect_kernel(self, As: list[int], Bs: list[int], L: int) -> tuple[int, int, int]:
+        # f's 1 on an irrational row cancels between x1 and x2, so F is
+        # (x2 - x1)*(g(y2) - g(y1)) with g(y) = y on a rational y and 0 on an
+        # irrational one; over a positive L, y is rational iff its sqrt2
+        # numerator is 0
+        c = (0 if Bs[3] else As[3]) - (0 if Bs[2] else As[2])
+        return (As[1] - As[0]) * c, (Bs[1] - Bs[0]) * c, L * L
 
 
 class Constant(PointFunction):
@@ -229,21 +194,22 @@ class RectFunction(namedtuple("RectFunction", "point_fn")):
     def row_sum(self, step: Step) -> QNum:
         """Sum of F over the packed squares of a decomposition step.
 
-        Square i adds its corner difference cut_{i+1} - cut_i, and squares
-        meeting at an inner edge share its cut, so the sum is cut_count -
-        cut_0 and costs O(1) whatever the count.  This is the one place that
-        picks the path: a point function with its own integer `cuts` runs it
-        on `Step.row_ends`; any other runs `value` at the step's first edge
-        and its far edge, one QNum built from its numerators.
+        F is additive, so the squares sum to F of the rectangle they fill,
+        `Step.row_coords`, and the sum costs O(1) whatever the count.  This
+        is the one place that picks the path: a point function with its own
+        integer `rect_kernel` runs it on those numerators; any other runs
+        `value` at the rectangle's corners, made of the step's own x, y and
+        `hi` and of its far edge, one QNum built from the numerators.
         """
         f = self.point_fn
-        if type(f).cuts is not PointFunction.cuts:
-            As, Bs, L = f.cuts(*step.row_ends(), step.along_x)
+        As, Bs, L = step.row_coords()
+        if type(f).rect_kernel is not PointFunction.rect_kernel:
+            return from_numerators(*f.rect_kernel(As, Bs, L))
+        if step.along_x:
+            corners = step.x, from_numerators(As[1], Bs[1], L), step.y, step.hi
         else:
-            (_, a), (_, b), _, _, L = step.row_ends()
-            first = step.x if step.along_x else step.y
-            As, Bs, L = f._value_cuts((first, from_numerators(a, b, L)), step.lo, step.hi, step.along_x)
-        return from_numerators(As[1] - As[0], Bs[1] - Bs[0], L)
+            corners = step.x, step.hi, step.y, from_numerators(As[3], Bs[3], L)
+        return from_numerators(*f._value_difference(*corners))
 
 
 def corner_difference(f: PointFunction) -> RectFunction:

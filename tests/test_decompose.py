@@ -399,11 +399,11 @@ def test_telescope_cost_does_not_grow_with_the_packing_count(monkeypatch, r, max
     widths = []
 
     class RecordingProduct(type(PRODUCT)):
-        def cuts(self, As, Bs, lo, hi, L, along_x):
+        def rect_kernel(self, As, Bs, L):
             widths.append((len(As), len(Bs)))
-            return super().cuts(As, Bs, lo, hi, L, along_x)
+            return super().rect_kernel(As, Bs, L)
 
-    # a table over the rectangle's, the row ends' and the remainder's
+    # a table over the rectangle's, the rows' and the remainder's
     # corners, each row's corners built by field arithmetic on the step
     rows = []
     for s in d.steps:
@@ -420,21 +420,27 @@ def test_telescope_cost_does_not_grow_with_the_packing_count(monkeypatch, r, max
     monkeypatch.setattr(Step, "squares", property(refuse))
     for F_ in (PROD, CE, table, corner_difference(RecordingProduct())):
         assert telescope(F_, d) == F_.value(r)
-    assert widths == [(2, 2)] * len(d.steps)
+    assert widths == [(4, 4)] * len(d.steps)
 
 
 def test_squares_share_the_step_edges():
-    # every square reads the step's edges and far side, built once per step
+    # the squares of a step read its edges, built once for them, and its far
+    # side: the first starts at the step's own corner, neighbours share the
+    # edge between them, and every square shares `hi`
     d = decompose(Rect(QNum(F(1, 3)), QNum(F(1, 3), F(1, 2)), QNum(F(-7, 4)), QNum(40)), 6)
     for step in d.steps:
         e = step.edges()
-        assert e is step.edges() and e[0] is (step.x if step.along_x else step.y)
-        for k, sq in enumerate(step.squares):
+        assert e[0] is (step.x if step.along_x else step.y)
+        squares = step.squares
+        assert len(squares) == step.count
+        previous = e[0]
+        for k, sq in enumerate(squares):
             along, across = ((sq.x1, sq.x2), sq.y2) if step.along_x else ((sq.y1, sq.y2), sq.x2)
-            assert along[0] is e[k] and along[1] is e[k + 1] and across is step.hi
+            assert along[0] is previous and along == (e[k], e[k + 1]) and across is step.hi
+            previous = along[1]
 
 
-def test_row_sum_looks_up_the_row_ends_only():
+def test_row_sum_looks_up_the_row_corners_only():
     # a point function without an integer kernel is evaluated at the first
     # and far edges crossed with lo and hi: 4 lookups a step, whatever the count
     d = decompose(Rect(QNum(F(1, 3)), QNum(F(1, 3), F(1, 2)), QNum(F(-7, 4)), QNum(40)), 6)
@@ -522,7 +528,7 @@ def test_step_edges_over_the_hash_modulus_hash_on_demand():
     m = sys.hash_info.modulus
     for side in (QNum(F(1, m)), QNum(F(2, m), F(1, 3)), QNum(F(1, 2 * m), F(1, 3 * m))):
         step = Step(ZERO, QNum(F(1, 5)), side, 6, True)
-        _, _, _, _, L = step.row_ends()
+        _, _, L = step.row_coords()
         assert L % m == 0
         edges = step.edges()[1:]
         assert all(e._hash is None for e in edges)

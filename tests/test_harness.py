@@ -130,7 +130,7 @@ def test_mesh_square_check_matches_value(f):
             verdicts.add(holds)
     assert orders == set(range(61))
     if isinstance(f, _Quadrants):
-        assert type(f).cuts is PointFunction.cuts and verdicts == {True, False}
+        assert type(f).rect_kernel is PointFunction.rect_kernel and verdicts == {True, False}
 
 
 def test_counterexample_passing_samples_build_nothing(monkeypatch):

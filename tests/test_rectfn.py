@@ -20,7 +20,6 @@ from rectadd.rectfn import (
     liminf_quotient_probe,
     named_point_function,
     named_rect_function,
-    _product_cuts,
     pow2_exact,
     strong_continuity_witness,
 )
@@ -262,17 +261,17 @@ def test_probe_validates_inputs():
         liminf_quotient_probe(PROD, (ZERO, ZERO), F(1), 2, 0)
 
 
-def _value_cuts(f, edges, lo, hi, along_x):
+def _edge_differences(f, edges, lo, hi, along_x):
     # f(e, hi) - f(e, lo) at every edge e of a row, from `value`
     if along_x:
         return [f.value(e, hi) - f.value(e, lo) for e in edges]
     return [f.value(hi, e) - f.value(lo, e) for e in edges]
 
 
-def _cuts_mixed(f, edges, lo, hi, along_x):
-    # True when the cuts of the row are over different denominators, so the
-    # integer row sum scales some of them to their lcm
-    return len({c._D for c in _value_cuts(f, edges, lo, hi, along_x)}) > 1
+def _differences_mixed(f, edges, lo, hi, along_x):
+    # True when the edge differences of the row are over different
+    # denominators, so a sum over the squares scales some of them to their lcm
+    return len({c._D for c in _edge_differences(f, edges, lo, hi, along_x)}) > 1
 
 
 class _ValueOnly(Counterexample):
@@ -309,7 +308,7 @@ def test_row_sum_matches_per_square_values():
             for F_ in functions:
                 row = F_.row_sum(step)
                 assert row == sum((F_.value(sq) for sq in squares), ZERO)
-                mixed += _cuts_mixed(F_.point_fn, edges, lo, hi, along_x)
+                mixed += _differences_mixed(F_.point_fn, edges, lo, hi, along_x)
     assert mixed > 200 and large >= 10
 
 
@@ -318,10 +317,9 @@ def _rand_part(rng, irrational):
     return QNum(F(rng.randint(-60, 60), rng.randint(1, 9)), b)
 
 
-def test_row_cut_kernels_match_value():
+def test_rect_kernels_match_value():
     rng = random.Random(437)
-    rows = set()
-    mixed_edges = 0
+    rows, columns = set(), set()
     for i in range(400):
         along_x, mode, count = i % 2 == 0, i // 2 % 4, i % 25 + 1
         # mode 0: lo and hi rational; 1: lo rational, hi not; 2: neither;
@@ -339,32 +337,24 @@ def test_row_cut_kernels_match_value():
             start = QNum(start.a, -rng.randint(0, count) * side.b)
         x, y = (start, lo) if along_x else (lo, start)
         step = Step(x, y, side, count, along_x)
-        rows.add((step.lo.is_rational(), step.hi.is_rational()))
-        rational_edges = sum(e.is_rational() for e in step.edges())
-        mixed_edges += 0 < rational_edges < count + 1
-        # the row's first and far edges and its ends over one denominator,
-        # as `RectFunction.row_sum` passes them to `cuts`
-        ends = step.row_ends()
-        As, Bs, lo, hi, L = ends
+        # the rectangle the squares fill, oriented by the step, over one
+        # denominator, as `RectFunction.row_sum` passes it to `rect_kernel`
+        As, Bs, L = step.row_coords()
+        r = Rect(*[from_numerators(a, b, L) for a, b in zip(As, Bs)])
         e = step.edges()
-        assert [from_numerators(a, b, L) for a, b in zip(As, Bs)] == [e[0], e[-1]]
-        assert (from_numerators(*lo, L), from_numerators(*hi, L)) == (step.lo, step.hi)
-        # every edge and both ends over one denominator, for the per-edge kernel
-        As, Bs, L = numerators((*e, step.lo, step.hi))
-        row = As[:-2], Bs[:-2], (As[-2], Bs[-2]), (As[-1], Bs[-1]), L
+        assert r == (Rect(e[0], e[-1], step.lo, step.hi) if along_x else Rect(step.lo, step.hi, e[0], e[-1]))
+        rows.add((r.y1.is_rational(), r.y2.is_rational()))
+        columns.add((r.x1.is_rational(), r.x2.is_rational()))
         for f in (PRODUCT, COUNTEREXAMPLE):
-            As, Bs, L = f.cuts(*row, along_x)
-            assert len(As) == len(Bs) == count + 1
-            kernel = [from_numerators(a, b, L) for a, b in zip(As, Bs)]
-            assert kernel == _value_cuts(f, e, step.lo, step.lo + side, along_x)
-            As, Bs, L = f.cuts(*ends, along_x)
-            assert [from_numerators(a, b, L) for a, b in zip(As, Bs)] == [kernel[0], kernel[-1]]
+            v = from_numerators(*f.rect_kernel(As, Bs, L))
+            assert v == corner_difference(f).value(r)
             # the fallback of a point function without a kernel, on the
-            # same numerators, gives the same cuts
-            As, Bs, L = PointFunction.cuts(f, *row, along_x)
-            assert [from_numerators(a, b, L) for a, b in zip(As, Bs)] == kernel
-    assert rows == {(True, True), (True, False), (False, False), (False, True)}
-    assert mixed_edges > 30
+            # same numerators, and the kernel on the rectangle's own
+            # numerators give the same value
+            assert from_numerators(*PointFunction.rect_kernel(f, As, Bs, L)) == v
+            assert from_numerators(*f.rect_kernel(*numerators(r))) == v
+    everything = {(True, True), (True, False), (False, False), (False, True)}
+    assert rows == columns == everything
 
 
 def test_table_of_qnum_entries_answers_as_coerced_entries():
@@ -410,8 +400,8 @@ class _DoubledAgain(_Doubled):
 @pytest.mark.parametrize("f", [_Doubled(), _Shifted(), _DoubledAgain()], ids=lambda f: type(f).__name__)
 def test_subclass_overriding_value_is_summed_by_value(f):
     # the parent's integer kernel is the parent's formula; a subclass with
-    # its own `value` and no `cuts` of its own falls back to `value`
-    assert type(f).cuts is PointFunction.cuts
+    # its own `value` and no `rect_kernel` of its own falls back to `value`
+    assert type(f).rect_kernel is PointFunction.rect_kernel
     F_ = corner_difference(f)
     rng = random.Random(439)
     rects = [Rect(ZERO, QNum(8), ZERO, QNum(5)), Rect(ZERO, ONE + SQRT2, ZERO, ONE), WITNESS]
@@ -438,7 +428,7 @@ def test_subclass_overriding_value_is_summed_by_value(f):
 
 def test_builtin_point_functions_keep_their_integer_kernels():
     for cls in (Product, Counterexample):
-        assert cls.cuts is not PointFunction.cuts
+        assert cls.rect_kernel is not PointFunction.rect_kernel
 
 
 class _TwiceProduct(PointFunction):
@@ -449,14 +439,14 @@ class _TwiceProduct(PointFunction):
     def value(self, x, y):
         return 2 * (x * y)
 
-    def cuts(self, As, Bs, lo, hi, L, along_x):
-        ca, cb = _product_cuts(As, Bs, lo, hi)
-        return [2 * c for c in ca], [2 * c for c in cb], L * L
+    def rect_kernel(self, As, Bs, L):
+        A, B, D = PRODUCT.rect_kernel(As, Bs, L)
+        return 2 * A, 2 * B, D
 
 
 def test_point_function_with_its_own_kernel_is_summed_by_it(monkeypatch):
     f = _TwiceProduct()
-    assert type(f).cuts is not PointFunction.cuts
+    assert type(f).rect_kernel is not PointFunction.rect_kernel
     F_ = corner_difference(f)
     rng = random.Random(443)
     rects = [Rect(ZERO, QNum(8), ZERO, QNum(5)), Rect(ZERO, ONE + SQRT2, ZERO, ONE), WITNESS]
@@ -472,9 +462,13 @@ def test_point_function_with_its_own_kernel_is_summed_by_it(monkeypatch):
     r = Rect(QNum(F(-5, 2)), QNum(334), QNum(F(1, 4)), QNum(F(7, 12)))
     d = decompose(r, 20)
     assert d.total_squares > 1000 > 40 * len(d.steps)
+
+    def refuse(*args):
+        raise AssertionError("the row sum built a step's edges")
+
     built = count_builds(monkeypatch)
+    monkeypatch.setattr(Step, "edges", refuse)
     rows = [F_.row_sum(step) for step in d.steps]
     assert len(built) == len(d.steps)
     monkeypatch.undo()
-    assert all(step._edges is None for step in d.steps)
     assert rows == [sum((F_.value(sq) for sq in step.squares), ZERO) for step in d.steps]
