@@ -14,18 +14,24 @@ the longer one.  So every corner and side of every step has integer
 numerators over one denominator L, that of the rectangle's coordinates, and
 `decompose` runs on those integers: each count is one exact floor, and only
 a step's side and moved corner are built as QNums.  `greedy_step` is one
-step of `decompose`.  `verify_halving` compares the side trace, and
-`cmd_decompose` sums the tiling, on numerators too.
+step of `decompose`.  `decompose` keeps the integers as the decomposition's
+frame (`Decomposition.frame`): the longer side, then each step's corner and
+side over L.  `verify_halving` compares the side trace, `cmd_decompose`
+sums the tiling and `telescope` reads each step's row on the frame, not on
+numerators derived again from the normalised QNums.
 
 A step is described, not materialised: its lower-left corner, side, count
 and packing axis determine every square, so `decompose` costs O(steps)
 whatever the packing counts, and so does `telescope`: the squares of a step
-fill one rectangle, `Step.row_coords` (one `numerators` call), and
-`RectFunction.row_sum` sums them as F of that rectangle, since F is
-additive.  Only `Step.squares` (and `Decomposition.all_squares`) builds
-every edge, by `Step.edges`: one integer addition per edge, each hashed from
-one modular inverse of L; it checks once per step that the side is positive
-and then builds each square as a plain tuple.
+fill one rectangle, its row, read off the frame (`Decomposition.rows`), and
+F is additive, so they sum to F of the row.  A point function's integer
+`rect_kernel` takes the row's numerators as they are, and the rows add up
+as integers over one denominator, normalised once: one gcd for the whole
+sum instead of one per row (Knuth, TAOCP vol. 2, 4.5.1).  Only
+`Step.squares` (and `Decomposition.all_squares`) builds every edge, by
+`Step.edges`: one integer addition per edge, each hashed from one modular
+inverse of L; it checks once per step that the side is positive and then
+builds each square as a plain tuple.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .geometry import Rect
 from .numeric import (
     _HASH_MODULUS, QNum, ZERO, _floor, _hash_over, _sign2, dyadic, from_numerators, numerators,
 )
-from .rectfn import RectFunction
+from .rectfn import PointFunction, RectFunction
 
 __all__ = [
     "Step",
@@ -78,15 +84,6 @@ class Step(namedtuple("Step", "x y side count along_x")):
         if hi is None:
             hi = self._hi = self.lo + self.side
         return hi
-
-    def row_coords(self) -> tuple[list[int], list[int], int]:
-        """The rectangle the step's squares fill, as integer numerators over
-        L in `numerators` order: x1, x2, y1, y2 == (As[k] + Bs[k]*sqrt2)/L,
-        `count` sides long along the packing axis and one side across it,
-        from one `numerators` call."""
-        (xa, ya, sa), (xb, yb, sb), L = numerators((self.x, self.y, self.side))
-        w, h = (self.count, 1) if self.along_x else (1, self.count)
-        return [xa, xa + w * sa, ya, ya + h * sa], [xb, xb + w * sb, yb, yb + h * sb], L
 
     def edges(self) -> tuple[QNum, ...]:
         """The count + 1 square boundaries along the packing axis as QNums,
@@ -128,7 +125,41 @@ class Decomposition(namedtuple("Decomposition", "original steps remainder")):
     happens iff the aspect ratio is rational (finite continued fraction).
     """
 
-    __slots__ = ()
+    # A memo of `frame`, set once in the instance dict that Decomposition
+    # has by declaring no __slots__, as `Step._hi` is.  It is not a field,
+    # so equality, hashing and repr ignore it.
+    _frame = None
+
+    @property
+    def frame(self) -> tuple[list[int], list[int], int]:
+        """The decomposition's integers over one denominator L, as
+        `numerators` gives them: the longer side of the original rectangle,
+        then each step's x, y and side, value k == (As[k] + Bs[k]*sqrt2)/L.
+        So `sides` is As[::3], Bs[::3], and step i's corner and side are
+        As[3i+1 : 3i+4].  `decompose` keeps the integers its loop computes;
+        a hand-built decomposition derives them with one `numerators` call."""
+        frame = self._frame
+        if frame is None:
+            values = [self.sides[0]]
+            for s in self.steps:
+                values += (s.x, s.y, s.side)
+            frame = self._frame = numerators(values)
+        return frame
+
+    def rows(self) -> list[tuple[list[int], list[int], int]]:
+        """The rectangle each step's squares fill, oriented by the step, read
+        off the frame: `count` sides long along the packing axis and one side
+        across it, as lists As, Bs and the frame's L in `numerators` order,
+        x1, x2, y1, y2 == (As[k] + Bs[k]*sqrt2)/L, so that
+        `f.rect_kernel(*row)` is F of the row."""
+        As, Bs, L = self.frame
+        rows = []
+        for s, xa, ya, sa, xb, yb, sb in zip(
+            self.steps, As[1::3], As[2::3], As[3::3], Bs[1::3], Bs[2::3], Bs[3::3]
+        ):
+            w, h = (s.count, 1) if s.along_x else (1, s.count)
+            rows.append(([xa, xa + w * sa, ya, ya + h * sa], [xb, xb + w * sb, yb, yb + h * sb], L))
+        return rows
 
     @property
     def terminated(self) -> bool:
@@ -197,13 +228,18 @@ def decompose(r: Rect, max_steps: int) -> Decomposition:
     pn, sn = pa * pa - 2 * pb * pb, sa * sa - 2 * sb * sb
     x, x2, y, y2 = r
     steps: list[Step] = []
+    # the frame: the longer side, then each step's x, y and side
+    As, Bs = [pa], [pb]
     while True:
         qa, qb = pa * sa - 2 * pb * sb, pb * sa - pa * sb  # p * conj(s)
         count = _floor(qa, qb, sn) if sn > 0 else _floor(-qa, -qb, -sn)
         steps.append(Step(x, y, from_numerators(sa, sb, L), count, along_x))
+        As += (xa, ya, sa)
+        Bs += (xb, yb, sb)
         ta, tb = pa - count * sa, pb - count * sb  # left over, shorter than s
         if not (ta or tb):
-            return Decomposition(original=r, steps=tuple(steps), remainder=None)
+            d = Decomposition(original=r, steps=tuple(steps), remainder=None)
+            break
         if along_x:
             xa, xb = xa + count * sa, xb + count * sb
             x = from_numerators(xa, xb, L)
@@ -211,9 +247,12 @@ def decompose(r: Rect, max_steps: int) -> Decomposition:
             ya, yb = ya + count * sa, yb + count * sb
             y = from_numerators(ya, yb, L)
         if len(steps) == max_steps:
-            return Decomposition(original=r, steps=tuple(steps), remainder=Rect(x, x2, y, y2))
+            d = Decomposition(original=r, steps=tuple(steps), remainder=Rect(x, x2, y, y2))
+            break
         pa, pb, pn, sa, sb, sn = sa, sb, sn, ta, tb, pn - 2 * count * qa + count * count * sn
         along_x = not along_x
+    d._frame = As, Bs, L
+    return d
 
 
 # One exact comparison backing the halving guarantee, lhs <= rhs, at side
@@ -235,19 +274,22 @@ def verify_halving(d: Decomposition) -> HalvingCertificate:
     """Check sides[n+1] <= sides[n] for every n, then sides[n+2] <= sides[n]/2
     for every n, by exact comparisons.
 
-    The sides are compared as integer numerators over their common
-    denominator: sides[n] - sides[n+1] >= 0 and sides[n] - 2*sides[n+2] >= 0,
-    each one `_sign2`.  The certificate names the first comparison that
-    fails, or none, and its field values are built only for a failure;
-    traces shorter than 3 make the halving part vacuous.
+    The sides are compared as integer numerators over the frame's L
+    (`Decomposition.frame`): sides[n] - sides[n+1] >= 0 and
+    sides[n] - 2*sides[n+2] >= 0, each one `_sign2`.  The certificate names
+    the first comparison that fails, or none, and its field values are
+    built only for a failure; traces shorter than 3 make the halving part
+    vacuous.
     """
-    sides = d.sides
-    As, Bs, _ = numerators(sides)
-    for n in range(len(sides) - 1):
+    As, Bs, _ = d.frame
+    As, Bs = As[::3], Bs[::3]
+    for n in range(len(As) - 1):
         if _sign2(As[n] - As[n + 1], Bs[n] - Bs[n + 1]) < 0:
+            sides = d.sides
             return HalvingCertificate(HalvingCheck(n, "monotone", sides[n + 1], sides[n]))
-    for n in range(len(sides) - 2):
+    for n in range(len(As) - 2):
         if _sign2(As[n] - 2 * As[n + 2], Bs[n] - 2 * Bs[n + 2]) < 0:
+            sides = d.sides
             return HalvingCertificate(HalvingCheck(n, "halving", sides[n + 2], sides[n] * dyadic(1, 1)))
     return HalvingCertificate(None)
 
@@ -255,14 +297,30 @@ def verify_halving(d: Decomposition) -> HalvingCertificate:
 def telescope(F: RectFunction, d: Decomposition) -> QNum:
     """Sum of F over all packed squares plus the remainder (when present).
 
-    Each step's squares are summed by `F.row_sum` as F of the rectangle
-    they fill, so the cost is O(steps) whatever the packing counts and no
-    square is built.  For corner-difference F the sum equals F(original)
-    exactly: shared-edge corner terms cancel in pairs across the tiling.
+    Each step's squares fill one rectangle, its row (`Decomposition.rows`),
+    and F is additive, so they sum to F of the row: the cost is O(steps)
+    whatever the packing counts and no square is built.  A point function
+    with its own integer `rect_kernel` gets each row's numerators straight,
+    and the rows are summed as integers over one denominator, normalised
+    once (a row over another denominator is cross-multiplied in); any other
+    is summed row by row by `F.row_sum`.  For corner-difference F the sum
+    equals F(original) exactly: shared-edge corner terms cancel in pairs
+    across the tiling.
     """
-    total = ZERO
-    for step in d.steps:
-        total = total + F.row_sum(step)
+    f = F.point_fn
+    if type(f).rect_kernel is PointFunction.rect_kernel:
+        total = ZERO
+        for step, row in zip(d.steps, d.rows()):
+            total = total + F.row_sum(step, row)
+    else:
+        A, B, D = 0, 0, 1
+        for row in d.rows():
+            a, b, e = f.rect_kernel(*row)
+            if e == D:
+                A, B = A + a, B + b
+            else:
+                A, B, D = A * e + a * D, B * e + b * D, D * e
+        total = from_numerators(A, B, D)
     if d.remainder is not None:
         total = total + F.value(d.remainder)
     return total

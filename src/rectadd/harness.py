@@ -273,12 +273,12 @@ def cmd_decompose(
     """Run the greedy decomposition and certify tiling, halving, and
     telescoping exactly; optionally render the figure to SVG.
 
-    The tiling claim (on integer numerators) and telescoping (from each
-    row's two ends) cost O(steps).  The SVG visits every packed square, so
-    more than MAX_TILES squares are refused with a ValueError before any
-    square is enumerated, with or without an SVG so that the exit code does
-    not depend on it; more than MAX_STEPS steps are refused before the
-    decomposition starts.
+    The tiling claim, the halving check and telescoping read the
+    decomposition's integer frame (`Decomposition.frame`) and cost
+    O(steps).  The SVG visits every packed square, so more than MAX_TILES
+    squares are refused with a ValueError before any square is enumerated,
+    with or without an SVG so that the exit code does not depend on it; more
+    than MAX_STEPS steps are refused before the decomposition starts.
     """
     if max_steps > MAX_STEPS:
         raise ValueError(f"max_steps above {MAX_STEPS} (the step budget of the decomposition)")
@@ -291,9 +291,10 @@ def cmd_decompose(
         )
     findings = []
 
-    # count * side^2 summed on the sides' numerators over L: a side
-    # (a + b*sqrt2)/L squares to (a^2 + 2b^2 + 2ab*sqrt2)/L^2
-    As, Bs, L = numerators([s.side for s in d.steps])
+    # count * side^2 summed on the sides' numerators over the frame's L: a
+    # side (a + b*sqrt2)/L squares to (a^2 + 2b^2 + 2ab*sqrt2)/L^2
+    As, Bs, L = d.frame
+    As, Bs = As[3::3], Bs[3::3]
     tiled = from_numerators(
         sum(s.count * (a * a + 2 * b * b) for s, a, b in zip(d.steps, As, Bs)),
         sum(s.count * 2 * a * b for s, a, b in zip(d.steps, As, Bs)),

@@ -13,7 +13,9 @@ does not propagate to all rectangles.
 Each point function has one integer kernel, `PointFunction.rect_kernel`: F
 of a rectangle from the numerators of its four coordinates over one
 denominator.  The squares of a decomposition step fill one rectangle, so
-`RectFunction.row_sum` sums them with one kernel call.
+`telescope` sums them with one kernel call on the row's numerators, and
+`RectFunction.row_sum` with one `value` per corner of the row for a point
+function without a kernel of its own.
 """
 
 from __future__ import annotations
@@ -73,10 +75,11 @@ class PointFunction:
         order, so that `f.rect_kernel(*numerators(r))` is F(r) on any Rect.
 
         A mesh square (`cmd_counterexample`) goes through it, and so does
-        the rectangle a decomposition step's squares fill
-        (`RectFunction.row_sum`) when a subclass overrides it with integer
-        arithmetic that gives the same value.  This default evaluates
-        `value` at QNum corners built from the numerators.
+        the rectangle a decomposition step's squares fill, read off the
+        decomposition's frame (`telescope`), when a subclass overrides it
+        with integer arithmetic that gives the same value; the result need
+        not be in lowest terms.  This default evaluates `value` at QNum
+        corners built from the numerators.
         """
         return self._value_difference(*[from_numerators(A, B, L) for A, B in zip(As, Bs)])
 
@@ -191,25 +194,24 @@ class RectFunction(namedtuple("RectFunction", "point_fn")):
         x1, x2, y1, y2 = r
         return f(x2, y2) + f(x1, y1) - f(x1, y2) - f(x2, y1)
 
-    def row_sum(self, step: Step) -> QNum:
-        """Sum of F over the packed squares of a decomposition step.
+    def row_sum(self, step: Step, row: tuple[list[int], list[int], int]) -> QNum:
+        """Sum of F over the packed squares of a decomposition step, by
+        `value`; `row` is the rectangle they fill, as
+        `Decomposition.rows` gives it.
 
-        F is additive, so the squares sum to F of the rectangle they fill,
-        `Step.row_coords`, and the sum costs O(1) whatever the count.  This
-        is the one place that picks the path: a point function with its own
-        integer `rect_kernel` runs it on those numerators; any other runs
-        `value` at the rectangle's corners, made of the step's own x, y and
-        `hi` and of its far edge, one QNum built from the numerators.
+        F is additive, so the squares sum to F of the row, and the sum
+        costs O(1) whatever the count: `value` at the row's corners, made of
+        the step's own x, y and `hi` and of its far edge, one QNum built
+        from the row's numerators, so a `Table` looks up keys whose hashes
+        are cached.  `telescope` calls it for a point function without an
+        integer `rect_kernel` of its own.
         """
-        f = self.point_fn
-        As, Bs, L = step.row_coords()
-        if type(f).rect_kernel is not PointFunction.rect_kernel:
-            return from_numerators(*f.rect_kernel(As, Bs, L))
+        As, Bs, L = row
         if step.along_x:
             corners = step.x, from_numerators(As[1], Bs[1], L), step.y, step.hi
         else:
             corners = step.x, step.hi, step.y, from_numerators(As[3], Bs[3], L)
-        return from_numerators(*f._value_difference(*corners))
+        return from_numerators(*self.point_fn._value_difference(*corners))
 
 
 def corner_difference(f: PointFunction) -> RectFunction:

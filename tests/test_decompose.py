@@ -15,7 +15,7 @@ from rectadd.decompose import (
     verify_halving,
 )
 from rectadd.geometry import Rect, parse_rect
-from rectadd.numeric import ONE, QNum, SQRT2, ZERO, numerators, qnum
+from rectadd.numeric import ONE, QNum, SQRT2, ZERO, from_numerators, numerators, qnum
 from rectadd.rectfn import (
     COUNTEREXAMPLE,
     Constant,
@@ -142,6 +142,17 @@ def test_verify_halving_vacuous_for_squares():
     assert cert.ok and cert.failure is None
 
 
+def _one_step(step) -> Decomposition:
+    """A hand-built decomposition of the row a step fills, by field
+    arithmetic: the step and no remainder."""
+    far = (step.x if step.along_x else step.y) + step.count * step.side
+    if step.along_x:
+        row = Rect(step.x, far, step.y, step.y + step.side)
+    else:
+        row = Rect(step.x, step.x + step.side, step.y, far)
+    return Decomposition(row, (step,), remainder=None)
+
+
 def _trace(*sides) -> Decomposition:
     """A hand-built decomposition whose side trace is `sides` (ints or
     QNums): the original rectangle's longer side is sides[0], and each later
@@ -152,12 +163,19 @@ def _trace(*sides) -> Decomposition:
     return Decomposition(original, steps, remainder=None)
 
 
-def test_verify_halving_names_the_first_failing_comparison():
+def test_verify_halving_names_the_first_failing_comparison(monkeypatch):
     d = _trace(4, 3, 3, 2)
     assert d.sides == (4, 3, 3, 2)
+    # a hand-built decomposition derives its frame, with one `numerators`
+    # call, on the first read only
+    assert d._frame is None
+    calls = count_calls(monkeypatch, numerators)
     # monotone throughout; 3 <= 4/2 fails first, then 2 <= 3/2 would
     assert verify_halving(d).failure == HalvingCheck(0, "halving", QNum(3), QNum(2))
     assert not verify_halving(d).ok
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert d.frame == ([4, 0, 0, 3, 0, 0, 3, 0, 0, 2], [0] * 10, 1)
     # monotone fails at 5 > 3 (index 2); halving fails earlier in index,
     # at 3 > 4/2, but every monotone comparison is checked first
     cert = verify_halving(_trace(4, 3, 3, 5))
@@ -197,7 +215,8 @@ def test_verify_halving_builds_no_check_on_a_passing_trace(monkeypatch):
 
     # `rectadd.decompose` the attribute is the function; patch the module
     monkeypatch.setattr(sys.modules["rectadd.decompose"], "HalvingCheck", counting_check)
-    assert verify_halving(decompose(SILVER, 200)).ok
+    d = decompose(SILVER, 200)
+    assert verify_halving(d).ok and verify_halving(Decomposition(*d)).ok
     assert made == []
     assert not verify_halving(_trace(4, 3, 3)).ok
     assert len(made) == 1
@@ -453,12 +472,12 @@ def test_row_sum_looks_up_the_row_corners_only():
             return super().value(x, y)
 
     rng = random.Random(461)
-    for step in d.steps:
+    for step, coords in zip(d.steps, d.rows()):
         squares = step.squares
         corners = {p: QNum(F(rng.randint(-99, 99), rng.randint(1, 9))) for sq in squares for p in sq.corners()}
         Ft = corner_difference(Recording(corners))
         seen.clear()
-        row = Ft.row_sum(step)
+        row = Ft.row_sum(step, coords)
         e = step.edges()
         if step.along_x:
             ends = {(x, y) for x in (e[0], e[-1]) for y in (step.lo, step.hi)}
@@ -528,7 +547,7 @@ def test_step_edges_over_the_hash_modulus_hash_on_demand():
     m = sys.hash_info.modulus
     for side in (QNum(F(1, m)), QNum(F(2, m), F(1, 3)), QNum(F(1, 2 * m), F(1, 3 * m))):
         step = Step(ZERO, QNum(F(1, 5)), side, 6, True)
-        _, _, L = step.row_coords()
+        _, _, L = _one_step(step).frame
         assert L % m == 0
         edges = step.edges()[1:]
         assert all(e._hash is None for e in edges)
@@ -603,13 +622,117 @@ def test_verify_halving_makes_no_field_comparison_or_product(monkeypatch):
     assert calls == []
 
 
-def test_telescope_takes_one_numerators_call_per_step(monkeypatch):
-    # a step's edges and ends come over one denominator from one call, and
-    # the integer kernels take them as they are
+def test_telescope_of_a_kernel_takes_no_numerators_call_and_normalises_once(monkeypatch):
+    # the rows come off the frame `decompose` kept, and the integer kernels'
+    # rows add up over one denominator: one QNum for all of them, plus the
+    # remainder's value and its addition to the rows' sum
     d = decompose(SILVER, 600)
     for F_ in (PROD, CE):
+        built = count_builds(monkeypatch)
+        F_.value(d.remainder)
+        remainder_builds = len(built)
+        built.clear()
         calls = count_calls(monkeypatch, numerators)
         total = telescope(F_, d)
-        assert len(calls) == len(d.steps) == 600
+        assert calls == [] and len(built) == remainder_builds + 2
         monkeypatch.undo()
         assert total == F_.value(SILVER)
+    # a terminated trace of 80 steps builds one QNum in all
+    fib = [1, 1]
+    while len(fib) < 83:
+        fib.append(fib[-1] + fib[-2])
+    r = Rect(ZERO, QNum(fib[-1]), ZERO, QNum(fib[-2]))
+    d = decompose(r, 100)
+    assert d.terminated and len(d.steps) > 80
+    for F_ in (PROD, CE):
+        built = count_builds(monkeypatch)
+        calls = count_calls(monkeypatch, numerators)
+        total = telescope(F_, d)
+        assert calls == [] and len(built) == 1
+        monkeypatch.undo()
+        assert total == F_.value(r)
+
+
+def test_decompose_keeps_the_frame_a_fresh_decomposition_derives():
+    # the integers the loop kept are the ones one `numerators` call over
+    # the longer side and every step's x, y and side gives
+    rng = random.Random(467)
+    along_y = truncated = 0
+    for i in range(300):
+        d = decompose(rand_rect(rng, i), rng.randint(1, 40))
+        fresh = Decomposition(*d)
+        assert fresh._frame is None
+        assert d.frame == fresh.frame
+        steps = [v for s in d.steps for v in (s.x, s.y, s.side)]
+        assert d.frame == numerators([d.sides[0], *steps])
+        _, _, L = numerators(d.original)
+        assert d.frame[2] == L
+        along_y += not d.steps[0].along_x
+        truncated += not d.terminated
+    assert along_y > 50 and truncated > 50
+
+
+def _fifty_digit_rect(rng):
+    def part():
+        return f"{rng.randrange(10**49, 10**50)}/{rng.randrange(10**49, 10**50)}"
+
+    def literal(sign):
+        return f"{sign}{part()}{sign or '+'}{part()}*sqrt2"
+
+    return parse_rect(f"[{literal('-')},{literal('')}]x[{literal('-')},{literal('')}]")
+
+
+def _fresh_squares(step):
+    # the step's squares by field arithmetic on its own x, y and side
+    start, lo = (step.x, step.y) if step.along_x else (step.y, step.x)
+    edges = [start + k * step.side for k in range(step.count + 1)]
+    hi = lo + step.side
+    if step.along_x:
+        return [Rect(e, f, lo, hi) for e, f in zip(edges, edges[1:])]
+    return [Rect(lo, hi, e, f) for e, f in zip(edges, edges[1:])]
+
+
+def test_frame_telescope_matches_value_and_per_square_sums():
+    # both packing axes, rational and irrational rows, runs that terminate
+    # and runs truncated with a remainder, and literals with 50-digit parts
+    rng = random.Random(469)
+    rects = [rand_rect(rng, i) for i in range(150)]
+    rects += [_transpose(r) for r in rects[:50]]
+    rects += [_fifty_digit_rect(rng) for _ in range(20)]
+    seen = set()
+    for r in rects:
+        d = decompose(r, rng.randint(1, 25))
+        if d.total_squares > 3000:
+            continue
+        tiles = [sq for s in d.steps for sq in _fresh_squares(s)]
+        tiles += [d.remainder] if d.remainder is not None else []
+        for F_ in (PROD, CE):
+            per_square = sum((F_.value(sq) for sq in tiles), ZERO)
+            assert telescope(F_, d) == per_square == F_.value(r)
+        for s in d.steps:
+            seen.add((s.along_x, s.lo.is_rational(), s.side.is_rational()))
+        seen.add(("terminated", d.terminated))
+        seen.add(("digits", len(str(r.x1._D)) >= 90))
+    axes_and_rows = {(a, lo, side) for a in (True, False) for lo in (True, False) for side in (True, False)}
+    assert axes_and_rows <= seen
+    assert {("terminated", True), ("terminated", False), ("digits", True)} <= seen
+
+
+def test_a_kernel_in_lowest_terms_is_cross_multiplied_in():
+    # rows over different denominators: each is scaled to the running one
+    denominators = set()
+
+    class LowestTerms(type(PRODUCT)):
+        def rect_kernel(self, As, Bs, L):
+            q = from_numerators(*super().rect_kernel(As, Bs, L))
+            denominators.add(q._D)
+            return q._A, q._B, q._D
+
+    F_ = corner_difference(LowestTerms())
+    rng = random.Random(471)
+    rects = [EIGHT_FIVE, SILVER, WITNESS, *(rand_rect(rng, i) for i in range(60))]
+    for r in rects:
+        denominators.clear()
+        d = decompose(r, rng.randint(1, 30))
+        assert telescope(F_, d) == PROD.value(r) == telescope(PROD, d)
+    assert len(denominators) > 1

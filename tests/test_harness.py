@@ -399,13 +399,16 @@ def test_cmd_proptest_case_budget(capsys):
     assert captured.out == ""
 
 
-def test_cmd_decompose_takes_one_numerators_call_per_step(monkeypatch):
-    # the tiling sum, the halving check and the decomposition itself take
-    # one call each; telescope takes one per step
-    calls = count_calls(monkeypatch, numerators)
-    rep = cmd_decompose(rect="[0,1+1*sqrt2]x[0,1]", max_steps=600)
-    assert rep.exit_status == 0
-    assert 600 < len(calls) <= 600 + 3
+def test_cmd_decompose_takes_a_constant_number_of_numerators_calls(tmp_path, monkeypatch):
+    # the decomposition puts the rectangle over one denominator and keeps
+    # its integers; the tiling sum, the halving check and the telescope read
+    # them, and the SVG takes one call of its own
+    for svg, expected in ((None, 1), (str(tmp_path / "d.svg"), 2)):
+        calls = count_calls(monkeypatch, numerators)
+        rep = cmd_decompose(rect="[0,1+1*sqrt2]x[0,1]", max_steps=600, svg_path=svg)
+        monkeypatch.undo()
+        assert rep.exit_status == 0
+        assert len(calls) == expected
 
 
 def test_shrink_bound_value():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rectadd import harness
-from rectadd.decompose import Step, decompose, telescope
+from rectadd.decompose import Decomposition, Step, decompose, telescope
 from rectadd.geometry import DyadicSquare, Rect, split
 from rectadd.numeric import ONE, QNum, SQRT2, ZERO, from_numerators, numerators
 from rectadd.rectfn import (
@@ -298,16 +298,24 @@ def test_row_sum_matches_per_square_values():
             edges = [start + k * side for k in range(count + 1)]
             if along_x:
                 squares = [Rect(e, f, lo, hi) for e, f in zip(edges, edges[1:])]
+                filled = Rect(edges[0], edges[-1], lo, hi)
             else:
                 squares = [Rect(lo, hi, e, f) for e, f in zip(edges, edges[1:])]
+                filled = Rect(lo, hi, edges[0], edges[-1])
+            # a hand-built decomposition of the row: the step alone, its
+            # frame derived from one `numerators` call
+            d = Decomposition(filled, (step,), None)
+            (coords,) = d.rows()
             table = rand_table_function(rng, _rect_corner_points(squares))
             functions = (
                 PROD, CE, corner_difference(Constant(QNum(F(5, 3), F(-1, 2)))), table,
                 corner_difference(_ValueOnly()),
             )
             for F_ in functions:
-                row = F_.row_sum(step)
-                assert row == sum((F_.value(sq) for sq in squares), ZERO)
+                per_square = sum((F_.value(sq) for sq in squares), ZERO)
+                assert F_.row_sum(step, coords) == telescope(F_, d) == per_square
+                if F_ in (PROD, CE):
+                    assert from_numerators(*F_.point_fn.rect_kernel(*coords)) == per_square
                 mixed += _differences_mixed(F_.point_fn, edges, lo, hi, along_x)
     assert mixed > 200 and large >= 10
 
@@ -338,8 +346,9 @@ def test_rect_kernels_match_value():
         x, y = (start, lo) if along_x else (lo, start)
         step = Step(x, y, side, count, along_x)
         # the rectangle the squares fill, oriented by the step, over one
-        # denominator, as `RectFunction.row_sum` passes it to `rect_kernel`
-        As, Bs, L = step.row_coords()
+        # denominator, as `telescope` passes it to `rect_kernel`: a row of
+        # the frame of a hand-built decomposition of the step alone
+        (As, Bs, L), = Decomposition(UNIT, (step,), None).rows()
         r = Rect(*[from_numerators(a, b, L) for a, b in zip(As, Bs)])
         e = step.edges()
         assert r == (Rect(e[0], e[-1], step.lo, step.hi) if along_x else Rect(step.lo, step.hi, e[0], e[-1]))
@@ -457,18 +466,20 @@ def test_point_function_with_its_own_kernel_is_summed_by_it(monkeypatch):
         assert telescope(F_, d) == F_.value(r) == 2 * PROD.value(r)
         irrational += not (r.x2 - r.x1).is_rational() or not (r.y2 - r.y1).is_rational()
     assert irrational > 10
-    # a strip of 1009 + 2 squares: each step goes through the kernel, builds
-    # no QNum edge and makes one QNum, its row sum
+    # a strip of 1009 + 2 squares, terminated: each step's row goes through
+    # the kernel, no QNum edge is built, and the one QNum made is the sum
     r = Rect(QNum(F(-5, 2)), QNum(334), QNum(F(1, 4)), QNum(F(7, 12)))
     d = decompose(r, 20)
-    assert d.total_squares > 1000 > 40 * len(d.steps)
+    assert d.terminated and d.total_squares > 1000 > 40 * len(d.steps)
 
     def refuse(*args):
-        raise AssertionError("the row sum built a step's edges")
+        raise AssertionError("the telescope built a step's edges")
 
     built = count_builds(monkeypatch)
     monkeypatch.setattr(Step, "edges", refuse)
-    rows = [F_.row_sum(step) for step in d.steps]
-    assert len(built) == len(d.steps)
+    total = telescope(F_, d)
+    assert len(built) == 1
     monkeypatch.undo()
+    assert total == F_.value(r)
+    rows = [from_numerators(*f.rect_kernel(*row)) for row in d.rows()]
     assert rows == [sum((F_.value(sq) for sq in step.squares), ZERO) for step in d.steps]
