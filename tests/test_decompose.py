@@ -142,17 +142,6 @@ def test_verify_halving_vacuous_for_squares():
     assert cert.ok and cert.failure is None
 
 
-def _one_step(step) -> Decomposition:
-    """A hand-built decomposition of the row a step fills, by field
-    arithmetic: the step and no remainder."""
-    far = (step.x if step.along_x else step.y) + step.count * step.side
-    if step.along_x:
-        row = Rect(step.x, far, step.y, step.y + step.side)
-    else:
-        row = Rect(step.x, step.x + step.side, step.y, far)
-    return Decomposition(row, (step,), remainder=None)
-
-
 def _trace(*sides) -> Decomposition:
     """A hand-built decomposition whose side trace is `sides` (ints or
     QNums): the original rectangle's longer side is sides[0], and each later
@@ -547,7 +536,7 @@ def test_step_edges_over_the_hash_modulus_hash_on_demand():
     m = sys.hash_info.modulus
     for side in (QNum(F(1, m)), QNum(F(2, m), F(1, 3)), QNum(F(1, 2 * m), F(1, 3 * m))):
         step = Step(ZERO, QNum(F(1, 5)), side, 6, True)
-        _, _, L = _one_step(step).frame
+        _, _, L = Decomposition(UNIT, (step,), None).frame
         assert L % m == 0
         edges = step.edges()[1:]
         assert all(e._hash is None for e in edges)
@@ -637,7 +626,7 @@ def test_telescope_of_a_kernel_takes_no_numerators_call_and_normalises_once(monk
         assert calls == [] and len(built) == remainder_builds + 2
         monkeypatch.undo()
         assert total == F_.value(SILVER)
-    # a terminated trace of 80 steps builds one QNum in all
+    # a terminated trace of 81 steps builds one QNum in all
     fib = [1, 1]
     while len(fib) < 83:
         fib.append(fib[-1] + fib[-2])
@@ -702,8 +691,6 @@ def test_frame_telescope_matches_value_and_per_square_sums():
     seen = set()
     for r in rects:
         d = decompose(r, rng.randint(1, 25))
-        if d.total_squares > 3000:
-            continue
         tiles = [sq for s in d.steps for sq in _fresh_squares(s)]
         tiles += [d.remainder] if d.remainder is not None else []
         for F_ in (PROD, CE):
@@ -731,8 +718,10 @@ def test_a_kernel_in_lowest_terms_is_cross_multiplied_in():
     F_ = corner_difference(LowestTerms())
     rng = random.Random(471)
     rects = [EIGHT_FIVE, SILVER, WITNESS, *(rand_rect(rng, i) for i in range(60))]
+    mixed = 0
     for r in rects:
         denominators.clear()
         d = decompose(r, rng.randint(1, 30))
         assert telescope(F_, d) == PROD.value(r) == telescope(PROD, d)
-    assert len(denominators) > 1
+        mixed += len(denominators) > 1
+    assert mixed > 30
