@@ -25,7 +25,8 @@ and packing axis determine every square, so `decompose` costs O(steps)
 whatever the packing counts, and so does `telescope`: the squares of a step
 fill one rectangle, its row, read off the frame (`Decomposition.rows`), and
 F is additive, so they sum to F of the row.  A point function's integer
-`rect_kernel` takes the row's numerators as they are, and the rows add up
+`rect_kernel` takes the row's numerators as they are, any other point
+function's `value` is read at the row's four corners, and the rows add up
 as integers over one denominator, normalised once: one gcd for the whole
 sum instead of one per row (Knuth, TAOCP vol. 2, 4.5.1).  Only
 `Step.squares` (and `Decomposition.all_squares`) builds every edge, by
@@ -43,7 +44,7 @@ from typing import Optional
 
 from .geometry import Rect
 from .numeric import (
-    _HASH_MODULUS, QNum, ZERO, _floor, _hash_over, _sign2, dyadic, from_numerators, numerators,
+    _HASH_MODULUS, QNum, _floor, _hash_over, _sign2, dyadic, from_numerators, numerators,
 )
 from .rectfn import PointFunction, RectFunction
 
@@ -79,7 +80,8 @@ class Step(namedtuple("Step", "x y side count along_x")):
     @property
     def hi(self) -> QNum:
         """The far side of the row, lo + side, built once per step so that
-        every square and every point function reading it shares one object."""
+        every square and `telescope`'s corners share one object, whose cached
+        hash every `Table` lookup reuses."""
         hi = self._hi
         if hi is None:
             hi = self._hi = self.lo + self.side
@@ -299,28 +301,34 @@ def telescope(F: RectFunction, d: Decomposition) -> QNum:
 
     Each step's squares fill one rectangle, its row (`Decomposition.rows`),
     and F is additive, so they sum to F of the row: the cost is O(steps)
-    whatever the packing counts and no square is built.  A point function
-    with its own integer `rect_kernel` gets each row's numerators straight,
-    and the rows are summed as integers over one denominator, normalised
-    once (a row over another denominator is cross-multiplied in); any other
-    is summed row by row by `F.row_sum`.  For corner-difference F the sum
-    equals F(original) exactly: shared-edge corner terms cancel in pairs
-    across the tiling.
+    whatever the packing counts and no square is built.  Each row gives
+    integer numerators (a, b, e) of F of the row: a point function with its
+    own integer `rect_kernel` gets the row's numerators straight, and any
+    other is evaluated by `value` at the row's corners, made of the step's
+    own x, y and `hi` and of its far edge, one QNum built from the row's
+    numerators, so a `Table` looks up keys whose hashes are cached.  The
+    rows are summed as integers over the lcm of their denominators,
+    normalised once.  For corner-difference F the sum equals F(original)
+    exactly: shared-edge corner terms cancel in pairs across the tiling.
     """
     f = F.point_fn
-    if type(f).rect_kernel is PointFunction.rect_kernel:
-        total = ZERO
-        for step, row in zip(d.steps, d.rows()):
-            total = total + F.row_sum(step, row)
-    else:
-        A, B, D = 0, 0, 1
-        for row in d.rows():
+    own_kernel = type(f).rect_kernel is not PointFunction.rect_kernel
+    A, B, D = 0, 0, 1
+    for s, row in zip(d.steps, d.rows()):
+        if own_kernel:
             a, b, e = f.rect_kernel(*row)
-            if e == D:
-                A, B = A + a, B + b
+        else:
+            As, Bs, L = row
+            if s.along_x:
+                a, b, e = f._value_difference(s.x, from_numerators(As[1], Bs[1], L), s.y, s.hi)
             else:
-                A, B, D = A * e + a * D, B * e + b * D, D * e
-        total = from_numerators(A, B, D)
+                a, b, e = f._value_difference(s.x, s.hi, s.y, from_numerators(As[3], Bs[3], L))
+        if e == D:
+            A, B = A + a, B + b
+        else:
+            g = math.gcd(D, e)
+            A, B, D = A * (e // g) + a * (D // g), B * (e // g) + b * (D // g), D // g * e
+    total = from_numerators(A, B, D)
     if d.remainder is not None:
         total = total + F.value(d.remainder)
     return total

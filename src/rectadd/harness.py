@@ -17,7 +17,9 @@ from typing import Optional
 
 from .decompose import Decomposition, decompose, telescope, verify_halving
 from .geometry import DyadicSquare, Rect, dyadic_inner_cover_rect, parse_rect
-from .numeric import ONE, QNum, SQRT2, ZERO, _floor, dyadic, from_numerators, numerators, parse_qnum, qnum
+from .numeric import (
+    ONE, QNum, SQRT2, ZERO, _SQRT2_FLOAT, _floor, dyadic, from_numerators, numerators, parse_qnum, qnum,
+)
 from .rectfn import (
     PointFunction,
     RectFunction,
@@ -604,7 +606,6 @@ def cmd_proptest(*, suite: str, cases: int = 200, seed: int = 1) -> Report:
 # SVG rendering
 
 _SVG_HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
-_SQRT2_FLOAT = float(SQRT2)
 # A coordinate (A + B*sqrt2)/D in width units is drawn as the float sum
 # A/D + (B/D)*sqrt2 while its terms stay below 2^20 units: the sum is then
 # within 2^-30 units of the value, far below the 10^-3 px written.  Deep

@@ -33,8 +33,6 @@ __all__ = [
 _SQRT2_FLOAT = math.sqrt(2.0)
 _HASH_MODULUS = sys.hash_info.modulus
 
-QLike = "QNum | Fraction | int"
-
 
 def _sign2(a: int, b: int) -> int:
     """Exact sign of a + b*sqrt(2) for integers a, b.

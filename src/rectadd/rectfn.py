@@ -12,23 +12,18 @@ does not propagate to all rectangles.
 
 Each point function has one integer kernel, `PointFunction.rect_kernel`: F
 of a rectangle from the numerators of its four coordinates over one
-denominator.  The squares of a decomposition step fill one rectangle, so
-`telescope` sums them with one kernel call on the row's numerators, and
-`RectFunction.row_sum` with one `value` per corner of the row for a point
-function without a kernel of its own.
+denominator, and the default kernel evaluates `value` at the four corners,
+so a subclass that defines only `value` gets a kernel too.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import Mapping, Optional
 
 from .geometry import Axis, Rect, split
 from .numeric import ONE, QNum, SQRT2, ZERO, dyadic, from_numerators, numerators, parse_qnum, qnum
-
-if TYPE_CHECKING:
-    from .decompose import Step
 
 __all__ = [
     "PointFunction",
@@ -193,25 +188,6 @@ class RectFunction(namedtuple("RectFunction", "point_fn")):
         f = self.point_fn.value
         x1, x2, y1, y2 = r
         return f(x2, y2) + f(x1, y1) - f(x1, y2) - f(x2, y1)
-
-    def row_sum(self, step: Step, row: tuple[list[int], list[int], int]) -> QNum:
-        """Sum of F over the packed squares of a decomposition step, by
-        `value`; `row` is the rectangle they fill, as
-        `Decomposition.rows` gives it.
-
-        F is additive, so the squares sum to F of the row, and the sum
-        costs O(1) whatever the count: `value` at the row's corners, made of
-        the step's own x, y and `hi` and of its far edge, one QNum built
-        from the row's numerators, so a `Table` looks up keys whose hashes
-        are cached.  `telescope` calls it for a point function without an
-        integer `rect_kernel` of its own.
-        """
-        As, Bs, L = row
-        if step.along_x:
-            corners = step.x, from_numerators(As[1], Bs[1], L), step.y, step.hi
-        else:
-            corners = step.x, step.hi, step.y, from_numerators(As[3], Bs[3], L)
-        return from_numerators(*self.point_fn._value_difference(*corners))
 
 
 def corner_difference(f: PointFunction) -> RectFunction:

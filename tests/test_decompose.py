@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -448,11 +449,12 @@ def test_squares_share_the_step_edges():
             previous = along[1]
 
 
-def test_row_sum_looks_up_the_row_corners_only():
+def test_telescope_looks_up_the_row_corners_only():
     # a point function without an integer kernel is evaluated at the first
-    # and far edges crossed with lo and hi: 4 lookups a step, whatever the count
+    # and far edges crossed with lo and hi: 4 lookups a step, whatever the
+    # count, and the remainder's 4 corners
     d = decompose(Rect(QNum(F(1, 3)), QNum(F(1, 3), F(1, 2)), QNum(F(-7, 4)), QNum(40)), 6)
-    assert max(d.counts) > 50
+    assert max(d.counts) > 50 and d.remainder is not None
     seen = []
 
     class Recording(Table):
@@ -461,20 +463,53 @@ def test_row_sum_looks_up_the_row_corners_only():
             return super().value(x, y)
 
     rng = random.Random(461)
-    for step, coords in zip(d.steps, d.rows()):
-        squares = step.squares
-        corners = {p: QNum(F(rng.randint(-99, 99), rng.randint(1, 9))) for sq in squares for p in sq.corners()}
-        Ft = corner_difference(Recording(corners))
-        seen.clear()
-        row = Ft.row_sum(step, coords)
+    tiles = d.all_squares() + [d.remainder]
+    corners = {p: QNum(F(rng.randint(-99, 99), rng.randint(1, 9))) for sq in tiles for p in sq.corners()}
+    Ft = corner_difference(Recording(corners))
+    total = telescope(Ft, d)
+    looked_up = list(seen)
+    assert len(looked_up) == 4 * len(d.steps) + 4
+    for i, step in enumerate(d.steps):
         e = step.edges()
         if step.along_x:
             ends = {(x, y) for x in (e[0], e[-1]) for y in (step.lo, step.hi)}
         else:
             ends = {(x, y) for x in (step.lo, step.hi) for y in (e[0], e[-1])}
-        assert len(seen) == 4 and set(seen) == ends
-        seen.clear()
-        assert row == sum((Ft.value(sq) for sq in squares), ZERO)
+        assert set(looked_up[4 * i : 4 * i + 4]) == ends
+    assert set(looked_up[-4:]) == set(d.remainder.corners())
+    assert total == sum((Ft.value(sq) for sq in tiles), ZERO)
+
+
+def test_telescope_of_a_table_builds_one_qnum_a_step_over_the_values_lcm(monkeypatch):
+    # the value path reads each row's corners from the step's own QNums and
+    # one far edge, and the rows add up as integers over the lcm of their
+    # denominators: one QNum a step, one for the rows' sum, plus the
+    # remainder's value and its addition to the rows' sum
+    d = decompose(Rect(QNum(F(1, 3)), QNum(F(1, 3), F(1, 2)), QNum(F(-7, 4)), QNum(40)), 6)
+    assert d.remainder is not None
+    tiles = d.all_squares() + [d.remainder]  # builds and memoises every `Step.hi`
+    rng = random.Random(479)
+    corners = {p: QNum(F(rng.randint(-99, 99), rng.randint(1, 9))) for sq in tiles for p in sq.corners()}
+    Ft = corner_difference(Table(corners))
+    built = count_builds(monkeypatch)
+    Ft.value(d.remainder)
+    remainder_builds = len(built)
+    built.clear()
+    total = telescope(Ft, d)
+    assert len(built) == len(d.steps) + 1 + remainder_builds + 1
+    monkeypatch.undo()
+    assert total == sum((Ft.value(sq) for sq in tiles), ZERO)
+    # the denominator of the rows' sum divides the lcm of the values'
+    handed = []
+
+    def recording(A, B, D):
+        handed.append(D)
+        return from_numerators(A, B, D)
+
+    monkeypatch.setattr(sys.modules["rectadd.decompose"], "from_numerators", recording)
+    telescope(Ft, d)
+    assert len(handed) == len(d.steps) + 1
+    assert math.lcm(*[v._D for v in corners.values()]) % handed[-1] == 0
 
 
 def test_squares_are_valid_rects_built_unchecked():

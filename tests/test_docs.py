@@ -1,7 +1,9 @@
-"""The README's API names: every backticked `head.attr` whose head is a
-rectadd module or a name the package exports must resolve by getattr, so a
-rename cannot leave a stale name behind in the docs."""
+"""The API names in the README and in the package's docstrings: every
+backticked `head.attr` whose head is a rectadd module or a name the package
+exports must resolve by getattr, so a rename cannot leave a stale name
+behind in the docs."""
 
+import ast
 import fnmatch
 import importlib
 import pkgutil
@@ -10,7 +12,9 @@ from pathlib import Path
 
 import rectadd
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+SRC = ROOT / "src" / "rectadd"
 # inline code spans, once fenced blocks are cut out
 _FENCED = re.compile(r"^```.*?^```", re.S | re.M)
 _SPAN = re.compile(r"`([^`\n]+)`")
@@ -73,3 +77,27 @@ def test_readme_names_resolve():
     text = README.read_text(encoding="utf-8")
     assert len(_SPAN.findall(text)) > 100
     assert stale_names(text) == []
+
+
+def docstrings(source: str) -> list[str]:
+    """The module, class and function docstrings of a Python source."""
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    nodes = [n for n in ast.walk(ast.parse(source)) if isinstance(n, kinds)]
+    return [doc for doc in map(ast.get_docstring, nodes) if doc]
+
+
+def test_docstrings_are_collected_from_every_level():
+    source = (
+        '"""module `Step.gone`"""\n'
+        'class C:\n    """class"""\n    def m(self):\n        """method"""\n'
+        'def f():\n    """function"""\n    x = "no docstring"\n'
+    )
+    assert docstrings(source) == ["module `Step.gone`", "class", "function", "method"]
+    assert stale_names(docstrings(source)[0]) == ["Step.gone"]
+
+
+def test_docstring_names_resolve():
+    docs = {p.name: docstrings(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert sum(map(len, docs.values())) > 50
+    stale = {name: [n for doc in found for n in stale_names(doc)] for name, found in docs.items()}
+    assert {name: names for name, names in stale.items() if names} == {}

@@ -1,0 +1,46 @@
+"""The package's import graph is strictly layered: a module imports only
+modules below it in LAYERS, type-checking imports included, so no layer
+knows of the ones that build on it."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "rectadd"
+LAYERS = ("numeric", "geometry", "rectfn", "decompose", "suites", "harness", "cli")
+# the package's re-exports and its `python -m` entry point sit above every layer
+EXEMPT = ("__init__", "__main__")
+
+
+def relative_imports(source: str) -> set[str]:
+    """The package modules a source imports by relative import, wherever the
+    import statement stands."""
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                imported.add(node.module.split(".")[0])
+            else:
+                imported.update(a.name for a in node.names)
+    return imported
+
+
+def test_checker_sees_every_relative_import():
+    source = (
+        "import math\nfrom typing import TYPE_CHECKING\nfrom . import harness, suites\n"
+        "from .numeric import QNum\nif TYPE_CHECKING:\n    from .decompose import Step\n"
+        "def f():\n    from .cli import main\n"
+    )
+    assert relative_imports(source) == {"harness", "suites", "numeric", "decompose", "cli"}
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in SRC.glob("*.py")} - set(EXEMPT) == set(LAYERS)
+
+
+def test_relative_imports_go_down_the_layers():
+    upward = []
+    for i, name in enumerate(LAYERS):
+        for imported in relative_imports((SRC / f"{name}.py").read_text(encoding="utf-8")):
+            if LAYERS.index(imported) >= i:
+                upward.append(f"{name} -> {imported}")
+    assert upward == []
