@@ -15,24 +15,27 @@ numerators over one denominator L, that of the rectangle's coordinates, and
 `decompose` runs on those integers: each count is one exact floor, and only
 a step's side and moved corner are built as QNums.  `greedy_step` is one
 step of `decompose`.  `decompose` keeps the integers as the decomposition's
-frame (`Decomposition.frame`): the longer side, then each step's corner and
-side over L.  `verify_halving` compares the side trace, `cmd_decompose`
-sums the tiling and `telescope` reads each step's row on the frame, not on
-numerators derived again from the normalised QNums.
+frame (`Decomposition.frame`): the original's coordinates, the remainder's
+lower-left corner, then each step's corner and side over L.
+`verify_halving` compares the side trace, `cmd_decompose` sums the tiling
+and draws the figure, and `telescope` reads each step's row and the
+remainder's on the frame, not on numerators derived again from the
+normalised QNums.
 
 A step is described, not materialised: its lower-left corner, side, count
 and packing axis determine every square, so `decompose` costs O(steps)
 whatever the packing counts, and so does `telescope`: the squares of a step
 fill one rectangle, its row, read off the frame (`Decomposition.rows`), and
-F is additive, so they sum to F of the row.  A point function's integer
-`rect_kernel` takes the row's numerators as they are, any other point
-function's `value` is read at the row's four corners, and the rows add up
-as integers over one denominator, normalised once: one gcd for the whole
-sum instead of one per row (Knuth, TAOCP vol. 2, 4.5.1).  Only
-`Step.squares` (and `Decomposition.all_squares`) builds every edge, by
-`Step.edges`: one integer addition per edge, each hashed from one modular
-inverse of L; it checks once per step that the side is positive and then
-builds each square as a plain tuple.
+F is additive, so they sum to F of the row; the remainder, when there is
+one, is one more row.  A point function's integer `rect_kernel` takes the
+row's numerators as they are, any other point function's `value` is read
+at the row's four corners, QNums the decomposition already holds, and the
+rows add up as integers over one denominator, normalised once: one gcd and
+one QNum for the whole sum instead of one per row (Knuth, TAOCP vol. 2,
+4.5.1).  Only `Step.squares` (and `Decomposition.all_squares`) builds every
+edge, by `Step.edges`: one integer addition per edge, each hashed from one
+modular inverse of L; it checks once per step that the side is positive and
+then builds each square as a plain tuple.
 """
 
 from __future__ import annotations
@@ -135,14 +138,18 @@ class Decomposition(namedtuple("Decomposition", "original steps remainder")):
     @property
     def frame(self) -> tuple[list[int], list[int], int]:
         """The decomposition's integers over one denominator L, as
-        `numerators` gives them: the longer side of the original rectangle,
-        then each step's x, y and side, value k == (As[k] + Bs[k]*sqrt2)/L.
-        So `sides` is As[::3], Bs[::3], and step i's corner and side are
-        As[3i+1 : 3i+4].  `decompose` keeps the integers its loop computes;
-        a hand-built decomposition derives them with one `numerators` call."""
+        `numerators` gives them, value k == (As[k] + Bs[k]*sqrt2)/L: the
+        original's x1, x2, y1, y2, then the remainder's lower-left corner
+        (the original's own when `terminated`), then each step's x, y and
+        side.  So step i's corner and side are As[3i+6 : 3i+9], and the
+        step sides of `sides` are As[8::3], Bs[8::3].  `decompose` keeps the
+        integers its loop computes; a hand-built decomposition derives them
+        with one `numerators` call."""
         frame = self._frame
         if frame is None:
-            values = [self.sides[0]]
+            r = self.original
+            rem = r if self.remainder is None else self.remainder
+            values = [*r, rem.x1, rem.y1]
             for s in self.steps:
                 values += (s.x, s.y, s.side)
             frame = self._frame = numerators(values)
@@ -151,16 +158,19 @@ class Decomposition(namedtuple("Decomposition", "original steps remainder")):
     def rows(self) -> list[tuple[list[int], list[int], int]]:
         """The rectangle each step's squares fill, oriented by the step, read
         off the frame: `count` sides long along the packing axis and one side
-        across it, as lists As, Bs and the frame's L in `numerators` order,
-        x1, x2, y1, y2 == (As[k] + Bs[k]*sqrt2)/L, so that
-        `f.rect_kernel(*row)` is F of the row."""
+        across it, then the remainder when there is one, as lists As, Bs and
+        the frame's L in `numerators` order, x1, x2, y1, y2 ==
+        (As[k] + Bs[k]*sqrt2)/L, so that `f.rect_kernel(*row)` is F of the
+        row."""
         As, Bs, L = self.frame
         rows = []
         for s, xa, ya, sa, xb, yb, sb in zip(
-            self.steps, As[1::3], As[2::3], As[3::3], Bs[1::3], Bs[2::3], Bs[3::3]
+            self.steps, As[6::3], As[7::3], As[8::3], Bs[6::3], Bs[7::3], Bs[8::3]
         ):
             w, h = (s.count, 1) if s.along_x else (1, s.count)
             rows.append(([xa, xa + w * sa, ya, ya + h * sa], [xb, xb + w * sb, yb, yb + h * sb], L))
+        if self.remainder is not None:
+            rows.append(([As[4], As[1], As[5], As[3]], [Bs[4], Bs[1], Bs[5], Bs[3]], L))
         return rows
 
     @property
@@ -222,7 +232,8 @@ def decompose(r: Rect, max_steps: int) -> Decomposition:
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     # a coordinate or side (A + B*sqrt2)/L is kept as its pair A, B
-    (xa, x2a, ya, y2a), (xb, x2b, yb, y2b), L = numerators(r)
+    As, Bs, L = numerators(r)
+    (xa, x2a, ya, y2a), (xb, x2b, yb, y2b) = As, Bs
     wa, wb, ha, hb = x2a - xa, x2b - xb, y2a - ya, y2b - yb
     along_x = _sign2(wa - ha, wb - hb) >= 0
     # the longer side p = pa + pb*sqrt2 and the shorter s, with their norms
@@ -230,8 +241,10 @@ def decompose(r: Rect, max_steps: int) -> Decomposition:
     pn, sn = pa * pa - 2 * pb * pb, sa * sa - 2 * sb * sb
     x, x2, y, y2 = r
     steps: list[Step] = []
-    # the frame: the longer side, then each step's x, y and side
-    As, Bs = [pa], [pb]
+    # the frame: r's coordinates, the remainder's corner (r's own until a
+    # truncation moves it), then each step's x, y and side
+    As += (xa, ya)
+    Bs += (xb, yb)
     while True:
         qa, qb = pa * sa - 2 * pb * sb, pb * sa - pa * sb  # p * conj(s)
         count = _floor(qa, qb, sn) if sn > 0 else _floor(-qa, -qb, -sn)
@@ -250,6 +263,7 @@ def decompose(r: Rect, max_steps: int) -> Decomposition:
             y = from_numerators(ya, yb, L)
         if len(steps) == max_steps:
             d = Decomposition(original=r, steps=tuple(steps), remainder=Rect(x, x2, y, y2))
+            As[4:6], Bs[4:6] = (xa, ya), (xb, yb)
             break
         pa, pb, pn, sa, sb, sn = sa, sb, sn, ta, tb, pn - 2 * count * qa + count * count * sn
         along_x = not along_x
@@ -277,14 +291,17 @@ def verify_halving(d: Decomposition) -> HalvingCertificate:
     for every n, by exact comparisons.
 
     The sides are compared as integer numerators over the frame's L
-    (`Decomposition.frame`): sides[n] - sides[n+1] >= 0 and
+    (`Decomposition.frame`), the longer side as the difference of the
+    original's coordinates along the first step's packing axis:
+    sides[n] - sides[n+1] >= 0 and
     sides[n] - 2*sides[n+2] >= 0, each one `_sign2`.  The certificate names
     the first comparison that fails, or none, and its field values are
     built only for a failure; traces shorter than 3 make the halving part
     vacuous.
     """
     As, Bs, _ = d.frame
-    As, Bs = As[::3], Bs[::3]
+    i = 0 if d.steps[0].along_x else 2
+    As, Bs = [As[i + 1] - As[i], *As[8::3]], [Bs[i + 1] - Bs[i], *Bs[8::3]]
     for n in range(len(As) - 1):
         if _sign2(As[n] - As[n + 1], Bs[n] - Bs[n + 1]) < 0:
             sides = d.sides
@@ -301,37 +318,40 @@ def telescope(F: RectFunction, d: Decomposition) -> QNum:
 
     Each step's squares fill one rectangle, its row (`Decomposition.rows`),
     and F is additive, so they sum to F of the row: the cost is O(steps)
-    whatever the packing counts and no square is built.  Each row gives
-    integer numerators (a, b, e) of F of the row: a point function with its
-    own integer `rect_kernel` gets the row's numerators straight, and any
-    other is evaluated by `value` at the row's corners, made of the step's
-    own x, y and `hi` and of its far edge, one QNum built from the row's
-    numerators, so a `Table` looks up keys whose hashes are cached.  The
-    rows are summed as integers over the lcm of their denominators,
-    normalised once.  For corner-difference F the sum equals F(original)
+    whatever the packing counts and no square is built.  The remainder is
+    one more row.  Each row gives integer numerators (a, b, e) of F of the
+    row: a point function with its own integer `rect_kernel` gets the row's
+    numerators straight, and any other is evaluated by `value` at the row's
+    corners, QNums the decomposition holds: a step's own x, y and `hi`, and
+    its far edge, the next step's corner, the remainder's, or the original's
+    far corner when the last packing was exact; so no QNum is built per row
+    and a `Table` looks up keys whose hashes are cached.  The rows are summed
+    as integers over the lcm of their denominators and normalised once, the
+    one QNum built.  For corner-difference F the sum equals F(original)
     exactly: shared-edge corner terms cancel in pairs across the tiling.
     """
     f = F.point_fn
-    own_kernel = type(f).rect_kernel is not PointFunction.rect_kernel
+    if type(f).rect_kernel is not PointFunction.rect_kernel:
+        parts = [f.rect_kernel(*row) for row in d.rows()]
+    else:
+        r, rem = d.original, d.remainder
+        # a step's far edge is where the next step, or the remainder, starts
+        ends = [(s.x, s.y) for s in d.steps[1:]]
+        ends.append((r.x2, r.y2) if rem is None else (rem.x1, rem.y1))
+        rows = [
+            (s.x, x2, s.y, s.hi) if s.along_x else (s.x, s.hi, s.y, y2) for s, (x2, y2) in zip(d.steps, ends)
+        ]
+        if rem is not None:
+            rows.append(rem)
+        parts = [f._value_difference(*row) for row in rows]
     A, B, D = 0, 0, 1
-    for s, row in zip(d.steps, d.rows()):
-        if own_kernel:
-            a, b, e = f.rect_kernel(*row)
-        else:
-            As, Bs, L = row
-            if s.along_x:
-                a, b, e = f._value_difference(s.x, from_numerators(As[1], Bs[1], L), s.y, s.hi)
-            else:
-                a, b, e = f._value_difference(s.x, s.hi, s.y, from_numerators(As[3], Bs[3], L))
+    for a, b, e in parts:
         if e == D:
             A, B = A + a, B + b
         else:
             g = math.gcd(D, e)
             A, B, D = A * (e // g) + a * (D // g), B * (e // g) + b * (D // g), D // g * e
-    total = from_numerators(A, B, D)
-    if d.remainder is not None:
-        total = total + F.value(d.remainder)
-    return total
+    return from_numerators(A, B, D)
 
 
 def continued_fraction_counts(r: Rect, max_terms: int) -> list[int]:

@@ -18,7 +18,7 @@ from typing import Optional
 from .decompose import Decomposition, decompose, telescope, verify_halving
 from .geometry import DyadicSquare, Rect, dyadic_inner_cover_rect, parse_rect
 from .numeric import (
-    ONE, QNum, SQRT2, ZERO, _SQRT2_FLOAT, _floor, dyadic, from_numerators, numerators, parse_qnum, qnum,
+    ONE, QNum, SQRT2, ZERO, _SQRT2_FLOAT, _floor, dyadic, from_numerators, parse_qnum, qnum,
 )
 from .rectfn import (
     PointFunction,
@@ -275,8 +275,9 @@ def cmd_decompose(
     """Run the greedy decomposition and certify tiling, halving, and
     telescoping exactly; optionally render the figure to SVG.
 
-    The tiling claim, the halving check and telescoping read the
-    decomposition's integer frame (`Decomposition.frame`) and cost
+    The tiling claim, the halving check, telescoping and the SVG read the
+    decomposition's integer frame (`Decomposition.frame`), so the run makes
+    one `numerators` call, the decomposition's own; all but the SVG cost
     O(steps).  The SVG visits every packed square, so more than MAX_TILES
     squares are refused with a ValueError before any square is enumerated,
     with or without an SVG so that the exit code does not depend on it; more
@@ -296,14 +297,13 @@ def cmd_decompose(
     # count * side^2 summed on the sides' numerators over the frame's L: a
     # side (a + b*sqrt2)/L squares to (a^2 + 2b^2 + 2ab*sqrt2)/L^2
     As, Bs, L = d.frame
-    As, Bs = As[3::3], Bs[3::3]
-    tiled = from_numerators(
-        sum(s.count * (a * a + 2 * b * b) for s, a, b in zip(d.steps, As, Bs)),
-        sum(s.count * 2 * a * b for s, a, b in zip(d.steps, As, Bs)),
-        L * L,
-    )
+    A = sum(s.count * (a * a + 2 * b * b) for s, a, b in zip(d.steps, As[8::3], Bs[8::3]))
+    B = sum(s.count * 2 * a * b for s, a, b in zip(d.steps, As[8::3], Bs[8::3]))
     if d.remainder is not None:
-        tiled = tiled + d.remainder.area()
+        # the remainder's area (x2 - rx)*(y2 - ry), its corner rx, ry over L
+        wa, wb, ha, hb = As[1] - As[4], Bs[1] - Bs[4], As[3] - As[5], Bs[3] - Bs[5]
+        A, B = A + wa * ha + 2 * wb * hb, B + wa * hb + wb * ha
+    tiled = from_numerators(A, B, L * L)
     findings.append(
         Finding(
             claim=f"{d.total_squares} squares in {len(d.steps)} steps "
@@ -635,14 +635,12 @@ def write_decomposition_svg(d: Decomposition, path: str) -> int:
     proportional to the smallest packed square so deep traces stay legible.
     Returns the number of square elements written.
     """
-    r = d.original
-    rem = r if d.remainder is None else d.remainder
     # Every coordinate is drawn in units of the width, so huge or tiny rectangles
-    # give floats in range: one `numerators` call puts the figure's values over
-    # one L, and (A + B*sqrt2)/L over the width (wa + wb*sqrt2)/L is the integer
-    # pair (A*wa - 2*B*wb, B*wa - A*wb) over the width's norm N = wa^2 - 2*wb^2.
-    step_values = [v for s in d.steps for v in (s.x, s.y, s.side)]
-    As, Bs, _ = numerators([*r, rem.x1, rem.y1, *step_values])
+    # give floats in range: the decomposition's frame holds the figure's values
+    # over one L, and (A + B*sqrt2)/L over the width (wa + wb*sqrt2)/L is the
+    # integer pair (A*wa - 2*B*wb, B*wa - A*wb) over the width's norm
+    # N = wa^2 - 2*wb^2.
+    As, Bs, _ = d.frame
     wa, wb = As[1] - As[0], Bs[1] - Bs[0]
     N = wa * wa - 2 * wb * wb
     if N < 0:

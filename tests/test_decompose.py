@@ -165,7 +165,19 @@ def test_verify_halving_names_the_first_failing_comparison(monkeypatch):
     assert not verify_halving(d).ok
     assert len(calls) == 1
     monkeypatch.undo()
-    assert d.frame == ([4, 0, 0, 3, 0, 0, 3, 0, 0, 2], [0] * 10, 1)
+    # x1, x2, y1, y2, the original's own corner in the remainder's place,
+    # then each step's x, y and side
+    assert d.frame == ([0, 4, 0, 3, 0, 0, 0, 0, 3, 0, 0, 3, 0, 0, 2], [0] * 15, 1)
+    # packed along y first, the longer side is the original's height
+    tall = Decomposition(
+        Rect(ZERO, QNum(3), ZERO, QNum(4)),
+        tuple(Step(ZERO, ZERO, QNum(s), 1, along_x=False) for s in (3, 3, 2)),
+        remainder=None,
+    )
+    assert tall.sides == (4, 3, 3, 2)
+    assert verify_halving(tall).failure == HalvingCheck(0, "halving", QNum(3), QNum(2))
+    assert verify_halving(Decomposition(tall.original, tall.steps[:2], None)).failure is not None
+    assert verify_halving(Decomposition(tall.original, tall.steps[:1], None)).ok
     # monotone fails at 5 > 3 (index 2); halving fails earlier in index,
     # at 3 > 4/2, but every monotone comparison is checked first
     cert = verify_halving(_trace(4, 3, 3, 5))
@@ -385,10 +397,9 @@ def test_telescope_field_operations_grow_with_steps(monkeypatch, r, max_steps):
     for F_ in (CE, PROD, table):
         calls = count_field_calls(monkeypatch, "__add__", "__sub__", "__mul__")
         total = telescope(F_, d)
-        # the running total, one per step, and for the remainder its four
-        # corner values, three differences and the total: no field
-        # operation per square
-        assert len(calls) <= len(d.steps) + 8
+        # every row, the remainder's among them, joins an integer sum: no
+        # field operation per square, per step or for the remainder
+        assert calls == []
         monkeypatch.undo()
         assert total == F_.value(r)
 
@@ -405,6 +416,7 @@ def test_telescope_field_operations_grow_with_steps(monkeypatch, r, max_steps):
 def test_telescope_cost_does_not_grow_with_the_packing_count(monkeypatch, r, max_steps):
     d = decompose(r, max_steps)
     assert d.total_squares >= 100_000 and len(d.steps) <= 4
+    assert d.terminated == (max_steps == 5)
     widths = []
 
     class RecordingProduct(type(PRODUCT)):
@@ -429,7 +441,8 @@ def test_telescope_cost_does_not_grow_with_the_packing_count(monkeypatch, r, max
     monkeypatch.setattr(Step, "squares", property(refuse))
     for F_ in (PROD, CE, table, corner_difference(RecordingProduct())):
         assert telescope(F_, d) == F_.value(r)
-    assert widths == [(4, 4)] * len(d.steps)
+    # one kernel call a step, and one for the remainder's row
+    assert widths == [(4, 4)] * (len(d.steps) + (d.remainder is not None))
 
 
 def test_squares_share_the_step_edges():
@@ -480,36 +493,36 @@ def test_telescope_looks_up_the_row_corners_only():
     assert total == sum((Ft.value(sq) for sq in tiles), ZERO)
 
 
-def test_telescope_of_a_table_builds_one_qnum_a_step_over_the_values_lcm(monkeypatch):
-    # the value path reads each row's corners from the step's own QNums and
-    # one far edge, and the rows add up as integers over the lcm of their
-    # denominators: one QNum a step, one for the rows' sum, plus the
-    # remainder's value and its addition to the rows' sum
-    d = decompose(Rect(QNum(F(1, 3)), QNum(F(1, 3), F(1, 2)), QNum(F(-7, 4)), QNum(40)), 6)
-    assert d.remainder is not None
-    tiles = d.all_squares() + [d.remainder]  # builds and memoises every `Step.hi`
+def test_telescope_of_a_table_builds_one_qnum_over_the_values_lcm(monkeypatch):
+    # the value path reads each row's corners, the remainder's among them,
+    # from QNums the decomposition holds, and the rows add up as integers
+    # over the lcm of their denominators: one QNum for the whole telescope
+    truncated = decompose(Rect(QNum(F(1, 3)), QNum(F(1, 3), F(1, 2)), QNum(F(-7, 4)), QNum(40)), 6)
+    terminated = decompose(Rect(QNum(F(-5, 2)), QNum(334), QNum(F(1, 4)), QNum(F(7, 12))), 20)
+    assert truncated.remainder is not None and terminated.terminated
     rng = random.Random(479)
-    corners = {p: QNum(F(rng.randint(-99, 99), rng.randint(1, 9))) for sq in tiles for p in sq.corners()}
-    Ft = corner_difference(Table(corners))
-    built = count_builds(monkeypatch)
-    Ft.value(d.remainder)
-    remainder_builds = len(built)
-    built.clear()
-    total = telescope(Ft, d)
-    assert len(built) == len(d.steps) + 1 + remainder_builds + 1
-    monkeypatch.undo()
-    assert total == sum((Ft.value(sq) for sq in tiles), ZERO)
-    # the denominator of the rows' sum divides the lcm of the values'
-    handed = []
+    for d in (truncated, terminated):
+        tiles = d.all_squares() + ([d.remainder] if d.remainder is not None else [])
+        # building the squares memoises every `Step.hi`
+        corners = {p: QNum(F(rng.randint(-99, 99), rng.randint(1, 9))) for sq in tiles for p in sq.corners()}
+        Ft = corner_difference(Table(corners))
+        built = count_builds(monkeypatch)
+        total = telescope(Ft, d)
+        assert len(built) == 1
+        monkeypatch.undo()
+        assert total == sum((Ft.value(sq) for sq in tiles), ZERO) == Ft.value(d.original)
+        # the denominator of the rows' sum divides the lcm of the values'
+        handed = []
 
-    def recording(A, B, D):
-        handed.append(D)
-        return from_numerators(A, B, D)
+        def recording(A, B, D):
+            handed.append(D)
+            return from_numerators(A, B, D)
 
-    monkeypatch.setattr(sys.modules["rectadd.decompose"], "from_numerators", recording)
-    telescope(Ft, d)
-    assert len(handed) == len(d.steps) + 1
-    assert math.lcm(*[v._D for v in corners.values()]) % handed[-1] == 0
+        monkeypatch.setattr(sys.modules["rectadd.decompose"], "from_numerators", recording)
+        telescope(Ft, d)
+        monkeypatch.undo()
+        assert len(handed) == 1
+        assert math.lcm(*[v._D for v in corners.values()]) % handed[0] == 0
 
 
 def test_squares_are_valid_rects_built_unchecked():
@@ -647,18 +660,16 @@ def test_verify_halving_makes_no_field_comparison_or_product(monkeypatch):
 
 
 def test_telescope_of_a_kernel_takes_no_numerators_call_and_normalises_once(monkeypatch):
-    # the rows come off the frame `decompose` kept, and the integer kernels'
-    # rows add up over one denominator: one QNum for all of them, plus the
-    # remainder's value and its addition to the rows' sum
+    # the rows, the remainder's among them, come off the frame `decompose`
+    # kept, and the integer kernels' rows add up over one denominator: one
+    # QNum for all of them
     d = decompose(SILVER, 600)
+    assert d.remainder is not None
     for F_ in (PROD, CE):
         built = count_builds(monkeypatch)
-        F_.value(d.remainder)
-        remainder_builds = len(built)
-        built.clear()
         calls = count_calls(monkeypatch, numerators)
         total = telescope(F_, d)
-        assert calls == [] and len(built) == remainder_builds + 2
+        assert calls == [] and len(built) == 1
         monkeypatch.undo()
         assert total == F_.value(SILVER)
     # a terminated trace of 81 steps builds one QNum in all
@@ -679,7 +690,8 @@ def test_telescope_of_a_kernel_takes_no_numerators_call_and_normalises_once(monk
 
 def test_decompose_keeps_the_frame_a_fresh_decomposition_derives():
     # the integers the loop kept are the ones one `numerators` call over
-    # the longer side and every step's x, y and side gives
+    # the original's coordinates, the remainder's corner (the original's
+    # own when terminated) and every step's x, y and side gives
     rng = random.Random(467)
     along_y = truncated = 0
     for i in range(300):
@@ -688,12 +700,75 @@ def test_decompose_keeps_the_frame_a_fresh_decomposition_derives():
         assert fresh._frame is None
         assert d.frame == fresh.frame
         steps = [v for s in d.steps for v in (s.x, s.y, s.side)]
-        assert d.frame == numerators([d.sides[0], *steps])
+        rem = d.original if d.terminated else d.remainder
+        assert d.frame == numerators([*d.original, rem.x1, rem.y1, *steps])
         _, _, L = numerators(d.original)
         assert d.frame[2] == L
         along_y += not d.steps[0].along_x
         truncated += not d.terminated
     assert along_y > 50 and truncated > 50
+
+
+def _qnums(row):
+    As, Bs, L = row
+    return [from_numerators(a, b, L) for a, b in zip(As, Bs)]
+
+
+def test_rows_end_with_the_remainder_and_tile_the_rectangle():
+    # a step's row is the rectangle its squares fill, and a truncated
+    # decomposition's last row is its remainder: the rows' areas sum to
+    # the original's, as integer kernels over the frame
+    rng = random.Random(487)
+    seen = set()
+    for i in range(300):
+        r = rand_rect(rng, i)
+        for r in (r, _transpose(r)):
+            d = decompose(r, rng.randint(1, 30))
+            rows = d.rows()
+            assert len(rows) == len(d.steps) + (not d.terminated)
+            if not d.terminated:
+                assert _qnums(rows[-1]) == list(d.remainder)
+            for s, row in zip(d.steps, rows):
+                x1, x2, y1, y2 = _qnums(row)
+                assert (x1, y1) == (s.x, s.y) and (x2 - x1, y2 - y1)[not s.along_x] == s.count * s.side
+            area = sum((from_numerators(*PRODUCT.rect_kernel(*row)) for row in rows), ZERO)
+            assert area == r.area()
+            seen.add((d.steps[0].along_x, d.terminated))
+    assert seen == {(a, t) for a in (True, False) for t in (True, False)}
+
+
+def test_telescope_values_the_corners_the_decomposition_holds():
+    # on the value path every coordinate looked up is one of the original's,
+    # the remainder's or a step's own x, y and `hi`, and each row's four
+    # lookups are the corners of its row on the frame
+    rng = random.Random(491)
+    seen = set()
+    for i in range(200):
+        r = rand_rect(rng, i)
+        for r in (r, _transpose(r)):
+            d = decompose(r, rng.randint(1, 20))
+            tiles = d.all_squares() + ([d.remainder] if d.remainder is not None else [])
+            looked_up = []
+
+            class Recording(Table):
+                def value(self, x, y):
+                    looked_up.append((x, y))
+                    return super().value(x, y)
+
+            table = rand_table_function(rng, _rect_corner_points(tiles))
+            Ft = corner_difference(Recording(table.point_fn._entries))
+            assert telescope(Ft, d) == table.value(r)
+            held = [*r, *(d.remainder or ())]
+            held += [v for s in d.steps for v in (s.x, s.y, s.hi)]
+            held = {id(v) for v in held}
+            assert all(id(x) in held and id(y) in held for x, y in looked_up)
+            rows = d.rows()
+            assert len(looked_up) == 4 * len(rows)
+            for k, row in enumerate(rows):
+                x1, x2, y1, y2 = _qnums(row)
+                assert set(looked_up[4 * k : 4 * k + 4]) == {(x, y) for x in (x1, x2) for y in (y1, y2)}
+            seen.add((d.steps[0].along_x, d.terminated))
+    assert seen == {(a, t) for a in (True, False) for t in (True, False)}
 
 
 def _fifty_digit_rect(rng):

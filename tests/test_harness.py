@@ -401,14 +401,15 @@ def test_cmd_proptest_case_budget(capsys):
 
 def test_cmd_decompose_takes_a_constant_number_of_numerators_calls(tmp_path, monkeypatch):
     # the decomposition puts the rectangle over one denominator and keeps
-    # its integers; the tiling sum, the halving check and the telescope read
-    # them, and the SVG takes one call of its own
-    for svg, expected in ((None, 1), (str(tmp_path / "d.svg"), 2)):
-        calls = count_calls(monkeypatch, numerators)
-        rep = cmd_decompose(rect="[0,1+1*sqrt2]x[0,1]", max_steps=600, svg_path=svg)
-        monkeypatch.undo()
-        assert rep.exit_status == 0
-        assert len(calls) == expected
+    # its integers; the tiling sum, the halving check, the telescope and the
+    # SVG read them, with a remainder or without
+    for rect in ("[0,1+1*sqrt2]x[0,1]", "[-5/2,334]x[1/4,7/12]"):
+        for svg in (None, str(tmp_path / "d.svg")):
+            calls = count_calls(monkeypatch, numerators)
+            rep = cmd_decompose(rect=rect, max_steps=600, svg_path=svg)
+            monkeypatch.undo()
+            assert rep.exit_status == 0
+            assert len(calls) == 1
 
 
 def test_shrink_bound_value():
@@ -709,15 +710,16 @@ def test_cli_refuses_decomposition_over_tile_budget(tmp_path, capsys):
     ],
 )
 def test_svg_walk_makes_no_field_addition_per_square(tmp_path, monkeypatch, rect, max_steps):
-    # the figure is drawn on integer numerators from one `numerators` call:
-    # no field arithmetic and no QNum built, whatever the step count
+    # the figure is drawn on the integer numerators of the decomposition's
+    # frame: no field arithmetic, no QNum built and no `numerators` call,
+    # whatever the step count
     d = decompose(parse_rect(rect), max_steps)
     assert d.total_squares > 1000 or len(d.steps) == harness.MAX_STEPS
     ops = count_field_calls(monkeypatch, "__add__", "__sub__", "__mul__", "__truediv__")
     built = count_builds(monkeypatch)
     calls = count_calls(monkeypatch, numerators)
     assert write_decomposition_svg(d, str(tmp_path / "d.svg")) == d.total_squares
-    assert (len(ops), len(built), len(calls)) == (0, 0, 1)
+    assert (len(ops), len(built), len(calls)) == (0, 0, 0)
 
 
 def test_cmd_decompose_step_budget(tmp_path, capsys):

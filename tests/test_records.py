@@ -127,7 +127,7 @@ def test_step_memos_leave_equality_and_hash_alone():
     # a decomposition's frame is a memo too, outside its three fields
     fresh = Decomposition(WIDE, (STEP,), None)
     used = Decomposition(WIDE, (STEP,), None)
-    assert used.frame == ([2, 0, 0, 1], [0, 0, 0, 0], 1) and len(used.rows()) == 1
+    assert used.frame == ([0, 2, 0, 1, 0, 0, 0, 0, 1], [0] * 9, 1) and len(used.rows()) == 1
     assert fresh._frame is None and used._frame is not None
     assert used == fresh and hash(used) == hash(fresh) and {used: 1} == {fresh: 1}
     assert repr(used) == repr(fresh) and tuple(used) == tuple(fresh) == (WIDE, (STEP,), None)
