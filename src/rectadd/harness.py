@@ -26,7 +26,6 @@ from .rectfn import (
     liminf_quotient_probe,
     named_rect_function,
 )
-from . import suites
 
 __all__ = [
     "Finding",
@@ -582,6 +581,8 @@ def cmd_proptest(*, suite: str, cases: int = 200, seed: int = 1) -> Report:
     itself takes any number."""
     if cases > MAX_CASES:
         raise ValueError(f"cases above {MAX_CASES} (the case budget of proptest)")
+    from . import suites  # on use: only proptest runs a suite
+
     result = suites.run_suite(suite, cases=cases, seed=seed)
     if result.violations:
         first = result.violations[0]

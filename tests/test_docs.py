@@ -11,6 +11,7 @@ import re
 from pathlib import Path
 
 import rectadd
+from rectadd import cli, suites
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -60,6 +61,17 @@ def stale_names(text: str) -> list[str]:
             if head in heads and not _resolves(heads[head], attrs, bool(star)):
                 stale.append(f"{head}{tail}{star}")
     return stale
+
+
+def test_heads_cover_every_package_export():
+    # the package imports its exports on first use, so only its `__dir__`
+    # shows them to `_heads`
+    assert set(rectadd.__all__) <= set(_heads())
+
+
+def test_suite_names_match_the_readme():
+    listed = re.search(r"^`proptest` suites: (.+?)\.\s", README.read_text(encoding="utf-8"), re.S | re.M)
+    assert cli.SUITE_NAMES == suites.SUITE_NAMES == tuple(re.findall(r"`(\w+)`", listed.group(1)))
 
 
 def test_checker_flags_only_stale_rectadd_names():
