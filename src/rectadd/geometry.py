@@ -8,12 +8,11 @@ transfer unchanged.
 
 from __future__ import annotations
 
-import math
 import re
 from collections import namedtuple
 from typing import Literal, Optional
 
-from .numeric import QNum, dyadic, parse_qnum, qnum
+from .numeric import QNum, _floor, dyadic, numerators, parse_qnum, qnum
 
 __all__ = [
     "Rect",
@@ -22,6 +21,7 @@ __all__ = [
     "split",
     "as_dyadic_square",
     "dyadic_inner_cover_span",
+    "coarser_cover_span",
     "dyadic_inner_cover_rect",
     "parse_rect",
 ]
@@ -161,15 +161,31 @@ def as_dyadic_square(r: Rect) -> Optional[DyadicSquare]:
 def dyadic_inner_cover_span(r: Rect, order: int) -> tuple[int, int, int, int]:
     """Index ranges (k_lo, k_hi, m_lo, m_hi) of the order-n mesh squares
     entirely contained in r: columns k_lo..k_hi-1, rows m_lo..m_hi-1.
-    Either range may be empty (hi <= lo)."""
+    Either range may be empty (hi <= lo).
+
+    The lows are ceilings and the highs floors of r's coordinates times
+    2^order, one exact floor each on r's `numerators` shifted by the order.
+    `coarser_cover_span` gets every lower order's span from this one by
+    shifts, with no further floor.
+    """
     if order < 0:
         raise ValueError("order must be >= 0")
-    scale = 1 << order
-    k_lo = math.ceil(r.x1 * scale)
-    k_hi = math.floor(r.x2 * scale)
-    m_lo = math.ceil(r.y1 * scale)
-    m_hi = math.floor(r.y2 * scale)
-    return k_lo, k_hi, m_lo, m_hi
+    (x1a, x2a, y1a, y2a), (x1b, x2b, y1b, y2b), L = numerators(r)
+    n = order
+    return (
+        -_floor(-x1a << n, -x1b << n, L),
+        _floor(x2a << n, x2b << n, L),
+        -_floor(-y1a << n, -y1b << n, L),
+        _floor(y2a << n, y2b << n, L),
+    )
+
+
+def coarser_cover_span(span: tuple[int, int, int, int], shift: int) -> tuple[int, int, int, int]:
+    """The order n - shift span of `dyadic_inner_cover_span` from its order-n
+    span: floor(floor(y)/2^s) == floor(y/2^s) and likewise for ceilings, so
+    each bound is its order-n bound shifted right, rounded the same way."""
+    k_lo, k_hi, m_lo, m_hi = span
+    return -(-k_lo >> shift), k_hi >> shift, -(-m_lo >> shift), m_hi >> shift
 
 
 def dyadic_inner_cover_rect(r: Rect, order: int) -> Optional[Rect]:

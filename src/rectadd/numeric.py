@@ -292,16 +292,32 @@ class QNum:
         `digits` places.
 
         Without pow2 the digits are floor(|A + B*sqrt2| * 10^digits / D), one
-        integer floor on the scaled triple.  Exact even where 2**pow2 leaves
-        the field: with pow2 = t + p/q (0 <= p < q) and
+        integer floor on the scaled triple.  When A and B have opposite signs
+        the value is N/(A - B*sqrt2) with the norm N = A^2 - 2B^2, so
+        |A + B*sqrt2| < |N|/(|A| + |B|): where |N| * 10^digits < D*(|A| + |B|)
+        every digit is 0 and no floor is taken.  Exact even where 2**pow2
+        leaves the field: with pow2 = t + p/q (0 <= p < q) and
         X = |self| * 10^digits * 2^t, the digits are iroot(floor(X^q * 2^p), q),
         as floor(Y^(1/q)) == floor(floor(Y)^(1/q)).
         """
         if digits < 1:
             raise ValueError("digits must be >= 1")
         A, B, D = self._A, self._B, self._D
-        neg = _sign2(A, B) < 0
-        scale = -(10**digits) if neg else 10**digits
+        ten = 10**digits
+        if A and B and (A < 0) != (B < 0):
+            # the sign of A + B*sqrt2 is A's when |A| > |B|*sqrt2, that is N > 0
+            N = A * A - 2 * B * B
+            neg = (N > 0) == (A < 0)
+            if not pow2:
+                # |N| * 10^digits < D*(|A| + |B|), with |A| + |B| == |A - B|
+                # here, decided on bit lengths where they settle it: a
+                # product of m-bit and n-bit numbers has m + n - 1 or m + n bits
+                s = N.bit_length() + ten.bit_length() - D.bit_length() - (A - B).bit_length()
+                if s < -1 or s <= 1 and abs(N) * ten < D * abs(A - B):
+                    return ("-0." if neg else "0.") + "0" * digits
+        else:
+            neg = A < 0 or B < 0
+        scale = -ten if neg else ten
         A, B = A * scale, B * scale
         if not pow2:
             m = _floor(A, B, D)

@@ -5,7 +5,10 @@ and union forms (`dyadic_inner_cover_span`, `dyadic_inner_cover_rect`), and
 the tests compare those against this enumeration.
 """
 
+import random
+
 from rectadd.geometry import DyadicSquare, Rect, dyadic_inner_cover_span
+from rectadd.numeric import dyadic
 
 
 def dyadic_inner_cover(r: Rect, order: int) -> list[DyadicSquare]:
@@ -21,3 +24,12 @@ def dyadic_inner_cover(r: Rect, order: int) -> list[DyadicSquare]:
         for m in range(m_lo, m_hi)
         for k in range(k_lo, k_hi)
     ]
+
+
+def rand_mesh_rect(rng: random.Random) -> Rect:
+    """A rectangle with corners on the order-j mesh for a small j, negative
+    ones too: from order j on its scaled corners are integers, where a
+    floor and a ceiling meet, and its inner cover is the rectangle itself."""
+    j = rng.randint(0, 5)
+    k, m = rng.randint(-40, 40), rng.randint(-40, 40)
+    return Rect(dyadic(k, j), dyadic(k + rng.randint(1, 40), j), dyadic(m, j), dyadic(m + rng.randint(1, 40), j))

@@ -8,6 +8,7 @@ from rectadd.geometry import (
     DyadicSquare,
     Rect,
     as_dyadic_square,
+    coarser_cover_span,
     dyadic_inner_cover_rect,
     dyadic_inner_cover_span,
     parse_rect,
@@ -16,7 +17,7 @@ from rectadd.geometry import (
 from rectadd.numeric import ONE, QNum, SQRT2, ZERO
 from rectadd.suites import rand_rect, rand_split_params
 
-from cover_oracle import dyadic_inner_cover
+from cover_oracle import dyadic_inner_cover, rand_mesh_rect
 
 F = Fraction
 
@@ -173,6 +174,22 @@ def test_inner_cover_monotone_and_error_bound():
             bound = (r.width + r.height) * QNum(F(2, 2**order)) + QNum(F(4, 4**order))
             assert r.area() - covered <= bound
             prev = covered
+
+
+def test_coarser_spans_are_the_spans_of_lower_orders():
+    # a right shift of the order-n bounds, floors and ceilings alike, is the
+    # order n - s span, which is floor and ceil of the field product; the
+    # rectangles include mesh-aligned ones with negative corners, whose
+    # bounds are exact at every order from the mesh's on
+    rng = random.Random(205)
+    for i in range(80):
+        r = rand_rect(rng, i) if i % 2 else rand_mesh_rect(rng)
+        top = rng.randint(0, 64)
+        span = dyadic_inner_cover_span(r, top)
+        for order in range(top + 1):
+            scale = QNum(2**order)
+            want = (math.ceil(r.x1 * scale), math.floor(r.x2 * scale), math.ceil(r.y1 * scale), math.floor(r.y2 * scale))
+            assert coarser_cover_span(span, top - order) == dyadic_inner_cover_span(r, order) == want
 
 
 def test_inner_cover_rect_matches_enumeration():

@@ -31,10 +31,10 @@ from rectadd.harness import (
 )
 from rectadd.decompose import decompose
 from rectadd.numeric import QNum, SQRT2, ZERO, numerators
-from rectadd.rectfn import PointFunction, corner_difference, named_point_function
+from rectadd.rectfn import PointFunction, corner_difference, named_point_function, named_rect_function
 from rectadd.suites import rand_rect, rand_table_function, _rect_corner_points
 
-from cover_oracle import dyadic_inner_cover
+from cover_oracle import dyadic_inner_cover, rand_mesh_rect
 from field_counter import count_builds, count_calls, count_field_calls
 
 F = Fraction
@@ -379,6 +379,70 @@ def test_cmd_dyadic_approx_order_budget(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("rectadd dyadic-approx: ")
     assert f"max_order above {top}" in err[0]
     assert not path.exists()
+
+
+def _dyadic_approx_reference(function: str, r: Rect, max_order: int) -> tuple[list, list]:
+    # the gaps and failing orders order by order: a cover Rect and F.value
+    # at every order, against the shrink bound built in the field
+    F = named_rect_function(function)
+    target = F.value(r)
+    gaps = [target - inner_cover_sum(F, r, n) for n in range(1, max_order + 1)]
+    return gaps, [n for n, gap in enumerate(gaps, 1) if abs(gap) > shrink_bound(r, n)]
+
+
+def _assert_dyadic_approx_matches_reference(rect: Rect, function: str, max_order: int) -> str:
+    rep = cmd_dyadic_approx(rect=rect, function=function, max_order=max_order)
+    gaps, failures = _dyadic_approx_reference(function, rect, max_order)
+    bound, trail = rep.findings
+    assert trail.exact_values == tuple(g.literal() for g in gaps), (rect, function, max_order)
+    assert trail.approximations == tuple(g.approximate(6) for g in gaps)
+    assert bound.exact_values == tuple(gaps[n - 1].literal() for n in failures)
+    assert bound.approximations == tuple(trail.approximations[n - 1] for n in failures)
+    assert bound.status == (VIOLATED if failures else VERIFIED)
+    assert bound.claim.endswith(f" (fails at orders {failures})" if failures else f"n=1..{max_order}")
+    return bound.status
+
+
+def test_cmd_dyadic_approx_matches_the_per_order_reference():
+    # the spans of every order shifted from the top order's, and F of each
+    # cover from the kernel, give the gaps and failing orders that a cover
+    # Rect per order gives
+    rng = random.Random(2201)
+    functions = ("product", "counterexample", "constant:1/3-2*sqrt2")
+    statuses = set()
+    for i in range(120):
+        r = rand_mesh_rect(rng) if i % 4 == 0 else rand_rect(rng, i)
+        statuses.add(_assert_dyadic_approx_matches_reference(r, functions[i % 3], rng.randint(1, 40)))
+    assert statuses == {VERIFIED, VIOLATED}
+
+
+@pytest.mark.parametrize("function", ["product", "counterexample"])
+@pytest.mark.parametrize("rect", [WITNESS_RECT, parse_rect("[-7/3+1/5*sqrt2,1/3+1/2*sqrt2]x[-7/4-3*sqrt2,40+1/7*sqrt2]")])
+def test_cmd_dyadic_approx_matches_the_reference_at_the_order_budget(rect, function):
+    _assert_dyadic_approx_matches_reference(rect, function, harness.MAX_ORDER)
+
+
+def test_cmd_dyadic_approx_validates_no_rect_per_order(monkeypatch):
+    validate = Rect.__init__
+    for max_order in (1, 50):
+        built = count_builds(monkeypatch)
+        rep = cmd_dyadic_approx(rect=WITNESS_RECT, function="counterexample", max_order=max_order)
+        monkeypatch.undo()
+        assert len(rep.findings[1].exact_values) == max_order
+        assert built.count(validate) == 0
+
+
+def test_cmd_dyadic_approx_report_pinned(tmp_path):
+    # a rectangle with four irrational corners, whose deep gaps render as
+    # zeros; recorded before the covers were taken on integers
+    path = tmp_path / "a.json"
+    rect = "[-7/3+1/5*sqrt2,1/3+1/2*sqrt2]x[-7/4-3*sqrt2,40+1/7*sqrt2]"
+    assert main(["dyadic-approx", "--rect", rect, "--max-order", "40", "--json", str(path)]) == 0
+    report = json.loads(path.read_text())
+    report.pop("generated_at")
+    assert "0.000000" in report["findings"][1]["approximations"]
+    digest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+    assert digest == "c100d1b283379b096119172163077acad43073c69e88584179de76ecab3fb15a"
 
 
 def test_cmd_proptest_case_budget(capsys):

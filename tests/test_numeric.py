@@ -11,6 +11,9 @@ from fractions import Fraction
 
 import pytest
 
+from rectadd import numeric
+from rectadd.decompose import decompose
+from rectadd.geometry import parse_rect
 from rectadd.numeric import (
     ONE,
     QNum,
@@ -23,6 +26,8 @@ from rectadd.numeric import (
     qnum,
 )
 from rectadd.suites import rand_qnum, run_suite
+
+from field_counter import count_calls
 
 F = Fraction
 
@@ -147,6 +152,16 @@ def test_approximate_examples():
     assert (-SQRT2).approximate(3) == "-1.414"
     assert QNum(F(1, 400)).approximate(3) == "0.002"
     assert ZERO.approximate(2) == "0.00"
+
+
+def test_all_zero_decimals_of_a_deep_trace_take_no_floor(monkeypatch):
+    # 584 of the silver rectangle's 601 sides at 600 steps render as
+    # 0.000000; each is read off its norm, so only the other 17 take a floor
+    sides = decompose(parse_rect("[0,1+1*sqrt2]x[0,1]"), 600).sides
+    calls = count_calls(monkeypatch, numeric._floor)
+    texts = [s.approximate(6) for s in sides]
+    assert len(texts) == 601 and texts.count("0.000000") == 584
+    assert len(calls) == 17
 
 
 def test_approximate_rejects_zero_digits():

@@ -218,6 +218,26 @@ def test_approximate_without_power_of_two_matches_mpmath():
                 assert v.approximate(digits) == real_approximate(v, digits, F(0)), (v, digits)
 
 
+def test_approximate_of_cancelling_units_next_to_the_last_digit():
+    # c*(sqrt2 - 1)^k for the k that put it on both sides of 10^-digits,
+    # where an all-zero decimal is taken from the norm with no floor: c
+    # ranges over factors near 1 and sqrt2, so that |value|*10^digits also
+    # falls between 1/sqrt2 and 1, where the norm's bound leaves the floor
+    # to decide, and over denominators that move D against the coefficients
+    factors = (F(1), F(2), F(3, 4), F(99, 70), F(70, 99), F(141, 100), F(1, 10**9), F(10**9 + 7, 3))
+    seen = set()
+    for digits in (1, 6, 12, 20):
+        k0 = round(digits * math.log(10) / -math.log(math.sqrt(2) - 1))
+        for k in range(max(1, k0 - 30), k0 + 30):
+            x, y = _pell(k)
+            for c in factors:
+                for v in (QNum(x * c, y * c), QNum(-x * c, -y * c)):
+                    got = v.approximate(digits)
+                    assert got == real_approximate(v, digits, F(0)), (v, digits)
+                    seen.add((got.lstrip("-") == "0." + "0" * digits, got.startswith("-")))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 # -- contracts -----------------------------------------------------------------
 
 
