@@ -75,22 +75,24 @@ MAX_ROOT_WORK = 10**10
 MAX_ALPHA_DIGITS = 100
 # Most squares `cmd_counterexample` samples, and the largest mesh order it
 # draws them from.  A sample costs a few integer operations on numbers of
-# about twice its order in bits: through the CLI, 100,000 samples take 0.8 s
-# at the default orders and 1.0 s all at order 1000 on the same box, and
-# 4.2 s all at order 10,000.  MAX_ORDER also bounds `cmd_dyadic_approx`,
-# which evaluates one cover per order up to its max_order: through the CLI,
-# the witness takes 0.1 s up to order 1000 and 0.2 s up to order 2000 with
-# the budget raised, of which the command itself takes 0.02 s and 0.11 s in
-# process; the rest is the launch.
+# about twice its order in bits: through the CLI, 100,000 samples take 0.27 s
+# at the default orders and 0.35 s all at order 1000, and 2.6 s all at order
+# 10,000 with the budget raised (median of 3 on a 2-CPU x86_64 host, Python
+# 3.11.7).  MAX_ORDER also bounds `cmd_dyadic_approx`, which evaluates one
+# cover per order up to its max_order: through the CLI, the witness takes
+# 0.1 s up to order 1000 and 0.2 s up to order 2000 with the budget raised,
+# of which the command itself takes 0.02 s and 0.11 s in process; the rest
+# is the launch.
 MAX_SAMPLES = 100_000
 MAX_ORDER = 1000
 # Most cases `cmd_proptest` runs.  Through the CLI, the slowest suite,
-# telescope, takes 7.8 s at 3000 cases and 10.6 s at 5000, and field 0.5 s
-# at 5000, on the same box.
+# telescope, takes 2.7 s at 3000 cases and 3.9 s at 5000, and field 0.22 s
+# at 5000 (median of 3 on the same host).
 MAX_CASES = 5000
 # Most squares `cmd_probe` samples, depth times offsets, at a depth of at most
 # MAX_ORDER (a probe scale 2^-j is a mesh order).  Through the CLI at alpha 1,
-# 20,000 squares take 0.8 s at depth 12, 1.1 s at 100 and 2.2 s at 1000.
+# 20,000 squares take 0.45 s at depth 12, 0.55 s at 100 and 1.0 s at 1000
+# (median of 3 on the same host).
 MAX_PROBE_SQUARES = 20_000
 
 VERIFIED = "verified"
@@ -609,11 +611,10 @@ def cmd_proptest(*, suite: str, cases: int = 200, seed: int = 1) -> Report:
 
     result = suites.run_suite(suite, cases=cases, seed=seed)
     if result.violations:
-        first = result.violations[0]
         finding = Finding(
-            claim=f"suite {suite}: invariant violated (case echo: {first})",
+            claim=f"suite {suite}: invariant violated (case echo: {result.violations[0]})",
             status=VIOLATED,
-            exact_values=tuple(result.violations[:5]),
+            exact_values=tuple(result.violations),
         )
     else:
         finding = Finding(

@@ -5,12 +5,18 @@ and checks an exact invariant; any violation is echoed with exact literals.
 Case magnitudes ramp up with the case index, so the first reported failure
 is already a near-minimal one.  The generators build each field value from
 the integers drawn for it, as one QNum triple.
+
+A suite yields one result per case, None when the case holds and its echo
+when it fails, and `run_suite` alone counts the cases and stops at the first
+echo.  `oracle` draws nothing: it ignores the seed and enumerates the 1770
+aspect ratios q < p <= 60, so any `cases` above 1770 runs 1770.
 """
 
 from __future__ import annotations
 
 import random
 from collections import namedtuple
+from itertools import count, islice
 
 from .decompose import decompose, telescope, verify_halving, continued_fraction_counts
 from .geometry import Rect, split
@@ -21,7 +27,7 @@ __all__ = ["SuiteResult", "run_suite", "SUITE_NAMES"]
 
 
 # The suite's name, the number of cases it ran, and the list of its
-# violation echoes.
+# violation echoes: empty, or the echo of the case it stopped at.
 SuiteResult = namedtuple("SuiteResult", "name cases_run violations")
 
 
@@ -94,12 +100,12 @@ def _rect_corner_points(rects) -> dict:
 
 
 # -- suites -------------------------------------------------------------------
+# Each suite is an endless generator over the one `random.Random(seed)` it
+# is given; `oracle`'s ends after its 1770 pairs.
 
 
-def _suite_field(cases: int, seed: int) -> SuiteResult:
-    rng = random.Random(seed)
-    violations = []
-    for i in range(cases):
+def _suite_field(rng: random.Random):
+    for i in count():
         p, q, r = (rand_qnum(rng, i) for _ in range(3))
         checks = [
             ((p + q) + r == p + (q + r), "add associativity"),
@@ -112,93 +118,67 @@ def _suite_field(cases: int, seed: int) -> SuiteResult:
             checks.append(((p / q) * q == p, "div/mul round trip"))
         for ok, what in checks:
             if not ok:
-                violations.append(f"{what}: p={p} q={q} r={r}")
-                return SuiteResult("field", i + 1, violations)
-    return SuiteResult("field", cases, violations)
+                yield f"{what}: p={p} q={q} r={r}"
+                break
+        else:
+            yield None
 
 
-def _suite_additivity(cases: int, seed: int) -> SuiteResult:
-    rng = random.Random(seed)
-    violations = []
-    for i in range(cases):
+def _suite_additivity(rng: random.Random):
+    for i in count():
         r = rand_rect(rng, i)
         axis, c = rand_split_params(rng, r)
         r1, r2 = split(r, axis, c)
         F = rand_table_function(rng, _rect_corner_points([r, r1, r2]))
         disc = check_additivity(F, r, axis, c)
-        if disc != 0:
-            violations.append(f"rect={r.literal()} axis={axis} c={c} discrepancy={disc}")
-            return SuiteResult("additivity", i + 1, violations)
-    return SuiteResult("additivity", cases, violations)
+        yield f"rect={r.literal()} axis={axis} c={c} discrepancy={disc}" if disc != 0 else None
 
 
-def _decomposition_cases(cases: int, seed: int):
-    rng = random.Random(seed)
-    for i in range(cases):
+def _decomposition_cases(rng: random.Random):
+    for i in count():
         r = rand_rect(rng, i)
-        yield i, r, decompose(r, max_steps=rng.randint(1, 24))
+        yield r, decompose(r, max_steps=rng.randint(1, 24))
 
 
-def _suite_tiling(cases: int, seed: int) -> SuiteResult:
-    violations = []
-    n = 0
-    for i, r, d in _decomposition_cases(cases, seed):
-        n = i + 1
+def _suite_tiling(rng: random.Random):
+    for r, d in _decomposition_cases(rng):
         total = sum((sq.area() for sq in d.all_squares()), ZERO)
         if d.remainder is not None:
             total = total + d.remainder.area()
-        if total != r.area():
-            violations.append(f"rect={r.literal()} area={r.area()} tiled={total}")
-            break
-    return SuiteResult("tiling", n, violations)
+        yield f"rect={r.literal()} area={r.area()} tiled={total}" if total != r.area() else None
 
 
-def _suite_halving(cases: int, seed: int) -> SuiteResult:
-    violations = []
-    n = 0
-    for i, r, d in _decomposition_cases(cases, seed):
-        n = i + 1
+def _suite_halving(rng: random.Random):
+    for r, d in _decomposition_cases(rng):
         bad = verify_halving(d).failure
         if bad is not None:
-            violations.append(
-                f"rect={r.literal()} {bad.kind}@{bad.index}: {bad.lhs} > {bad.rhs}"
-            )
-            break
+            yield f"rect={r.literal()} {bad.kind}@{bad.index}: {bad.lhs} > {bad.rhs}"
+            continue
         # quantitative decay: sides[n] <= sides[1] * (1/2)^floor((n-1)/2)
         sides = d.sides
         for j in range(1, len(sides)):
             bound = sides[1] * dyadic(1, (j - 1) // 2)
             if sides[j] > bound:
-                violations.append(
-                    f"rect={r.literal()} decay@{j}: {sides[j]} > {bound}"
-                )
-                return SuiteResult("halving", n, violations)
-    return SuiteResult("halving", n, violations)
+                yield f"rect={r.literal()} decay@{j}: {sides[j]} > {bound}"
+                break
+        else:
+            yield None
 
 
-def _suite_oracle(cases: int, seed: int) -> SuiteResult:
+def _suite_oracle(rng: random.Random):
     # deterministic enumeration of integer aspect ratios q < p <= 60,
-    # lexicographic; `cases` caps how many pairs are checked
-    violations = []
-    n = 0
+    # lexicographic: 1770 pairs, whatever the seed
     for p in range(2, 61):
         for q in range(1, p):
-            if n >= cases:
-                return SuiteResult("oracle", n, violations)
-            n += 1
             r = Rect(QNum(0), QNum(p), QNum(0), QNum(q))
             d = decompose(r, max_steps=200)
             cf = continued_fraction_counts(r, max_terms=200)
-            if not d.terminated or d.counts != cf:
-                violations.append(f"p={p} q={q} counts={d.counts} cf={cf}")
-                return SuiteResult("oracle", n, violations)
-    return SuiteResult("oracle", n, violations)
+            failed = not d.terminated or d.counts != cf
+            yield f"p={p} q={q} counts={d.counts} cf={cf}" if failed else None
 
 
-def _suite_telescope(cases: int, seed: int) -> SuiteResult:
-    rng = random.Random(seed)
-    violations = []
-    for i in range(cases):
+def _suite_telescope(rng: random.Random):
+    for i in count():
         r = rand_rect(rng, i)
         d = decompose(r, max_steps=rng.randint(1, 20))
         tiles = d.all_squares()
@@ -207,12 +187,7 @@ def _suite_telescope(cases: int, seed: int) -> SuiteResult:
         F = rand_table_function(rng, _rect_corner_points(tiles + [r]))
         total = telescope(F, d)
         direct = F.value(r)
-        if total != direct:
-            violations.append(
-                f"rect={r.literal()} telescoped={total} direct={direct}"
-            )
-            return SuiteResult("telescope", i + 1, violations)
-    return SuiteResult("telescope", cases, violations)
+        yield f"rect={r.literal()} telescoped={total} direct={direct}" if total != direct else None
 
 
 _SUITES = {
@@ -232,4 +207,7 @@ def run_suite(name: str, *, cases: int, seed: int) -> SuiteResult:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     if cases < 1:
         raise ValueError("cases must be >= 1")
-    return _SUITES[name](cases, seed)
+    for n, echo in enumerate(islice(_SUITES[name](random.Random(seed)), cases), 1):
+        if echo is not None:
+            return SuiteResult(name, n, [echo])
+    return SuiteResult(name, n, [])

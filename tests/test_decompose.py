@@ -2,6 +2,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -331,7 +332,7 @@ def test_shared_corner_telescope_matches_per_tile_values():
     # Distinct random values at every corner, so a swapped or mis-paired
     # corner in the row sum changes the total.
     rng = random.Random(407)
-    for _, r0, d0 in _decomposition_cases(40, 17):
+    for r0, d0 in islice(_decomposition_cases(random.Random(17)), 40):
         for r in (r0, _transpose(r0)):
             d = decompose(r, len(d0.steps))
             assert d.counts == d0.counts

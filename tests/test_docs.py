@@ -74,6 +74,59 @@ def test_suite_names_match_the_readme():
     assert cli.SUITE_NAMES == suites.SUITE_NAMES == tuple(re.findall(r"`(\w+)`", listed.group(1)))
 
 
+# an exit-code row's "above N" or "more than N", then the budget it names
+_BUDGET = re.compile(
+    r"(?:above|more than) (\d[\d,]*(?:\^\d+)?)(?: [a-z]+)* "
+    r"\((?:the [\w-]+ budget )?`((?:harness|numeric)\.MAX_\w+)`"
+)
+
+
+def budget_rows(text: str) -> list[tuple[str, int, str]]:
+    """(constant, number given, row) for every budget an exit-code row names;
+    a row that names a budget without giving its number gives None."""
+    found = []
+    for row in re.findall(r"^\| 2 \|.*$", text, re.M):
+        given = {name: number for number, name in _BUDGET.findall(row)}
+        for name in dict.fromkeys(re.findall(r"`((?:harness|numeric)\.MAX_\w+)`", row)):
+            number = given.get(name)
+            if number is not None:
+                base, _, power = number.replace(",", "").partition("^")
+                number = int(base) ** int(power or 1)
+            found.append((name, number, row))
+    return found
+
+
+def test_budget_rows_read_every_way_a_row_gives_its_number():
+    text = (
+        "| 2 | `x` is above 10^10 (the root budget `harness.MAX_ROOT_WORK`); |\n"
+        "| 2 | `y` has more than 4,500 digits (the digit budget `numeric.MAX_LITERAL_DIGITS`) |\n"
+        "| 2 | `z` has a denominator above 1000 (`harness.MAX_ALPHA_DENOMINATOR`) |\n"
+        "| 2 | `w` is too large (`harness.MAX_CASES`) |\n"
+        "| 1 | above 7 (`harness.MAX_STEPS`) |\n"
+    )
+    assert [(name, number) for name, number, _ in budget_rows(text)] == [
+        ("harness.MAX_ROOT_WORK", 10**10),
+        ("numeric.MAX_LITERAL_DIGITS", 4500),
+        ("harness.MAX_ALPHA_DENOMINATOR", 1000),
+        ("harness.MAX_CASES", None),
+    ]
+
+
+def _budget(name: str) -> int:
+    module, constant = name.split(".")
+    return getattr(importlib.import_module(f"rectadd.{module}"), constant)
+
+
+def test_readme_budget_rows_give_the_budgets():
+    # a budget changed in code cannot leave its exit-code row stale, and
+    # every harness budget has a row
+    rows = budget_rows(README.read_text(encoding="utf-8"))
+    assert [row for name, number, row in rows if number != _budget(name)] == []
+    harness = importlib.import_module("rectadd.harness")
+    budgets = {f"harness.{n}" for n in dir(harness) if n.startswith("MAX_")}
+    assert {name for name, _, _ in rows} == budgets | {"numeric.MAX_LITERAL_DIGITS"}
+
+
 def test_checker_flags_only_stale_rectadd_names():
     text = (
         "`PointFunction.cuts(As, Bs)` and `Step.row_ends()` are gone; "
