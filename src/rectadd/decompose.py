@@ -32,22 +32,26 @@ row's numerators as they are, any other point function's `value` is read
 at the row's four corners, QNums the decomposition already holds, and the
 rows add up as integers over one denominator, normalised once: one gcd and
 one QNum for the whole sum instead of one per row (Knuth, TAOCP vol. 2,
-4.5.1).  Only `Step.squares` (and `Decomposition.all_squares`) builds every
-edge, by `Step.edges`: one integer addition per edge, each hashed from one
-modular inverse of L; it checks once per step that the side is positive and
-then builds each square as a plain tuple.
+4.5.1).  Only `Decomposition.all_squares` (and `Step.squares` for one step)
+builds every edge, in one pass over the frame with one modular inverse of L
+for the whole decomposition: one integer addition per edge, each edge
+normalised with its hash primed, as are each step's far side `hi` where it
+is not yet built and the hashes of its x and y.  It checks once per step
+that the side is positive and then builds each square as a plain tuple.
+`Step.edges` and `Step.squares` run the same builder on one `numerators`
+call of their own.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from typing import Optional
 
 from .geometry import Rect
 from .numeric import (
-    _HASH_MODULUS, QNum, _floor, _hash_over, _sign2, dyadic, from_numerators, numerators,
+    _HASH_MODULUS, QNum, _floor, _from_numerator_lists, _hash_over, _sign2, dyadic, from_numerators, numerators,
 )
 from .rectfn import PointFunction, RectFunction
 
@@ -82,44 +86,27 @@ class Step(namedtuple("Step", "x y side count along_x")):
 
     @property
     def hi(self) -> QNum:
-        """The far side of the row, lo + side, built once per step so that
-        every square and `telescope`'s corners share one object, whose cached
-        hash every `Table` lookup reuses."""
+        """The far side of the row, lo + side, built once per step, here or
+        with the step's squares, so that every square and `telescope`'s
+        corners share one object, whose cached hash every `Table` lookup
+        reuses."""
         hi = self._hi
         if hi is None:
             hi = self._hi = self.lo + self.side
         return hi
 
     def edges(self) -> tuple[QNum, ...]:
-        """The count + 1 square boundaries along the packing axis as QNums,
-        by one integer addition each; the first is the step's own corner
-        coordinate, and the others come hashed, from one modular inverse of
-        L for the whole step."""
-        first = self.x if self.along_x else self.y
-        (a, da), (b, db), L = numerators((first, self.side))
-        n = self.count - 1
-        As = list(accumulate(repeat(da, n), initial=a + da))
-        Bs = list(accumulate(repeat(db, n), initial=b + db))
-        built = [from_numerators(a, b, L) for a, b in zip(As, Bs)]
-        if L % _HASH_MODULUS:
-            inv = pow(L, -1, _HASH_MODULUS)
-            for e, a, b in zip(built, As, Bs):
-                e._hash = _hash_over(a, b, inv)
-        return (first, *built)
+        """The count + 1 square boundaries along the packing axis as QNums:
+        the step's own corner coordinate, then one integer addition per
+        edge, built hashed by `_edges` from one `numerators` call."""
+        return _edges((self,), *numerators((self.x, self.y, self.side)))[0]
 
     @property
     def squares(self) -> tuple[Rect, ...]:
-        """The packed squares, built on demand from the step's edges and
-        shared far side.  side > 0, checked once, puts every edge below the
-        next and lo below hi, so no square is checked by `Rect.__init__`."""
-        if self.side.sign() <= 0:
-            raise ValueError(f"degenerate step: side {self.side}")
-        e = self.edges()
-        if self.along_x:
-            rows = zip(e, e[1:], repeat(self.y), repeat(self.hi))
-        else:
-            rows = zip(repeat(self.x), repeat(self.hi), e, e[1:])
-        return tuple(map(Rect._make, rows))
+        """The packed squares, built on demand by `_squares` from the step's
+        edges and shared far side, as `Decomposition.all_squares` builds
+        them, from one `numerators` call."""
+        return tuple(_squares((self,), *numerators((self.x, self.y, self.side))))
 
 
 class Decomposition(namedtuple("Decomposition", "original steps remainder")):
@@ -194,8 +181,66 @@ class Decomposition(namedtuple("Decomposition", "original steps remainder")):
         return sum(s.count for s in self.steps)
 
     def all_squares(self) -> list[Rect]:
-        """Every packed square, step by step, built on demand."""
-        return [sq for s in self.steps for sq in s.squares]
+        """Every packed square, step by step, built on demand off the frame:
+        the steps' corners and sides are As[6:], Bs[6:] over its L, so no
+        `numerators` call and one modular inverse of L for them all."""
+        As, Bs, L = self.frame
+        return _squares(self.steps, As[6:], Bs[6:], L)
+
+
+def _edges(steps, As: list[int], Bs: list[int], L: int) -> list[tuple[QNum, ...]]:
+    """Each step's edges, as `Step.edges` gives them, from the steps' x, y and
+    side over L laid out as on the frame: step i's are As[3i:3i+3] and
+    Bs[3i:3i+3].
+
+    An edge is the one before it plus the side, an integer addition; every
+    edge built comes normalised and hashed from one modular inverse of L, as
+    does each step's far side `hi` where its memo is unset (lo + side on the
+    same integers, the object `telescope` then reads), and the steps' x and
+    y get their hashes primed when they have none.  When the hash modulus
+    divides L the hashes are left to `QNum.__hash__`.
+    """
+    inv = pow(L, -1, _HASH_MODULUS) if L % _HASH_MODULUS else None
+    EA: list[int] = []
+    EB: list[int] = []
+    for s, xa, ya, sa, xb, yb, sb in zip(steps, As[::3], As[1::3], As[2::3], Bs[::3], Bs[1::3], Bs[2::3]):
+        if inv is not None:
+            if s.x._hash is None:
+                s.x._hash = _hash_over(xa, xb, inv)
+            if s.y._hash is None:
+                s.y._hash = _hash_over(ya, yb, inv)
+        a, b, la, lb = (xa, xb, ya, yb) if s.along_x else (ya, yb, xa, xb)
+        EA += islice(accumulate(repeat(sa, s.count), initial=a), 1, None)
+        EB += islice(accumulate(repeat(sb, s.count), initial=b), 1, None)
+        if s._hi is None:
+            EA.append(la + sa)
+            EB.append(lb + sb)
+    built = iter(_from_numerator_lists(EA, EB, L, inv))
+    edges = []
+    for s in steps:
+        edges.append((s.x if s.along_x else s.y, *islice(built, s.count)))
+        if s._hi is None:
+            s._hi = next(built)
+    return edges
+
+
+def _squares(steps, As: list[int], Bs: list[int], L: int) -> list[Rect]:
+    """Every square of the steps, from their numerators as `_edges` reads
+    them.  Each side is checked positive once, which puts every edge below
+    the next and lo below hi, so no square is checked by `Rect.__init__`;
+    the squares read the step's edges and share its far side `hi`."""
+    for s, sa, sb in zip(steps, As[2::3], Bs[2::3]):
+        if _sign2(sa, sb) <= 0:
+            raise ValueError(f"degenerate step: side {s.side}")
+    squares: list[Rect] = []
+    for s, e in zip(steps, _edges(steps, As, Bs, L)):
+        if s.along_x:
+            rows = zip(e, e[1:], repeat(s.y), repeat(s._hi))
+        else:
+            rows = zip(repeat(s.x), repeat(s._hi), e, e[1:])
+        # tuple.__new__(Rect, row) is `Rect._make` without its Python call
+        squares += map(tuple.__new__, repeat(Rect), rows)
+    return squares
 
 
 def greedy_step(r: Rect) -> tuple[Step, Optional[Rect]]:

@@ -86,8 +86,8 @@ MAX_ALPHA_DIGITS = 100
 MAX_SAMPLES = 100_000
 MAX_ORDER = 1000
 # Most cases `cmd_proptest` runs.  Through the CLI, the slowest suite,
-# telescope, takes 2.7 s at 3000 cases and 3.9 s at 5000, and field 0.22 s
-# at 5000 (median of 3 on the same host).
+# telescope, takes 2.4 s at 3000 cases and 4.0 s at 5000, and field 0.21 s
+# at 5000 (median of 9 on the same host).
 MAX_CASES = 5000
 # Most squares `cmd_probe` samples, depth times offsets, at a depth of at most
 # MAX_ORDER (a probe scale 2^-j is a mesh order).  Through the CLI at alpha 1,

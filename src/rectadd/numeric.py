@@ -435,6 +435,47 @@ def numerators(values: Sequence[QNum]) -> tuple[list[int], list[int], int]:
 from_numerators = _new
 
 
+def _from_numerator_lists(As: list[int], Bs: list[int], L: int, inv: int | None) -> list[QNum]:
+    """[from_numerators(A, B, L) for A, B in zip(As, Bs)], each with its hash
+    primed from inv, the inverse of L modulo the hash modulus, or left to
+    `__hash__` when inv is None (the modulus divides L).
+
+    The loop does `_new`'s normalising and `_hash_over`'s hashing in line,
+    on the unreduced numerators, so a long list costs no Python call per
+    value."""
+    M = _HASH_MODULUS
+    gcd = math.gcd
+    alloc = _alloc
+    out = []
+    for A, B in zip(As, Bs):
+        h = None
+        if inv is not None:
+            # _scaled_hash of A, then of B when B != 0, paired as _hash_over
+            # pairs them; |A| * inv is congruent to (|A| % M) * inv
+            h = abs(A) * inv % M
+            if A < 0:
+                h = -2 if h == 1 else -h
+            if B:
+                hb = abs(B) * inv % M
+                if B < 0:
+                    hb = -2 if hb == 1 else -hb
+                h = hash((h, hb))
+        D = L
+        if D != 1:
+            g = gcd(D, A, B)
+            if g != 1:
+                A //= g
+                B //= g
+                D //= g
+        q = alloc(QNum)
+        q._A = A
+        q._B = B
+        q._D = D
+        q._hash = h
+        out.append(q)
+    return out
+
+
 def qnum(x) -> QNum:
     """Coerce an int, Fraction, or QNum to QNum."""
     q = _coerce(x)

@@ -149,6 +149,12 @@ def _suite_tiling(rng: random.Random):
 
 
 def _suite_halving(rng: random.Random):
+    """`verify_halving`'s certificate, compared on the frame's integers,
+    then the decay bound sides[j] <= sides[1] * 2^-floor((j-1)/2) in QNum
+    arithmetic.  A passing certificate implies every decay bound by
+    induction on j, so the decay loop can fail only where the certificate
+    is wrong: it is the suite's only QNum-arithmetic cross-check of the
+    frame-based certificate, and is kept for that."""
     for r, d in _decomposition_cases(rng):
         bad = verify_halving(d).failure
         if bad is not None:

@@ -541,8 +541,13 @@ def test_squares_are_valid_rects_built_unchecked():
 @pytest.mark.parametrize("side", [ZERO, QNum(-1), ONE - SQRT2])
 def test_squares_of_a_degenerate_step_are_refused(side):
     for along_x in (True, False):
-        with pytest.raises(ValueError, match="degenerate"):
-            Step(QNum(F(1, 3)), SQRT2, side, 3, along_x).squares
+        step = Step(QNum(F(1, 3)), SQRT2, side, 3, along_x)
+        with pytest.raises(ValueError, match="degenerate step"):
+            step.squares
+        # the same check on the frame, after a step that holds
+        d = Decomposition(UNIT, (Step(ZERO, ZERO, ONE, 1, True), step), None)
+        with pytest.raises(ValueError, match="degenerate step"):
+            d.all_squares()
 
 
 @pytest.mark.parametrize(
@@ -590,6 +595,106 @@ def test_step_edges_over_the_hash_modulus_hash_on_demand():
         edges = step.edges()[1:]
         assert all(e._hash is None for e in edges)
         assert [hash(e) for e in edges] == [_value_hash(e) for e in edges]
+
+
+def _by_hand(d):
+    # the same decomposition built by hand: new Steps, so no `hi` memo, and
+    # a frame derived by one `numerators` call
+    return Decomposition(d.original, tuple(Step(*s) for s in d.steps), d.remainder)
+
+
+def _assert_all_squares_match_the_steps(d, hashed=True):
+    """d.all_squares() against the squares each step builds on its own, and
+    the sharing and hashes it promises; returns the squares' triples."""
+    unset = [s._hi is None for s in d.steps]
+    squares = d.all_squares()
+    assert all(type(sq) is Rect for sq in squares)
+    k = 0
+    for s, fresh in zip(d.steps, unset):
+        first, lo = (s.x, s.y) if s.along_x else (s.y, s.x)
+        built = [s.hi] if fresh else []
+        previous = first
+        for sq in squares[k : k + s.count]:
+            along, near, across = ((sq.x1, sq.x2), sq.y1, sq.y2) if s.along_x else ((sq.y1, sq.y2), sq.x1, sq.x2)
+            # neighbours share the edge between them, and every square the
+            # step's own lo and hi, the far side `telescope` reads
+            assert along[0] is previous and near is lo and across is s.hi
+            previous = along[1]
+            built.append(previous)
+        k += s.count
+        # edges and far sides built here come hashed, and the step's x and
+        # y are primed, unless the hash modulus divides the frame's L
+        assert all((v._hash is not None) == hashed for v in built)
+        if hashed:
+            assert s.x._hash is not None and s.y._hash is not None
+        assert all(hash(v) == _value_hash(v) for v in (*built, s.x, s.y))
+    assert k == len(squares) == d.total_squares
+    triples = [_triples(sq) for sq in squares]
+    # each step alone, through its own `numerators` call
+    assert triples == [_triples(sq) for s in d.steps for sq in s.squares]
+    return triples
+
+
+def test_all_squares_match_the_per_step_squares():
+    rng = random.Random(493)
+    along_y = truncated = 0
+    for i in range(300):
+        d = decompose(rand_rect(rng, i), rng.randint(1, 30))
+        hand = _by_hand(d)
+        assert hand._frame is None and hand.frame[2] % sys.hash_info.modulus
+        assert _assert_all_squares_match_the_steps(hand) == _assert_all_squares_match_the_steps(d)
+        along_y += not d.steps[0].along_x
+        truncated += not d.terminated
+    assert along_y > 50 and truncated > 50
+
+
+def test_all_squares_over_the_hash_modulus_hash_on_demand():
+    # a frame whose L the hash modulus divides: nothing is primed, and every
+    # hash comes from `QNum.__hash__`
+    m = sys.hash_info.modulus
+    for x1, y1 in ((QNum(F(1, m)), ZERO), (QNum(F(-3, 2 * m), F(1, 5)), QNum(F(1, 3), F(-1, m)))):
+        for r in (Rect(x1, x1 + ONE + SQRT2, y1, y1 + ONE), Rect(y1, y1 + ONE, x1, x1 + 3 * SQRT2)):
+            d = decompose(r, 8)
+            hand = _by_hand(d)
+            assert d.frame[2] % m == 0 and hand.frame[2] % m == 0
+            assert max(d.counts) > 1 and {s.along_x for s in d.steps} == {True, False}
+            expected = _assert_all_squares_match_the_steps(d, hashed=False)
+            assert _assert_all_squares_match_the_steps(hand, hashed=False) == expected
+
+
+FIELD_OPS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__truediv__",
+    "__lt__", "__le__", "__gt__", "__ge__", "__eq__",
+)
+
+
+@pytest.mark.parametrize(
+    "r, max_steps",
+    [
+        # a strip of 1009 + 2 squares, silver's two squares a step, and a
+        # tall rectangle of unrelated denominators that packs along y first
+        (Rect(QNum(F(-5, 2)), QNum(334), QNum(F(1, 4)), QNum(F(7, 12))), 20),
+        (SILVER, 200),
+        (Rect(QNum(F(1, 3)), QNum(F(1, 3), F(1, 2)), QNum(F(-7, 4)), QNum(40)), 6),
+    ],
+)
+def test_all_squares_read_the_frame(monkeypatch, r, max_steps):
+    # the frame `decompose` kept holds every step's corner and side, so the
+    # squares take no `numerators` call and no field operation, and build
+    # one QNum a square, its far edge, and one a step whose `hi` is unset
+    for preset in (0, 3):
+        d = decompose(r, max_steps)
+        assert d.steps[0].along_x == (r.width >= r.height)
+        for s in d.steps[:preset]:
+            s.hi
+        calls = count_calls(monkeypatch, numerators)
+        ops = count_field_calls(monkeypatch, *FIELD_OPS)
+        built = count_builds(monkeypatch)
+        squares = d.all_squares()
+        assert calls == [] and ops == []
+        assert len(built) == d.total_squares + len(d.steps) - min(preset, len(d.steps))
+        monkeypatch.undo()
+        assert len(squares) == d.total_squares
 
 
 def _step_triples(step):
