@@ -20,7 +20,7 @@ from .geometry import (
     DyadicSquare, Rect, coarser_cover_span, dyadic_inner_cover_rect, dyadic_inner_cover_span, parse_rect,
 )
 from .numeric import (
-    ONE, QNum, SQRT2, ZERO, _SQRT2_FLOAT, _floor, dyadic, from_numerators, numerators, parse_qnum, qnum,
+    ONE, QNum, SQRT2, ZERO, _SQRT2_FLOAT, _floor, _sign2, dyadic, from_numerators, numerators, parse_qnum, qnum,
 )
 from .rectfn import (
     PointFunction,
@@ -75,8 +75,8 @@ MAX_ROOT_WORK = 10**10
 MAX_ALPHA_DIGITS = 100
 # Most squares `cmd_counterexample` samples, and the largest mesh order it
 # draws them from.  A sample costs a few integer operations on numbers of
-# about twice its order in bits: through the CLI, 100,000 samples take 0.27 s
-# at the default orders and 0.35 s all at order 1000, and 2.6 s all at order
+# about twice its order in bits: through the CLI, 100,000 samples take 0.17 s
+# at the default orders and 0.31 s all at order 1000, and 2.3 s all at order
 # 10,000 with the budget raised (median of 3 on a 2-CPU x86_64 host, Python
 # 3.11.7).  MAX_ORDER also bounds `cmd_dyadic_approx`, which evaluates one
 # cover per order up to its max_order: through the CLI, the witness takes
@@ -86,7 +86,7 @@ MAX_ALPHA_DIGITS = 100
 MAX_SAMPLES = 100_000
 MAX_ORDER = 1000
 # Most cases `cmd_proptest` runs.  Through the CLI, the slowest suite,
-# telescope, takes 2.4 s at 3000 cases and 4.0 s at 5000, and field 0.21 s
+# telescope, takes 2.2 s at 3000 cases and 3.4 s at 5000, and field 0.22 s
 # at 5000 (median of 9 on the same host).
 MAX_CASES = 5000
 # Most squares `cmd_probe` samples, depth times offsets, at a depth of at most
@@ -193,6 +193,8 @@ def cmd_counterexample(
     Dyadic squares are drawn as (order, k, m) with order uniform on
     [min_order, max_order] and k, m uniform on [-2^15, 2^15], using Python's
     seeded Mersenne Twister so identical seeds reproduce identical reports.
+    They are `random.Random(seed).randint`'s draws, taken straight from
+    `getrandbits` by its rule, so no Python call runs around each word.
     Each square is checked on integer numerators (`_mesh_square_failure`),
     and the square, its `Rect` and F's value are built only for one that
     fails.  More than MAX_SAMPLES samples or a max_order above MAX_ORDER
@@ -207,14 +209,29 @@ def cmd_counterexample(
     if max_order > MAX_ORDER:
         raise ValueError(f"max_order above {MAX_ORDER} (the mesh-order budget of counterexample)")
     F = named_rect_function(function)
-    rng = random.Random(seed)
+    f = F.point_fn
+    # n, k and m are drawn as random.Random(seed).randint draws them, word
+    # for word: a word of the width's bit length, redrawn while it is not
+    # below the width
+    bits = random.Random(seed).getrandbits
+    n_width = max_order - min_order + 1
+    n_bits = n_width.bit_length()
+    km_width = 2**16 + 1
+    km_bits = km_width.bit_length()
     bad: Optional[DyadicSquare] = None
     bad_value: Optional[QNum] = None
     for _ in range(samples):
-        n = rng.randint(min_order, max_order)
-        k = rng.randint(-(2**15), 2**15)
-        m = rng.randint(-(2**15), 2**15)
-        bad_value = _mesh_square_failure(F.point_fn, n, k, m)
+        n = bits(n_bits)
+        while n >= n_width:
+            n = bits(n_bits)
+        k = bits(km_bits)
+        while k >= km_width:
+            k = bits(km_bits)
+        m = bits(km_bits)
+        while m >= km_width:
+            m = bits(km_bits)
+        n, k, m = n + min_order, k - 2**15, m - 2**15
+        bad_value = _mesh_square_failure(f, n, k, m)
         if bad_value is not None:
             bad = DyadicSquare(n, k, m)
             break
@@ -403,7 +420,10 @@ def cmd_dyadic_approx(
     max_order, and every lower order's span is that one shifted
     (`coarser_cover_span`).  F of a cover comes from the point function's
     `rect_kernel` on the span over 2^n, as `_mesh_square_failure` takes it,
-    so no Rect is built per order.
+    so no Rect is built per order.  Each gap is formed on the kernel's
+    integers and target's triple and normalised once, and |gap| is compared
+    with the bound by one `_sign2` on cross-multiplied integers, so no bound
+    QNum is built either.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -413,6 +433,7 @@ def cmd_dyadic_approx(
     F = named_rect_function(function)
     kernel = F.point_fn.rect_kernel
     target = F.value(r)
+    tA, tB, tD = target._A, target._B, target._D
     top = dyadic_inner_cover_span(r, max_order)
     # w + h over L, so that the shrink bound at order n is
     # (2^(n+1)*(w + h) + 4)/4^n, its numerators over L*4^n
@@ -423,11 +444,19 @@ def cmd_dyadic_approx(
     for n in range(1, max_order + 1):
         k_lo, k_hi, m_lo, m_hi = coarser_cover_span(top, max_order - n)
         if k_lo < k_hi and m_lo < m_hi:
-            gap = target - from_numerators(*kernel([k_lo, k_hi, m_lo, m_hi], [0, 0, 0, 0], 1 << n))
+            # target minus the cover's value (a + b*sqrt2)/D, normalised once
+            a, b, D = kernel([k_lo, k_hi, m_lo, m_hi], [0, 0, 0, 0], 1 << n)
+            gap = from_numerators(tA * D - a * tD, tB * D - b * tD, tD * D)
         else:
             gap = target
         gaps.append(gap)
-        if abs(gap) > from_numerators((wa << n + 1) + 4 * L, wb << n + 1, L << 2 * n):
+        # |gap| > bound: |gap|'s numerators over gD against the bound's over
+        # L*4^n, each crossed over the other's denominator
+        gA, gB, gD = gap._A, gap._B, gap._D
+        if _sign2(gA, gB) < 0:
+            gA, gB = -gA, -gB
+        bA, bB = (wa << n + 1) + 4 * L, wb << n + 1
+        if _sign2((gA * L << 2 * n) - bA * gD, (gB * L << 2 * n) - bB * gD) > 0:
             failures.append(n)
     # each failing gap is rendered once, in the trail
     lits, approxs = _lits(*gaps), _approxs(*gaps)

@@ -4,7 +4,10 @@ Each suite draws cases from Python's Mersenne Twister with the given seed
 and checks an exact invariant; any violation is echoed with exact literals.
 Case magnitudes ramp up with the case index, so the first reported failure
 is already a near-minimal one.  The generators build each field value from
-the integers drawn for it, as one QNum triple.
+the integers drawn for it, as one QNum triple.  Every integer is
+`random.Random(seed).randint`'s draw, word for word (`_randint`), so a seed
+gives the same cases, and the same reports, as it gave when the suites
+called `randint`, on the same Python.
 
 A suite yields one result per case, None when the case holds and its echo
 when it fails, and `run_suite` alone counts the cases and stops at the first
@@ -34,6 +37,19 @@ SuiteResult = namedtuple("SuiteResult", "name cases_run violations")
 # -- generators -------------------------------------------------------------
 
 
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """rng.randint(lo, hi) by its own rule, without its Python call chain: a
+    word of (hi - lo + 1).bit_length() bits from `getrandbits`, redrawn while
+    it is not below the width, so the same words are consumed in the same
+    order."""
+    w = hi - lo + 1
+    k = w.bit_length()
+    r = rng.getrandbits(k)
+    while r >= w:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 def _ramp(index: int, lo: int, hi: int) -> int:
     # magnitude cap grows with the index: early cases stay tiny
     return min(hi, lo + index // 8)
@@ -42,23 +58,23 @@ def _ramp(index: int, lo: int, hi: int) -> int:
 def rand_qnum(rng: random.Random, index: int = 64) -> QNum:
     """p/q, or p/q + (r/s)*sqrt2, from small drawn integers."""
     m = _ramp(index, 4, 30)
-    p, q = rng.randint(-m, m), rng.randint(1, 8)
+    p, q = _randint(rng, -m, m), _randint(rng, 1, 8)
     if rng.random() < 0.5:
         return from_numerators(p, 0, q)
     h = max(1, m // 2)
-    r, s = rng.randint(-h, h), rng.randint(1, 4)
+    r, s = _randint(rng, -h, h), _randint(rng, 1, 4)
     return from_numerators(p * s, r * q, q * s)
 
 
 def rand_positive_side(rng: random.Random, index: int = 64) -> QNum:
     """A side length in roughly [1/4, 8], possibly with a sqrt2 part."""
     while True:
-        p, q = rng.randint(1, 4 * _ramp(index, 2, 8)), rng.randint(1, 4)
+        p, q = _randint(rng, 1, 4 * _ramp(index, 2, 8)), _randint(rng, 1, 4)
         if rng.random() < 0.5:
             x = from_numerators(p, 0, q)
         else:
             # p/q + (r/4)*sqrt2
-            r = rng.choice([-1, 1]) * rng.randint(1, 4)
+            r = (-1, 1)[_randint(rng, 0, 1)] * _randint(rng, 1, 4)
             x = from_numerators(4 * p, r * q, 4 * q)
         if x > dyadic(1, 2):
             return x
@@ -76,8 +92,8 @@ def rand_rect(rng: random.Random, index: int = 64) -> Rect:
 
 
 def rand_split_params(rng: random.Random, r: Rect):
-    axis = rng.choice(["vertical", "horizontal"])
-    t = dyadic(rng.randint(1, 15), 4)
+    axis = ("vertical", "horizontal")[_randint(rng, 0, 1)]
+    t = dyadic(_randint(rng, 1, 15), 4)
     if axis == "vertical":
         c = r.x1 + r.width * t
     else:
@@ -137,7 +153,7 @@ def _suite_additivity(rng: random.Random):
 def _decomposition_cases(rng: random.Random):
     for i in count():
         r = rand_rect(rng, i)
-        yield r, decompose(r, max_steps=rng.randint(1, 24))
+        yield r, decompose(r, max_steps=_randint(rng, 1, 24))
 
 
 def _suite_tiling(rng: random.Random):
@@ -186,7 +202,7 @@ def _suite_oracle(rng: random.Random):
 def _suite_telescope(rng: random.Random):
     for i in count():
         r = rand_rect(rng, i)
-        d = decompose(r, max_steps=rng.randint(1, 20))
+        d = decompose(r, max_steps=_randint(rng, 1, 20))
         tiles = d.all_squares()
         if d.remainder is not None:
             tiles.append(d.remainder)

@@ -92,6 +92,39 @@ def test_counterexample_report_pinned(tmp_path, flags, status, digest):
     assert hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "seed, min_order, max_order, samples, fail_at",
+    [
+        (7, 0, 12, 1000, 37),
+        (7, 0, 12, 1000, 1000),
+        (1, 20, 40, 1000, 37),
+        (42, 5, 5, 1000, 37),
+        (42, 5, 5, 1000, 1000),
+        (3, 1000, 1000, 50, 50),
+    ],
+)
+def test_counterexample_samples_the_stdlib_randint_stream(monkeypatch, seed, min_order, max_order, samples, fail_at):
+    # an all-pass report does not depend on the draws, and constant:1 fails
+    # on the first sample; a check that fails on a later call shows that
+    # every square up to it is the one random.Random(seed).randint draws
+    seen = []
+
+    def fail_at_call(f, n, k, m):
+        seen.append((n, k, m))
+        return ZERO if len(seen) == fail_at else None
+
+    monkeypatch.setattr(harness, "_mesh_square_failure", fail_at_call)
+    rep = cmd_counterexample(min_order=min_order, max_order=max_order, samples=samples, seed=seed)
+    rng = random.Random(seed)
+    expected = [
+        (rng.randint(min_order, max_order), rng.randint(-(2**15), 2**15), rng.randint(-(2**15), 2**15))
+        for _ in range(fail_at)
+    ]
+    assert seen == expected
+    assert rep.findings[0].status == VIOLATED
+    assert rep.findings[0].exact_values == (DyadicSquare(*expected[-1]).to_rect().literal(), "0")
+
+
 class _Quadrants(PointFunction):
     """x*y where x >= 0, x*y*(1+sqrt2) where x < 0 <= y, and -x*y where
     both are negative: on a square inside one quadrant F is the area, the
@@ -384,7 +417,7 @@ def test_cmd_dyadic_approx_order_budget(tmp_path, capsys):
 def _dyadic_approx_reference(function: str, r: Rect, max_order: int) -> tuple[list, list]:
     # the gaps and failing orders order by order: a cover Rect and F.value
     # at every order, against the shrink bound built in the field
-    F = named_rect_function(function)
+    F = harness.named_rect_function(function)
     target = F.value(r)
     gaps = [target - inner_cover_sum(F, r, n) for n in range(1, max_order + 1)]
     return gaps, [n for n, gap in enumerate(gaps, 1) if abs(gap) > shrink_bound(r, n)]
@@ -414,6 +447,61 @@ def test_cmd_dyadic_approx_matches_the_per_order_reference():
         r = rand_mesh_rect(rng) if i % 4 == 0 else rand_rect(rng, i)
         statuses.add(_assert_dyadic_approx_matches_reference(r, functions[i % 3], rng.randint(1, 40)))
     assert statuses == {VERIFIED, VIOLATED}
+
+
+def test_cmd_dyadic_approx_matches_the_per_order_reference_to_order_200():
+    # each gap is formed on the kernel's integers and normalised once, and
+    # compared with the bound on crossed integers: deep orders, where the
+    # integers are hundreds of bits, give the reference's gaps and verdicts
+    rng = random.Random(2502)
+    functions = ("product", "counterexample", "constant:1/3-2*sqrt2")
+    statuses = set()
+    for i in range(60):
+        r = rand_mesh_rect(rng) if i % 4 == 0 else rand_rect(rng, 64 + i)
+        statuses.add(_assert_dyadic_approx_matches_reference(r, functions[i % 3], rng.randint(150, 200)))
+    assert statuses == {VERIFIED, VIOLATED}
+
+
+class _ScaledProduct(PointFunction):
+    """f(x, y) = c*x*y, so F is c times the area: a user subclass with no
+    integer kernel, whose covers have a sqrt2 part when c has one."""
+
+    label = "scaled"
+
+    def __init__(self, c: QNum) -> None:
+        self.c = c
+
+    def value(self, x, y):
+        return self.c * (x * y)
+
+
+def test_cmd_dyadic_approx_decides_a_gap_on_the_bound(monkeypatch):
+    # F = c*area with |c| chosen so that |gap| equals the shrink bound at
+    # order 3: the strict bound holds there, and fails once |c| is a little
+    # larger; c is irrational, and its negative makes every gap negative
+    r = parse_rect("[1/3,2+1/7*sqrt2]x[-1/5,1/9]")
+    area = named_rect_function("product")
+    c = shrink_bound(r, 3) / (area.value(r) - inner_cover_sum(area, r, 3))
+    assert not c.is_rational()
+    for scale, fails in ((c, False), (-c, False), (c * (1 + numeric.dyadic(1, 60)), True), (-c - 1, True)):
+        F = corner_difference(_ScaledProduct(scale))
+        monkeypatch.setattr(harness, "named_rect_function", lambda name: F)
+        _assert_dyadic_approx_matches_reference(r, "scaled", 8)
+        gaps, failures = _dyadic_approx_reference("scaled", r, 8)
+        assert (abs(gaps[2]) == shrink_bound(r, 3)) != fails
+        assert (3 in failures) == fails, (scale, failures)
+
+
+def test_cmd_dyadic_approx_builds_one_value_per_order(monkeypatch):
+    # the gap is the one QNum an order builds: no cover value, no |gap| and
+    # no bound; the witness's covers are non-empty from order 2 on
+    counts = []
+    for max_order in (50, 100):
+        built = count_builds(monkeypatch)
+        cmd_dyadic_approx(rect=WITNESS_RECT, function="product", max_order=max_order)
+        monkeypatch.undo()
+        counts.append(len(built))
+    assert counts[1] - counts[0] == 50
 
 
 @pytest.mark.parametrize("function", ["product", "counterexample"])

@@ -58,10 +58,11 @@ def test_module_launch_writes_a_report_that_parses(tmp_path):
     "argv, status, layers",
     [
         (["decompose", "--rect", "[0,8]x[0,5]"], 0, ["numeric", "geometry", "rectfn", "decompose", "harness"]),
+        (["counterexample", "--samples", "10"], 0, ["numeric", "geometry", "rectfn", "decompose", "harness"]),
         (["proptest", "--suite", "field", "--cases", "5"], 0, LAYERS),
         (["proptest", "--suite", "nope"], 2, []),
     ],
-    ids=["decompose", "proptest", "refused"],
+    ids=["decompose", "counterexample", "proptest", "refused"],
 )
 def test_a_launch_loads_only_the_layers_its_command_runs(argv, status, layers):
     proc = _run(["-c", AS_MODULE, *argv])

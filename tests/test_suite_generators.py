@@ -5,7 +5,9 @@ The generators build each value straight from the drawn integers.  The
 reference below builds it as two `Fraction`s converted by `QNum.__init__`,
 making the same `random.Random` calls in the same order.  A seed must give
 equal triples and leave the generator in an equal state after every call,
-so every suite case and every seeded test case is the same case.
+so every suite case and every seeded test case is the same case.  Below
+them all, `_randint` must draw what `random.Random.randint` draws, from the
+same words.
 """
 
 import random
@@ -18,6 +20,7 @@ from rectadd.numeric import QNum
 from rectadd.rectfn import Table, corner_difference
 from rectadd.suites import (
     _ramp,
+    _randint,
     _rect_corner_points,
     rand_positive_side,
     rand_qnum,
@@ -136,3 +139,22 @@ def test_generator_draws_the_same_cases_as_the_fraction_reference(name):
             r, points = split_case(seed, index) if name in USES_SPLIT else (None, None)
             assert new(new_rng, index, r, points) == ref(ref_rng, index, r, points), (seed, index)
             assert new_rng.getstate() == ref_rng.getstate(), (seed, index)
+
+
+# -- the integer draw ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 13, 16, 2**16 + 1])
+def test_randint_draws_the_stdlib_words(width):
+    # 500 draws on each seed, over a range that starts below zero on odd
+    # seeds, and one two-way pick after each, against randint and choice;
+    # equal states at the end mean the same words were consumed
+    two = ("left", "right")
+    for seed in range(200):
+        lo = -(width // 2) if seed % 2 else 1
+        hi = lo + width - 1
+        new_rng, ref_rng = random.Random(seed), random.Random(seed)
+        for i in range(500):
+            assert _randint(new_rng, lo, hi) == ref_rng.randint(lo, hi), (seed, i)
+            assert two[_randint(new_rng, 0, 1)] == ref_rng.choice(two), (seed, i)
+        assert new_rng.getstate() == ref_rng.getstate(), seed
