@@ -38,8 +38,8 @@ for the whole decomposition: one integer addition per edge, each edge
 normalised with its hash primed, as are each step's far side `hi` where it
 is not yet built and the hashes of its x and y.  It checks once per step
 that the side is positive and then builds each square as a plain tuple.
-`Step.edges` and `Step.squares` run the same builder on one `numerators`
-call of their own.
+`Step.squares` runs the same pass on one `numerators` call of its own, and
+`Step.edges` reads the step's edges off its squares.
 """
 
 from __future__ import annotations
@@ -97,15 +97,17 @@ class Step(namedtuple("Step", "x y side count along_x")):
 
     def edges(self) -> tuple[QNum, ...]:
         """The count + 1 square boundaries along the packing axis as QNums:
-        the step's own corner coordinate, then one integer addition per
-        edge, built hashed by `_edges` from one `numerators` call."""
-        return _edges((self,), *numerators((self.x, self.y, self.side)))[0]
+        the step's own corner coordinate, then each square's far edge, read
+        off `squares`."""
+        if self.along_x:
+            return (self.x, *(sq.x2 for sq in self.squares))
+        return (self.y, *(sq.y2 for sq in self.squares))
 
     @property
     def squares(self) -> tuple[Rect, ...]:
-        """The packed squares, built on demand by `_squares` from the step's
-        edges and shared far side, as `Decomposition.all_squares` builds
-        them, from one `numerators` call."""
+        """The packed squares, built on demand by `_squares` as
+        `Decomposition.all_squares` builds them, from one `numerators`
+        call."""
         return tuple(_squares((self,), *numerators((self.x, self.y, self.side))))
 
 
@@ -188,22 +190,24 @@ class Decomposition(namedtuple("Decomposition", "original steps remainder")):
         return _squares(self.steps, As[6:], Bs[6:], L)
 
 
-def _edges(steps, As: list[int], Bs: list[int], L: int) -> list[tuple[QNum, ...]]:
-    """Each step's edges, as `Step.edges` gives them, from the steps' x, y and
-    side over L laid out as on the frame: step i's are As[3i:3i+3] and
-    Bs[3i:3i+3].
+def _squares(steps, As: list[int], Bs: list[int], L: int) -> list[Rect]:
+    """Every square of the steps, from their x, y and side over L laid out
+    as on the frame: step i's are As[3i:3i+3] and Bs[3i:3i+3].
 
-    An edge is the one before it plus the side, an integer addition; every
-    edge built comes normalised and hashed from one modular inverse of L, as
-    does each step's far side `hi` where its memo is unset (lo + side on the
-    same integers, the object `telescope` then reads), and the steps' x and
-    y get their hashes primed when they have none.  When the hash modulus
-    divides L the hashes are left to `QNum.__hash__`.
+    Each side is checked positive once, which puts every edge below the next
+    and lo below hi, so no square is checked by `Rect.__init__`.  An edge is
+    the one before it plus the side; the edges and each unset far side `hi`
+    come normalised and hashed from one modular inverse of L, which primes
+    unset hashes of the steps' x and y too (all left to `QNum.__hash__` when
+    the hash modulus divides L), and the squares share the step's own x or y
+    and its `hi`, the object `telescope` reads.
     """
     inv = pow(L, -1, _HASH_MODULUS) if L % _HASH_MODULUS else None
     EA: list[int] = []
     EB: list[int] = []
     for s, xa, ya, sa, xb, yb, sb in zip(steps, As[::3], As[1::3], As[2::3], Bs[::3], Bs[1::3], Bs[2::3]):
+        if _sign2(sa, sb) <= 0:
+            raise ValueError(f"degenerate step: side {s.side}")
         if inv is not None:
             if s.x._hash is None:
                 s.x._hash = _hash_over(xa, xb, inv)
@@ -216,24 +220,11 @@ def _edges(steps, As: list[int], Bs: list[int], L: int) -> list[tuple[QNum, ...]
             EA.append(la + sa)
             EB.append(lb + sb)
     built = iter(_from_numerator_lists(EA, EB, L, inv))
-    edges = []
+    squares: list[Rect] = []
     for s in steps:
-        edges.append((s.x if s.along_x else s.y, *islice(built, s.count)))
+        e = (s.x if s.along_x else s.y, *islice(built, s.count))
         if s._hi is None:
             s._hi = next(built)
-    return edges
-
-
-def _squares(steps, As: list[int], Bs: list[int], L: int) -> list[Rect]:
-    """Every square of the steps, from their numerators as `_edges` reads
-    them.  Each side is checked positive once, which puts every edge below
-    the next and lo below hi, so no square is checked by `Rect.__init__`;
-    the squares read the step's edges and share its far side `hi`."""
-    for s, sa, sb in zip(steps, As[2::3], Bs[2::3]):
-        if _sign2(sa, sb) <= 0:
-            raise ValueError(f"degenerate step: side {s.side}")
-    squares: list[Rect] = []
-    for s, e in zip(steps, _edges(steps, As, Bs, L)):
         if s.along_x:
             rows = zip(e, e[1:], repeat(s.y), repeat(s._hi))
         else:

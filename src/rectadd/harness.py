@@ -22,12 +22,7 @@ from .geometry import (
 from .numeric import (
     ONE, QNum, SQRT2, ZERO, _SQRT2_FLOAT, _floor, _sign2, dyadic, from_numerators, numerators, parse_qnum, qnum,
 )
-from .rectfn import (
-    PointFunction,
-    RectFunction,
-    liminf_quotient_probe,
-    named_rect_function,
-)
+from .rectfn import RectFunction, liminf_quotient_probe, named_rect_function
 
 __all__ = [
     "Finding",
@@ -164,21 +159,6 @@ def write_report_json(report: Report, path: str) -> None:
 # counterexample
 
 
-def _mesh_square_failure(f: PointFunction, n: int, k: int, m: int) -> Optional[QNum]:
-    """None when F equals the area and is positive on the order-n mesh square
-    [k, k+1]x[m, m+1] over 2^n, else F's value there.
-
-    F, the corner difference of f, comes from `f.rect_kernel` on the
-    square's integer numerators over 2^n as (a + b*sqrt2)/D, and the area is
-    1 over 4^n, so F equals the area exactly when b == 0 and a*4^n == D,
-    and is positive when a > 0, D being positive.
-    """
-    a, b, D = f.rect_kernel([k, k + 1, m, m + 1], [0, 0, 0, 0], 1 << n)
-    if b == 0 and a << 2 * n == D and a > 0:
-        return None
-    return from_numerators(a, b, D)
-
-
 def cmd_counterexample(
     *,
     min_order: int = 0,
@@ -195,10 +175,13 @@ def cmd_counterexample(
     seeded Mersenne Twister so identical seeds reproduce identical reports.
     They are `random.Random(seed).randint`'s draws, taken straight from
     `getrandbits` by its rule, so no Python call runs around each word.
-    Each square is checked on integer numerators (`_mesh_square_failure`),
-    and the square, its `Rect` and F's value are built only for one that
-    fails.  More than MAX_SAMPLES samples or a max_order above MAX_ORDER
-    are refused before any square is drawn.
+    Each square is checked on integer numerators: F of the order-n mesh
+    square [k, k+1]x[m, m+1] comes from one `rect_kernel` call on its
+    numerators over 2^n as (a + b*sqrt2)/D, and the area is 1 over 4^n, so
+    F equals the area exactly when b == 0 and a*4^n == D, and is positive
+    when a > 0, D being positive.  The square, its `Rect` and F's value are
+    built only for one that fails.  More than MAX_SAMPLES samples or a
+    max_order above MAX_ORDER are refused before any square is drawn.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -209,7 +192,7 @@ def cmd_counterexample(
     if max_order > MAX_ORDER:
         raise ValueError(f"max_order above {MAX_ORDER} (the mesh-order budget of counterexample)")
     F = named_rect_function(function)
-    f = F.point_fn
+    kernel = F.point_fn.rect_kernel
     # n, k and m are drawn as random.Random(seed).randint draws them, word
     # for word: a word of the width's bit length, redrawn while it is not
     # below the width
@@ -219,7 +202,6 @@ def cmd_counterexample(
     km_width = 2**16 + 1
     km_bits = km_width.bit_length()
     bad: Optional[DyadicSquare] = None
-    bad_value: Optional[QNum] = None
     for _ in range(samples):
         n = bits(n_bits)
         while n >= n_width:
@@ -231,9 +213,9 @@ def cmd_counterexample(
         while m >= km_width:
             m = bits(km_bits)
         n, k, m = n + min_order, k - 2**15, m - 2**15
-        bad_value = _mesh_square_failure(f, n, k, m)
-        if bad_value is not None:
-            bad = DyadicSquare(n, k, m)
+        a, b, D = kernel([k, k + 1, m, m + 1], [0, 0, 0, 0], 1 << n)
+        if b or a << 2 * n != D or a <= 0:
+            bad, bad_value = DyadicSquare(n, k, m), from_numerators(a, b, D)
             break
     findings = []
     if bad is None:
@@ -326,14 +308,14 @@ def cmd_decompose(
         # the remainder's area (x2 - rx)*(y2 - ry), its corner rx, ry over L
         wa, wb, ha, hb = As[1] - As[4], Bs[1] - Bs[4], As[3] - As[5], Bs[3] - Bs[5]
         A, B = A + wa * ha + 2 * wb * hb, B + wa * hb + wb * ha
-    tiled = from_numerators(A, B, L * L)
+    tiled, area = from_numerators(A, B, L * L), r.area()
     findings.append(
         Finding(
             claim=f"{d.total_squares} squares in {len(d.steps)} steps "
             f"(terminated={d.terminated}) tile the rectangle exactly",
-            status=VERIFIED if tiled == r.area() else VIOLATED,
-            exact_values=_lits(r.area(), tiled),
-            approximations=_approxs(r.area()),
+            status=VERIFIED if tiled == area else VIOLATED,
+            exact_values=_lits(area, tiled),
+            approximations=_approxs(area),
         )
     )
 
@@ -419,11 +401,11 @@ def cmd_dyadic_approx(
     integers: the cover spans take one exact floor per coordinate, at
     max_order, and every lower order's span is that one shifted
     (`coarser_cover_span`).  F of a cover comes from the point function's
-    `rect_kernel` on the span over 2^n, as `_mesh_square_failure` takes it,
-    so no Rect is built per order.  Each gap is formed on the kernel's
-    integers and target's triple and normalised once, and |gap| is compared
-    with the bound by one `_sign2` on cross-multiplied integers, so no bound
-    QNum is built either.
+    `rect_kernel` on the span over 2^n, as `cmd_counterexample` takes a
+    mesh square, so no Rect is built per order.  Each gap is formed on the
+    kernel's integers and target's triple and normalised once, and |gap| is
+    compared with the bound by one `_sign2` on cross-multiplied integers, so
+    no bound QNum is built either.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -586,8 +568,11 @@ def cmd_probe(
     w = parse_rect(within) if isinstance(within, str) else within
     probe = liminf_quotient_probe(F, (px, py), alpha, depth, offsets, within=w)
     findings = []
+    mins = []
     for scale in probe.scales:
         exact = [s.quotient for s in scale.samples if s.quotient is not None]
+        if exact:
+            mins.append(min(exact))
         flagged = sum(1 for s in scale.samples if s.flagged)
         desc = (
             f"scale 2^-{scale.level}: {len(scale.samples)} squares"
@@ -603,7 +588,6 @@ def cmd_probe(
                 approximations=tuple(s.quotient_approx for s in scale.samples),
             )
         )
-    mins = [s.min_quotient for s in probe.scales if s.min_quotient is not None]
     findings.append(
         Finding(
             claim="per-scale minimum quotients (finite evidence, not a certificate)",

@@ -3,9 +3,10 @@ and the calls it makes to a function of rectadd."""
 
 import sys
 
-from rectadd import numeric
+from rectadd import harness, numeric
 from rectadd.geometry import DyadicSquare, Rect
 from rectadd.numeric import QNum
+from rectadd.rectfn import PointFunction, corner_difference
 
 
 def count_field_calls(monkeypatch, *names: str) -> list:
@@ -60,3 +61,24 @@ def count_calls(monkeypatch, fn) -> list:
         for name in [k for k, v in vars(m).items() if v is fn]:
             monkeypatch.setattr(m, name, counting)
     return calls
+
+
+def counterexample_squares(monkeypatch, f, **kwargs):
+    """`cmd_counterexample(**kwargs)` run on the point function f, patched in
+    through `harness.named_rect_function`, and the mesh squares (n, k, m)
+    its kernel was asked for, in draw order, each checked to come as the
+    numerators [k, k+1]x[m, m+1] over 2^n."""
+    squares = []
+
+    class Recording(PointFunction):
+        def value(self, x, y):
+            return f.value(x, y)
+
+        def rect_kernel(self, As, Bs, L):
+            n, k, m = L.bit_length() - 1, As[0], As[2]
+            assert (As, Bs, L) == ([k, k + 1, m, m + 1], [0, 0, 0, 0], 1 << n)
+            squares.append((n, k, m))
+            return f.rect_kernel(As, Bs, L)
+
+    monkeypatch.setattr(harness, "named_rect_function", lambda name: corner_difference(Recording()))
+    return harness.cmd_counterexample(**kwargs), squares

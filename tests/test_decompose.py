@@ -380,6 +380,16 @@ def test_edges_match_repeated_field_addition():
     assert mixed > 100  # most cases add over a denominator neither value has
 
 
+@pytest.mark.parametrize("side", [ZERO, QNum(-1), ONE - SQRT2])
+def test_edges_of_a_degenerate_step_are_refused(side):
+    # the edges are read off the step's squares, so they take its check
+    for along_x in (True, False):
+        step = Step(QNum(F(1, 3)), SQRT2, side, 3, along_x)
+        with pytest.raises(ValueError, match="degenerate step"):
+            step.edges()
+        assert step._hi is None
+
+
 @pytest.mark.parametrize(
     "r, max_steps",
     [

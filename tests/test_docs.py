@@ -1,7 +1,8 @@
 """The API names in the README and in the package's docstrings: every
 backticked `head.attr` whose head is a rectadd module or a name the package
-exports must resolve by getattr, so a rename cannot leave a stale name
-behind in the docs."""
+exports must resolve by getattr, and every bare backticked private `_name`
+must be a module-level name or class attribute in rectadd, so a rename
+cannot leave a stale name behind in the docs."""
 
 import ast
 import fnmatch
@@ -9,6 +10,7 @@ import importlib
 import pkgutil
 import re
 from pathlib import Path
+from types import ModuleType
 
 import rectadd
 from rectadd import cli, suites
@@ -21,6 +23,8 @@ _FENCED = re.compile(r"^```.*?^```", re.S | re.M)
 _SPAN = re.compile(r"`([^`\n]+)`")
 # a dotted name, not inside a longer one, perhaps ending in a `*` wildcard
 _DOTTED = re.compile(r"(?<![\w.])([A-Za-z_]\w*)((?:\.\w+)+)(\*?)")
+# a private name, not inside a longer one
+_PRIVATE = re.compile(r"(?<![\w.])(_\w+)")
 
 
 def _heads() -> dict:
@@ -31,6 +35,19 @@ def _heads() -> dict:
         if not m.name.startswith("_"):  # importing __main__ runs the CLI
             heads[m.name] = importlib.import_module(f"rectadd.{m.name}")
     return heads
+
+
+def _private_names() -> set:
+    """The module-level names of the package and its modules, and the
+    attributes of every class they define."""
+    names = set(vars(rectadd))
+    for m in _heads().values():
+        if isinstance(m, ModuleType):
+            names.update(vars(m))
+            for obj in vars(m).values():
+                if isinstance(obj, type) and obj.__module__ == m.__name__:
+                    names.update(dir(obj))
+    return names
 
 
 def _resolves(obj, attrs: list[str], wildcard: bool) -> bool:
@@ -46,9 +63,10 @@ def _resolves(obj, attrs: list[str], wildcard: bool) -> bool:
 
 def stale_names(text: str) -> list[str]:
     """The backticked rectadd names in markdown text that do not resolve."""
-    heads = _heads()
+    heads, private = _heads(), _private_names()
     stale = []
     for span in _SPAN.findall(_FENCED.sub("", text)):
+        stale += [name for name in _PRIVATE.findall(span) if name not in private]
         for head, tail, star in _DOTTED.findall(span):
             attrs = tail[1:].split(".")
             if head == "rectadd":
@@ -133,9 +151,11 @@ def test_checker_flags_only_stale_rectadd_names():
         "`rectadd.nothing` never was; `random.Random`, `q.a == A/D`, "
         "`harness.cmd_*`, `rectadd.cli`, `rectadd.harness.MAX_TILES`, "
         "`Rect._make` and `f.rect_kernel(*numerators(r))` are fine.\n"
-        "```\nStep.also_gone\n```\n"
+        "`_cuts` and `_gone(As, _sign2)` are gone; `_sign2`, `_hash_over(a, b, inv)`, "
+        "`Step._hi`, `_value_difference`, `__getattr__`, `__init__` and `x_1` are fine.\n"
+        "```\nStep.also_gone _also_gone\n```\n"
     )
-    assert stale_names(text) == ["PointFunction.cuts", "Step.row_ends", "rectadd.nothing"]
+    assert stale_names(text) == ["PointFunction.cuts", "Step.row_ends", "rectadd.nothing", "_cuts", "_gone"]
 
 
 def test_readme_names_resolve():

@@ -31,11 +31,11 @@ from rectadd.harness import (
 )
 from rectadd.decompose import decompose
 from rectadd.numeric import QNum, SQRT2, ZERO, numerators
-from rectadd.rectfn import PointFunction, corner_difference, named_point_function, named_rect_function
+from rectadd.rectfn import PointFunction, Product, corner_difference, named_point_function, named_rect_function
 from rectadd.suites import rand_rect, rand_table_function, _rect_corner_points
 
 from cover_oracle import dyadic_inner_cover, rand_mesh_rect
-from field_counter import count_builds, count_calls, count_field_calls
+from field_counter import count_builds, count_calls, count_field_calls, counterexample_squares
 
 F = Fraction
 
@@ -105,16 +105,19 @@ def test_counterexample_report_pinned(tmp_path, flags, status, digest):
 )
 def test_counterexample_samples_the_stdlib_randint_stream(monkeypatch, seed, min_order, max_order, samples, fail_at):
     # an all-pass report does not depend on the draws, and constant:1 fails
-    # on the first sample; a check that fails on a later call shows that
+    # on the first sample; a kernel that fails on a later call shows that
     # every square up to it is the one random.Random(seed).randint draws
-    seen = []
 
-    def fail_at_call(f, n, k, m):
-        seen.append((n, k, m))
-        return ZERO if len(seen) == fail_at else None
+    class FailAtCall(Product):
+        calls = 0
 
-    monkeypatch.setattr(harness, "_mesh_square_failure", fail_at_call)
-    rep = cmd_counterexample(min_order=min_order, max_order=max_order, samples=samples, seed=seed)
+        def rect_kernel(self, As, Bs, L):
+            self.calls += 1
+            return (0, 0, 1) if self.calls == fail_at else super().rect_kernel(As, Bs, L)
+
+    rep, seen = counterexample_squares(
+        monkeypatch, FailAtCall(), min_order=min_order, max_order=max_order, samples=samples, seed=seed
+    )
     rng = random.Random(seed)
     expected = [
         (rng.randint(min_order, max_order), rng.randint(-(2**15), 2**15), rng.randint(-(2**15), 2**15))
@@ -144,24 +147,24 @@ class _Quadrants(PointFunction):
     [*map(named_point_function, ("counterexample", "product", "constant:1", "constant:0")), _Quadrants()],
     ids=lambda f: f.label,
 )
-def test_mesh_square_check_matches_value(f):
+def test_mesh_square_check_matches_value(monkeypatch, f):
+    # every square the run checks before its last holds, and the last one
+    # too unless the report names it with F's value
     F_ = corner_difference(f)
-    orders, verdicts = set(), set()
-    for seed in range(24):
-        rng = random.Random(seed)
-        for _ in range(40):
-            n, k, m = rng.randint(0, 60), rng.randint(-(2**15), 2**15), rng.randint(-(2**15), 2**15)
-            sq = DyadicSquare(n, k, m)
-            r = sq.to_rect()
+    verdicts = set()
+    for n in range(61):
+        rep, seen = counterexample_squares(monkeypatch, f, min_order=n, max_order=n, samples=16, seed=n)
+        failed = rep.findings[0].status == VIOLATED
+        assert len(seen) == 16 or failed
+        assert {order for order, _, _ in seen} == {n}
+        for i, sq in enumerate(seen):
+            r = DyadicSquare(*sq).to_rect()
             v = F_.value(r)
             holds = v == r.area() and v.sign() > 0
-            failure = harness._mesh_square_failure(f, n, k, m)
-            assert (failure is None) == holds, (f.label, n, k, m)
-            if failure is not None:
-                assert failure.literal() == v.literal()
-            orders.add(n)
+            assert holds != (failed and i == len(seen) - 1), (f.label, sq)
+            if not holds:
+                assert rep.findings[0].exact_values == (r.literal(), v.literal())
             verdicts.add(holds)
-    assert orders == set(range(61))
     if isinstance(f, _Quadrants):
         assert type(f).rect_kernel is PointFunction.rect_kernel and verdicts == {True, False}
 

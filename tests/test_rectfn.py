@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from rectadd import harness
 from rectadd.decompose import Decomposition, Step, decompose, telescope
 from rectadd.geometry import DyadicSquare, Rect, split
+from rectadd.harness import VIOLATED
 from rectadd.numeric import ONE, QNum, SQRT2, ZERO, from_numerators, numerators
 from rectadd.rectfn import (
     COUNTEREXAMPLE,
@@ -25,7 +25,7 @@ from rectadd.rectfn import (
 )
 from rectadd.suites import _rect_corner_points, rand_rect, rand_split_params, rand_table_function
 
-from field_counter import count_builds
+from field_counter import count_builds, counterexample_squares
 
 F = Fraction
 
@@ -407,7 +407,7 @@ class _DoubledAgain(_Doubled):
 
 
 @pytest.mark.parametrize("f", [_Doubled(), _Shifted(), _DoubledAgain()], ids=lambda f: type(f).__name__)
-def test_subclass_overriding_value_is_summed_by_value(f):
+def test_subclass_overriding_value_is_summed_by_value(monkeypatch, f):
     # the parent's integer kernel is the parent's formula; a subclass with
     # its own `value` and no `rect_kernel` of its own falls back to `value`
     assert type(f).rect_kernel is PointFunction.rect_kernel
@@ -422,17 +422,15 @@ def test_subclass_overriding_value_is_summed_by_value(f):
         irrational += not (r.x2 - r.x1).is_rational() or not (r.y2 - r.y1).is_rational()
     assert irrational > 10
     assert telescope(F_, decompose(rects[0], 20)) == F_.value(rects[0]) != PROD.value(rects[0])
-    verdicts = set()
-    for _ in range(300):
-        n, k, m = rng.randint(0, 40), rng.randint(-(2**15), 2**15), rng.randint(-(2**15), 2**15)
-        r = DyadicSquare(n, k, m).to_rect()
+    # F is 2 or 3 times the area on every mesh square, so each run of the
+    # counterexample check stops at its first square, named with F's value
+    for seed in range(300):
+        rep, seen = counterexample_squares(monkeypatch, f, max_order=40, seed=seed)
+        assert len(seen) == 1 and rep.findings[0].status == VIOLATED
+        r = DyadicSquare(*seen[0]).to_rect()
         v = F_.value(r)
-        holds = v == r.area() and v.sign() > 0
-        failure = harness._mesh_square_failure(f, n, k, m)
-        assert (failure is None) == holds
-        assert failure is None or failure == v
-        verdicts.add(holds)
-    assert verdicts == {False}  # F is 2 or 3 times the area on every mesh square
+        assert v != r.area() or v.sign() <= 0
+        assert rep.findings[0].exact_values == (r.literal(), v.literal())
 
 
 def test_builtin_point_functions_keep_their_integer_kernels():
