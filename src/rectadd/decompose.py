@@ -33,13 +33,14 @@ at the row's four corners, QNums the decomposition already holds, and the
 rows add up as integers over one denominator, normalised once: one gcd and
 one QNum for the whole sum instead of one per row (Knuth, TAOCP vol. 2,
 4.5.1).  Only `Decomposition.all_squares` (and `Step.squares` for one step)
-builds every edge, in one pass over the frame with one modular inverse of L
-for the whole decomposition: one integer addition per edge, each edge
-normalised with its hash primed, as are each step's far side `hi` where it
-is not yet built and the hashes of its x and y.  It checks once per step
-that the side is positive and then builds each square as a plain tuple.
-`Step.squares` runs the same pass on one `numerators` call of its own, and
-`Step.edges` reads the step's edges off its squares.
+builds every edge, in one pass over the frame: one integer addition per
+edge, each edge normalised with its hash primed.  A square's far side
+across the packing axis is the original's y2 or x2 itself, since the far
+corner never moves, so one QNum is built a square.  The pass checks once per
+step that the side is positive and then builds each square as a plain
+tuple.  `Step.squares` runs the same pass on one `numerators` call of its
+own, with the step's `hi` as the far side, and `Step.edges` reads the
+step's edges off its squares.
 """
 
 from __future__ import annotations
@@ -50,9 +51,7 @@ from itertools import accumulate, islice, repeat
 from typing import Optional
 
 from .geometry import Rect
-from .numeric import (
-    _HASH_MODULUS, QNum, _floor, _from_numerator_lists, _hash_over, _sign2, dyadic, from_numerators, numerators,
-)
+from .numeric import QNum, _floor, _from_numerator_lists, _sign2, dyadic, from_numerators, numerators
 from .rectfn import PointFunction, RectFunction
 
 __all__ = [
@@ -78,22 +77,12 @@ class Step(namedtuple("Step", "x y side count along_x")):
         `along_x`, else x."""
         return self.y if self.along_x else self.x
 
-    # A memo of `hi`, set once in the instance dict that Step keeps by
-    # declaring no __slots__.  It is not a field, so equality, hashing and
-    # repr ignore it (functools.cached_property would do as much, but before
-    # Python 3.12 it takes a lock on every first read).
-    _hi = None
-
     @property
     def hi(self) -> QNum:
-        """The far side of the row, lo + side, built once per step, here or
-        with the step's squares, so that every square and `telescope`'s
-        corners share one object, whose cached hash every `Table` lookup
-        reuses."""
-        hi = self._hi
-        if hi is None:
-            hi = self._hi = self.lo + self.side
-        return hi
+        """The far side of the row across the packing axis, lo + side.  In a
+        decomposition it equals the original's y2 along x, else its x2: the
+        far corner never moves."""
+        return self.lo + self.side
 
     def edges(self) -> tuple[QNum, ...]:
         """The count + 1 square boundaries along the packing axis as QNums:
@@ -107,8 +96,9 @@ class Step(namedtuple("Step", "x y side count along_x")):
     def squares(self) -> tuple[Rect, ...]:
         """The packed squares, built on demand by `_squares` as
         `Decomposition.all_squares` builds them, from one `numerators`
-        call."""
-        return tuple(_squares((self,), *numerators((self.x, self.y, self.side))))
+        call, each with `hi` as its far side."""
+        hi = self.hi
+        return tuple(_squares((self,), *numerators((self.x, self.y, self.side)), hi, hi))
 
 
 class Decomposition(namedtuple("Decomposition", "original steps remainder")):
@@ -120,8 +110,9 @@ class Decomposition(namedtuple("Decomposition", "original steps remainder")):
     """
 
     # A memo of `frame`, set once in the instance dict that Decomposition
-    # has by declaring no __slots__, as `Step._hi` is.  It is not a field,
-    # so equality, hashing and repr ignore it.
+    # has by declaring no __slots__.  It is not a field, so equality,
+    # hashing and repr ignore it (functools.cached_property would do as
+    # much, but before Python 3.12 it takes a lock on every first read).
     _frame = None
 
     @property
@@ -185,50 +176,42 @@ class Decomposition(namedtuple("Decomposition", "original steps remainder")):
     def all_squares(self) -> list[Rect]:
         """Every packed square, step by step, built on demand off the frame:
         the steps' corners and sides are As[6:], Bs[6:] over its L, so no
-        `numerators` call and one modular inverse of L for them all."""
+        `numerators` call.  A step only subtracts from the longer side, so
+        each square's far side across the packing axis is the original's
+        y2 (along x) or x2, the object itself: one QNum built a square."""
         As, Bs, L = self.frame
-        return _squares(self.steps, As[6:], Bs[6:], L)
+        r = self.original
+        return _squares(self.steps, As[6:], Bs[6:], L, r.x2, r.y2)
 
 
-def _squares(steps, As: list[int], Bs: list[int], L: int) -> list[Rect]:
+def _squares(steps, As: list[int], Bs: list[int], L: int, x2: QNum, y2: QNum) -> list[Rect]:
     """Every square of the steps, from their x, y and side over L laid out
-    as on the frame: step i's are As[3i:3i+3] and Bs[3i:3i+3].
+    as on the frame: step i's are As[3i:3i+3] and Bs[3i:3i+3].  Each step's
+    far side across the packing axis, lo + side, is y2 along x and x2 along
+    y, objects the caller holds.
 
     Each side is checked positive once, which puts every edge below the next
-    and lo below hi, so no square is checked by `Rect.__init__`.  An edge is
-    the one before it plus the side; the edges and each unset far side `hi`
-    come normalised and hashed from one modular inverse of L, which primes
-    unset hashes of the steps' x and y too (all left to `QNum.__hash__` when
-    the hash modulus divides L), and the squares share the step's own x or y
-    and its `hi`, the object `telescope` reads.
+    and lo below the far side, so no square is checked by `Rect.__init__`.
+    An edge is the one before it plus the side, all built normalised and
+    hashed by one `_from_numerator_lists` call, and the squares share the
+    step's own x or y and the far side.
     """
-    inv = pow(L, -1, _HASH_MODULUS) if L % _HASH_MODULUS else None
     EA: list[int] = []
     EB: list[int] = []
     for s, xa, ya, sa, xb, yb, sb in zip(steps, As[::3], As[1::3], As[2::3], Bs[::3], Bs[1::3], Bs[2::3]):
         if _sign2(sa, sb) <= 0:
             raise ValueError(f"degenerate step: side {s.side}")
-        if inv is not None:
-            if s.x._hash is None:
-                s.x._hash = _hash_over(xa, xb, inv)
-            if s.y._hash is None:
-                s.y._hash = _hash_over(ya, yb, inv)
-        a, b, la, lb = (xa, xb, ya, yb) if s.along_x else (ya, yb, xa, xb)
+        a, b = (xa, xb) if s.along_x else (ya, yb)
         EA += islice(accumulate(repeat(sa, s.count), initial=a), 1, None)
         EB += islice(accumulate(repeat(sb, s.count), initial=b), 1, None)
-        if s._hi is None:
-            EA.append(la + sa)
-            EB.append(lb + sb)
-    built = iter(_from_numerator_lists(EA, EB, L, inv))
+    built = iter(_from_numerator_lists(EA, EB, L))
     squares: list[Rect] = []
     for s in steps:
         e = (s.x if s.along_x else s.y, *islice(built, s.count))
-        if s._hi is None:
-            s._hi = next(built)
         if s.along_x:
-            rows = zip(e, e[1:], repeat(s.y), repeat(s._hi))
+            rows = zip(e, e[1:], repeat(s.y), repeat(y2))
         else:
-            rows = zip(repeat(s.x), repeat(s._hi), e, e[1:])
+            rows = zip(repeat(s.x), repeat(x2), e, e[1:])
         # tuple.__new__(Rect, row) is `Rect._make` without its Python call
         squares += map(tuple.__new__, repeat(Rect), rows)
     return squares
@@ -358,10 +341,11 @@ def telescope(F: RectFunction, d: Decomposition) -> QNum:
     one more row.  Each row gives integer numerators (a, b, e) of F of the
     row: a point function with its own integer `rect_kernel` gets the row's
     numerators straight, and any other is evaluated by `value` at the row's
-    corners, QNums the decomposition holds: a step's own x, y and `hi`, and
-    its far edge, the next step's corner, the remainder's, or the original's
-    far corner when the last packing was exact; so no QNum is built per row
-    and a `Table` looks up keys whose hashes are cached.  The rows are summed
+    corners, QNums the decomposition holds: a step's own x and y, its far
+    side across the packing axis, the original's y2 or x2, and its far edge,
+    the next step's corner, the remainder's, or the original's far corner
+    when the last packing was exact; so no QNum is built per row and a
+    `Table` looks up keys whose hashes are cached.  The rows are summed
     as integers over the lcm of their denominators and normalised once, the
     one QNum built.  For corner-difference F the sum equals F(original)
     exactly: shared-edge corner terms cancel in pairs across the tiling.
@@ -375,7 +359,7 @@ def telescope(F: RectFunction, d: Decomposition) -> QNum:
         ends = [(s.x, s.y) for s in d.steps[1:]]
         ends.append((r.x2, r.y2) if rem is None else (rem.x1, rem.y1))
         rows = [
-            (s.x, x2, s.y, s.hi) if s.along_x else (s.x, s.hi, s.y, y2) for s, (x2, y2) in zip(d.steps, ends)
+            (s.x, x2, s.y, r.y2) if s.along_x else (s.x, r.x2, s.y, y2) for s, (x2, y2) in zip(d.steps, ends)
         ]
         if rem is not None:
             rows.append(rem)

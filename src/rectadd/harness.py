@@ -178,9 +178,10 @@ def cmd_counterexample(
     Each square is checked on integer numerators: F of the order-n mesh
     square [k, k+1]x[m, m+1] comes from one `rect_kernel` call on its
     numerators over 2^n as (a + b*sqrt2)/D, and the area is 1 over 4^n, so
-    F equals the area exactly when b == 0 and a*4^n == D, and is positive
-    when a > 0, D being positive.  The square, its `Rect` and F's value are
-    built only for one that fails.  More than MAX_SAMPLES samples or a
+    F equals the area exactly when b == 0 and a*4^n == D.  That test settles
+    positivity too, with no sign test of a: the kernel's D is positive, so
+    a*4^n == D puts a > 0.  The square, its `Rect` and F's value are built
+    only for one that fails.  More than MAX_SAMPLES samples or a
     max_order above MAX_ORDER are refused before any square is drawn.
     """
     if samples < 1:
@@ -214,7 +215,7 @@ def cmd_counterexample(
             m = bits(km_bits)
         n, k, m = n + min_order, k - 2**15, m - 2**15
         a, b, D = kernel([k, k + 1, m, m + 1], [0, 0, 0, 0], 1 << n)
-        if b or a << 2 * n != D or a <= 0:
+        if b or a << 2 * n != D:
             bad, bad_value = DyadicSquare(n, k, m), from_numerators(a, b, D)
             break
     findings = []

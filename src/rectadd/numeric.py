@@ -435,15 +435,16 @@ def numerators(values: Sequence[QNum]) -> tuple[list[int], list[int], int]:
 from_numerators = _new
 
 
-def _from_numerator_lists(As: list[int], Bs: list[int], L: int, inv: int | None) -> list[QNum]:
+def _from_numerator_lists(As: list[int], Bs: list[int], L: int) -> list[QNum]:
     """[from_numerators(A, B, L) for A, B in zip(As, Bs)], each with its hash
-    primed from inv, the inverse of L modulo the hash modulus, or left to
-    `__hash__` when inv is None (the modulus divides L).
+    primed from one inverse of L modulo the hash modulus, or left to
+    `__hash__` when the modulus divides L.
 
     The loop does `_new`'s normalising and `_hash_over`'s hashing in line,
     on the unreduced numerators, so a long list costs no Python call per
     value."""
     M = _HASH_MODULUS
+    inv = pow(L, -1, M) if L % M else None
     gcd = math.gcd
     alloc = _alloc
     out = []

@@ -315,13 +315,23 @@ def test_remainder_diameter_vs_trace():
 
 
 def test_square_counts_per_step_consistent():
+    # the far corner never moves: every square's far side across the
+    # packing axis is the original's y2 (along x) or x2, the object itself,
+    # and equals the step's lo + side in the field
     rng = random.Random(405)
     for i in range(60):
         d = decompose(rand_rect(rng, i), rng.randint(1, 16))
+        squares = iter(d.all_squares())
         for step in d.steps:
             assert step.count == len(step.squares) >= 1
             for sq in step.squares:
                 assert sq.width == sq.height == step.side
+            far = d.original.y2 if step.along_x else d.original.x2
+            assert step.lo + step.side == far
+            for sq in islice(squares, step.count):
+                assert sq.width == sq.height == step.side
+                assert (sq.y2 if step.along_x else sq.x2) is far
+        assert next(squares, None) is None
 
 
 def _transpose(r):
@@ -387,7 +397,6 @@ def test_edges_of_a_degenerate_step_are_refused(side):
         step = Step(QNum(F(1, 3)), SQRT2, side, 3, along_x)
         with pytest.raises(ValueError, match="degenerate step"):
             step.edges()
-        assert step._hi is None
 
 
 @pytest.mark.parametrize(
@@ -459,17 +468,19 @@ def test_telescope_cost_does_not_grow_with_the_packing_count(monkeypatch, r, max
 def test_squares_share_the_step_edges():
     # the squares of a step read its edges, built once for them, and its far
     # side: the first starts at the step's own corner, neighbours share the
-    # edge between them, and every square shares `hi`
+    # edge between them, and every square shares one far side, `hi`
     d = decompose(Rect(QNum(F(1, 3)), QNum(F(1, 3), F(1, 2)), QNum(F(-7, 4)), QNum(40)), 6)
     for step in d.steps:
         e = step.edges()
         assert e[0] is (step.x if step.along_x else step.y)
         squares = step.squares
         assert len(squares) == step.count
+        far = squares[0].y2 if step.along_x else squares[0].x2
+        assert far == step.hi
         previous = e[0]
         for k, sq in enumerate(squares):
             along, across = ((sq.x1, sq.x2), sq.y2) if step.along_x else ((sq.y1, sq.y2), sq.x2)
-            assert along[0] is previous and along == (e[k], e[k + 1]) and across is step.hi
+            assert along[0] is previous and along == (e[k], e[k + 1]) and across is far
             previous = along[1]
 
 
@@ -514,7 +525,6 @@ def test_telescope_of_a_table_builds_one_qnum_over_the_values_lcm(monkeypatch):
     rng = random.Random(479)
     for d in (truncated, terminated):
         tiles = d.all_squares() + ([d.remainder] if d.remainder is not None else [])
-        # building the squares memoises every `Step.hi`
         corners = {p: QNum(F(rng.randint(-99, 99), rng.randint(1, 9))) for sq in tiles for p in sq.corners()}
         Ft = corner_difference(Table(corners))
         built = count_builds(monkeypatch)
@@ -608,35 +618,34 @@ def test_step_edges_over_the_hash_modulus_hash_on_demand():
 
 
 def _by_hand(d):
-    # the same decomposition built by hand: new Steps, so no `hi` memo, and
-    # a frame derived by one `numerators` call
+    # the same decomposition built by hand: new Steps, and a frame derived
+    # by one `numerators` call
     return Decomposition(d.original, tuple(Step(*s) for s in d.steps), d.remainder)
 
 
 def _assert_all_squares_match_the_steps(d, hashed=True):
     """d.all_squares() against the squares each step builds on its own, and
     the sharing and hashes it promises; returns the squares' triples."""
-    unset = [s._hi is None for s in d.steps]
+    r = d.original
     squares = d.all_squares()
     assert all(type(sq) is Rect for sq in squares)
     k = 0
-    for s, fresh in zip(d.steps, unset):
-        first, lo = (s.x, s.y) if s.along_x else (s.y, s.x)
-        built = [s.hi] if fresh else []
+    for s in d.steps:
+        first, lo, far = (s.x, s.y, r.y2) if s.along_x else (s.y, s.x, r.x2)
+        built = []
         previous = first
         for sq in squares[k : k + s.count]:
             along, near, across = ((sq.x1, sq.x2), sq.y1, sq.y2) if s.along_x else ((sq.y1, sq.y2), sq.x1, sq.x2)
             # neighbours share the edge between them, and every square the
-            # step's own lo and hi, the far side `telescope` reads
-            assert along[0] is previous and near is lo and across is s.hi
+            # step's own lo and the original's far side, which `telescope`
+            # reads too
+            assert along[0] is previous and near is lo and across is far
             previous = along[1]
             built.append(previous)
         k += s.count
-        # edges and far sides built here come hashed, and the step's x and
-        # y are primed, unless the hash modulus divides the frame's L
+        # edges built here come hashed, unless the hash modulus divides the
+        # frame's L
         assert all((v._hash is not None) == hashed for v in built)
-        if hashed:
-            assert s.x._hash is not None and s.y._hash is not None
         assert all(hash(v) == _value_hash(v) for v in (*built, s.x, s.y))
     assert k == len(squares) == d.total_squares
     triples = [_triples(sq) for sq in squares]
@@ -691,20 +700,17 @@ FIELD_OPS = (
 def test_all_squares_read_the_frame(monkeypatch, r, max_steps):
     # the frame `decompose` kept holds every step's corner and side, so the
     # squares take no `numerators` call and no field operation, and build
-    # one QNum a square, its far edge, and one a step whose `hi` is unset
-    for preset in (0, 3):
-        d = decompose(r, max_steps)
-        assert d.steps[0].along_x == (r.width >= r.height)
-        for s in d.steps[:preset]:
-            s.hi
-        calls = count_calls(monkeypatch, numerators)
-        ops = count_field_calls(monkeypatch, *FIELD_OPS)
-        built = count_builds(monkeypatch)
-        squares = d.all_squares()
-        assert calls == [] and ops == []
-        assert len(built) == d.total_squares + len(d.steps) - min(preset, len(d.steps))
-        monkeypatch.undo()
-        assert len(squares) == d.total_squares
+    # one QNum a square, its far edge: the far side is the original's
+    d = decompose(r, max_steps)
+    assert d.steps[0].along_x == (r.width >= r.height)
+    calls = count_calls(monkeypatch, numerators)
+    ops = count_field_calls(monkeypatch, *FIELD_OPS)
+    built = count_builds(monkeypatch)
+    squares = d.all_squares()
+    assert calls == [] and ops == []
+    assert len(built) == d.total_squares
+    monkeypatch.undo()
+    assert len(squares) == d.total_squares
 
 
 def _step_triples(step):
@@ -855,7 +861,7 @@ def test_rows_end_with_the_remainder_and_tile_the_rectangle():
 
 def test_telescope_values_the_corners_the_decomposition_holds():
     # on the value path every coordinate looked up is one of the original's,
-    # the remainder's or a step's own x, y and `hi`, and each row's four
+    # the remainder's or a step's own x and y, and each row's four
     # lookups are the corners of its row on the frame
     rng = random.Random(491)
     seen = set()
@@ -875,7 +881,7 @@ def test_telescope_values_the_corners_the_decomposition_holds():
             Ft = corner_difference(Recording(table.point_fn._entries))
             assert telescope(Ft, d) == table.value(r)
             held = [*r, *(d.remainder or ())]
-            held += [v for s in d.steps for v in (s.x, s.y, s.hi)]
+            held += [v for s in d.steps for v in (s.x, s.y)]
             held = {id(v) for v in held}
             assert all(id(x) in held and id(y) in held for x, y in looked_up)
             rows = d.rows()

@@ -44,3 +44,44 @@ def test_relative_imports_go_down_the_layers():
             if LAYERS.index(imported) >= i:
                 upward.append(f"{name} -> {imported}")
     assert upward == []
+
+
+# numeric's hash encoding: the hash a QNum caches and the helpers that
+# compute it from numerators; no other module may depend on it
+HASH_INTERNALS = {"_hash", "_HASH_MODULUS", "_hash_over", "_scaled_hash"}
+
+
+def hash_internals(source: str) -> set[str]:
+    """The names of HASH_INTERNALS a source uses: read or written as an
+    attribute, imported, named, or spelled out as a string."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used & HASH_INTERNALS
+
+
+def test_checker_sees_every_use_of_the_hash_encoding():
+    source = (
+        '"""`_hash_over` in a docstring is prose."""\n'
+        "from .numeric import _HASH_MODULUS as M, QNum\n"
+        "def f(q, inv):\n    q._hash = numeric._scaled_hash(3, inv)\n    return _hash_over, q._hashed\n"
+    )
+    assert hash_internals(source) == {"_hash", "_HASH_MODULUS", "_hash_over", "_scaled_hash"}
+    assert hash_internals("def f(q):\n    return getattr(q, '_hash')\n") == {"_hash"}
+    assert hash_internals("h = hash(q)\n_hash = None\n") == {"_hash"}
+
+
+def test_only_numeric_knows_the_hash_encoding():
+    users = {
+        p.stem: sorted(hash_internals(p.read_text(encoding="utf-8")))
+        for p in sorted(SRC.glob("*.py"))
+    }
+    assert users.pop("numeric") == sorted(HASH_INTERNALS)
+    assert {name: used for name, used in users.items() if used} == {}

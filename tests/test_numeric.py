@@ -268,7 +268,7 @@ def _value_hash(q):
 
 def test_numerator_lists_build_normalised_hashed_values():
     # the list form of `from_numerators`: the same triples, each hashed as
-    # `__hash__` would hash it, from the one inverse of L
+    # `__hash__` would hash it, from the one inverse of L it takes
     m = numeric._HASH_MODULUS
     rng = random.Random(439)
     for L in (1, 2, 12, 97 * 64, 3**40, m + 2, 2 * m + 1):
@@ -281,7 +281,7 @@ def test_numerator_lists_build_normalised_hashed_values():
         # values that reduce by L
         As += [-L, -L, 0, 3 * L, L]
         Bs += [0, -L, 0, 0, -5 * L]
-        built = numeric._from_numerator_lists(As, Bs, L, pow(L, -1, m))
+        built = numeric._from_numerator_lists(As, Bs, L)
         assert [(q._A, q._B, q._D) for q in built] == [
             (q._A, q._B, q._D) for q in (from_numerators(a, b, L) for a, b in zip(As, Bs))
         ]
@@ -290,7 +290,7 @@ def test_numerator_lists_build_normalised_hashed_values():
     # no inverse exists when the modulus divides L: the hashes are left to
     # `__hash__`
     L = 6 * m
-    built = numeric._from_numerator_lists([1, -7, 12], [0, 5, -6], L, None)
+    built = numeric._from_numerator_lists([1, -7, 12], [0, 5, -6], L)
     assert [q._hash for q in built] == [None] * 3
     assert built == [from_numerators(1, 0, L), from_numerators(-7, 5, L), from_numerators(12, -6, L)]
     assert [hash(q) for q in built] == [_value_hash(q) for q in built]
