@@ -34,12 +34,14 @@ rows add up as integers over one denominator, normalised once: one gcd and
 one QNum for the whole sum instead of one per row (Knuth, TAOCP vol. 2,
 4.5.1).  Only `Decomposition.all_squares` (and `Step.squares` for one step)
 builds every edge, in one pass over the frame: one integer addition per
-edge, each edge normalised with its hash primed.  A square's far side
-across the packing axis is the original's y2 or x2 itself, since the far
-corner never moves, so one QNum is built a square.  The pass checks once per
-step that the side is positive and then builds each square as a plain
-tuple.  `Step.squares` runs the same pass on one `numerators` call of its
-own, with the step's `hi` as the far side, and `Step.edges` reads the
+edge, each edge normalised with its hash primed by `numeric` (an irrational
+edge's needs no modular inverse, a rational edge's shares one inverse of
+L).  A square's far side across the packing axis is the original's y2 or x2
+itself, since the far corner never moves, so one QNum is built a square.
+The pass checks once per step that the side is positive and, on the frame's
+integers, that lo + side is that far side, and then builds each square as a
+plain tuple.  `Step.squares` runs the same pass on one `numerators` call of
+its own, with the step's `hi` as the far side, and `Step.edges` reads the
 step's edges off its squares.
 """
 
@@ -178,13 +180,15 @@ class Decomposition(namedtuple("Decomposition", "original steps remainder")):
         the steps' corners and sides are As[6:], Bs[6:] over its L, so no
         `numerators` call.  A step only subtracts from the longer side, so
         each square's far side across the packing axis is the original's
-        y2 (along x) or x2, the object itself: one QNum built a square."""
+        y2 (along x) or x2, the object itself: one QNum built a square.  A
+        hand-built step whose lo + side is not that far side is refused
+        with a ValueError."""
         As, Bs, L = self.frame
         r = self.original
-        return _squares(self.steps, As[6:], Bs[6:], L, r.x2, r.y2)
+        return _squares(self.steps, As[6:], Bs[6:], L, r.x2, r.y2, ((As[1], Bs[1]), (As[3], Bs[3])))
 
 
-def _squares(steps, As: list[int], Bs: list[int], L: int, x2: QNum, y2: QNum) -> list[Rect]:
+def _squares(steps, As: list[int], Bs: list[int], L: int, x2: QNum, y2: QNum, ends=None) -> list[Rect]:
     """Every square of the steps, from their x, y and side over L laid out
     as on the frame: step i's are As[3i:3i+3] and Bs[3i:3i+3].  Each step's
     far side across the packing axis, lo + side, is y2 along x and x2 along
@@ -192,6 +196,9 @@ def _squares(steps, As: list[int], Bs: list[int], L: int, x2: QNum, y2: QNum) ->
 
     Each side is checked positive once, which puts every edge below the next
     and lo below the far side, so no square is checked by `Rect.__init__`.
+    When `ends` gives the numerator pairs of x2 and y2 over L, in that
+    order, each step's lo + side is checked against its far side's pair
+    too, so a step that misses it is refused, not drawn degenerate.
     An edge is the one before it plus the side, all built normalised and
     hashed by one `_from_numerator_lists` call, and the squares share the
     step's own x or y and the far side.
@@ -201,7 +208,9 @@ def _squares(steps, As: list[int], Bs: list[int], L: int, x2: QNum, y2: QNum) ->
     for s, xa, ya, sa, xb, yb, sb in zip(steps, As[::3], As[1::3], As[2::3], Bs[::3], Bs[1::3], Bs[2::3]):
         if _sign2(sa, sb) <= 0:
             raise ValueError(f"degenerate step: side {s.side}")
-        a, b = (xa, xb) if s.along_x else (ya, yb)
+        a, b, la, lb = (xa, xb, ya, yb) if s.along_x else (ya, yb, xa, xb)
+        if ends is not None and (la + sa, lb + sb) != ends[s.along_x]:
+            raise ValueError(f"step off the far side: lo + side {s.hi}, not {y2 if s.along_x else x2}")
         EA += islice(accumulate(repeat(sa, s.count), initial=a), 1, None)
         EB += islice(accumulate(repeat(sb, s.count), initial=b), 1, None)
     built = iter(_from_numerator_lists(EA, EB, L))

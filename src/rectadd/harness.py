@@ -81,7 +81,7 @@ MAX_ALPHA_DIGITS = 100
 MAX_SAMPLES = 100_000
 MAX_ORDER = 1000
 # Most cases `cmd_proptest` runs.  Through the CLI, the slowest suite,
-# telescope, takes 2.2 s at 3000 cases and 3.4 s at 5000, and field 0.22 s
+# telescope, takes 1.5 s at 3000 cases and 2.4 s at 5000, and field 0.16 s
 # at 5000 (median of 9 on the same host).
 MAX_CASES = 5000
 # Most squares `cmd_probe` samples, depth times offsets, at a depth of at most

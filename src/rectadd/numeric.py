@@ -57,15 +57,6 @@ def _scaled_hash(n: int, inv: int) -> int:
     return -2 if h == -1 else h
 
 
-def _hash_over(A: int, B: int, inv: int) -> int:
-    """The hash of the QNum (A + B*sqrt2)/D, given inv, the inverse of D > 0
-    modulo the hash modulus; (A, B, D) need not be reduced.  b == 0 values
-    hash like their Fraction so QNum(3) and 3 can mix as keys; other values
-    hash like the pair (a, b)."""
-    ha = _scaled_hash(A, inv)
-    return ha if B == 0 else hash((ha, _scaled_hash(B, inv)))
-
-
 def _floor(A: int, B: int, D: int) -> int:
     """floor((A + B*sqrt2)/D) for integers with D > 0, without floating point.
 
@@ -133,15 +124,18 @@ class QNum:
         return self.literal()
 
     def __hash__(self) -> int:
+        """A rational value hashes like its int or Fraction, so QNum(3) and 3
+        can mix as keys; any other value, equal to no int or Fraction, hashes
+        like its normalised triple (A, B, D), with no inverse of D taken."""
         h = self._hash
         if h is None:
             A, B, D = self._A, self._B, self._D
-            if D % _HASH_MODULUS:
-                h = _hash_over(A, B, 1 if D == 1 else pow(D, -1, _HASH_MODULUS))
+            if B:
+                h = hash((A, B, D))
+            elif D % _HASH_MODULUS:
+                h = _scaled_hash(A, 1 if D == 1 else pow(D, -1, _HASH_MODULUS))
             else:
-                # the modulus divides D, so the reduced denominators decide
-                a = Fraction(A, D)
-                h = hash(a) if B == 0 else hash((a, Fraction(B, D)))
+                h = hash(Fraction(A, D))
             self._hash = h
         return h
 
@@ -437,12 +431,12 @@ from_numerators = _new
 
 def _from_numerator_lists(As: list[int], Bs: list[int], L: int) -> list[QNum]:
     """[from_numerators(A, B, L) for A, B in zip(As, Bs)], each with its hash
-    primed from one inverse of L modulo the hash modulus, or left to
-    `__hash__` when the modulus divides L.
+    primed: a rational's from one inverse of L modulo the hash modulus, on
+    the unreduced A, or left to `__hash__` when the modulus divides L; any
+    other value's from its reduced triple, with no inverse.
 
-    The loop does `_new`'s normalising and `_hash_over`'s hashing in line,
-    on the unreduced numerators, so a long list costs no Python call per
-    value."""
+    The loop does `_new`'s normalising and `__hash__`'s hashing in line, so
+    a long list costs no Python call per value."""
     M = _HASH_MODULUS
     inv = pow(L, -1, M) if L % M else None
     gcd = math.gcd
@@ -450,17 +444,11 @@ def _from_numerator_lists(As: list[int], Bs: list[int], L: int) -> list[QNum]:
     out = []
     for A, B in zip(As, Bs):
         h = None
-        if inv is not None:
-            # _scaled_hash of A, then of B when B != 0, paired as _hash_over
-            # pairs them; |A| * inv is congruent to (|A| % M) * inv
+        if not B and inv is not None:
+            # _scaled_hash(A, inv); |A| * inv is congruent to (|A| % M) * inv
             h = abs(A) * inv % M
             if A < 0:
                 h = -2 if h == 1 else -h
-            if B:
-                hb = abs(B) * inv % M
-                if B < 0:
-                    hb = -2 if hb == 1 else -hb
-                h = hash((h, hb))
         D = L
         if D != 1:
             g = gcd(D, A, B)
@@ -468,6 +456,8 @@ def _from_numerator_lists(As: list[int], Bs: list[int], L: int) -> list[QNum]:
                 A //= g
                 B //= g
                 D //= g
+        if B:
+            h = hash((A, B, D))
         q = alloc(QNum)
         q._A = A
         q._B = B

@@ -570,6 +570,23 @@ def test_squares_of_a_degenerate_step_are_refused(side):
             d.all_squares()
 
 
+def test_squares_of_a_step_off_the_far_side_are_refused():
+    # lo + side must reach the original's y2 (packing along x) or x2: the
+    # far corner never moves; Rect refuses [0,1]x[5,1] as degenerate
+    for step in (Step(ZERO, QNum(5), ONE, 1, True), Step(QNum(5), ZERO, ONE, 1, False)):
+        d = Decomposition(UNIT, (step,), None)
+        with pytest.raises(ValueError, match="far side"):
+            d.all_squares()
+    # after a step that holds, a second one short of it by sqrt2/3
+    r = Rect(ZERO, QNum(3), ZERO, QNum(2))
+    ok, short = Step(ZERO, ZERO, QNum(2), 1, True), Step(QNum(2), ZERO, ONE - QNum(0, F(1, 3)), 1, False)
+    assert len(Decomposition(r, (ok,), None).all_squares()) == 1
+    with pytest.raises(ValueError, match="far side"):
+        Decomposition(r, (ok, short), None).all_squares()
+    # the frame and rows of such a decomposition are read, unchecked
+    assert Decomposition(r, (ok, short), None).rows()[1] == ([6, 9, 0, 3], [0, -1, 0, -1], 3)
+
+
 @pytest.mark.parametrize(
     "r, max_steps",
     # a strip of 1009 + 2 squares, and silver's two squares a step
@@ -586,8 +603,8 @@ def test_squares_make_one_comparison_at_most_per_step(monkeypatch, r, max_steps)
 
 def _value_hash(q):
     # the documented numeric hash: a rational value hashes like its
-    # Fraction, any other like the pair (a, b)
-    return hash((q.a, q.b)) if q._B else hash(q.a)
+    # Fraction, any other like its reduced triple (A, B, D)
+    return hash((q._A, q._B, q._D)) if q._B else hash(q.a)
 
 
 def test_step_edges_carry_their_hash():
@@ -606,14 +623,16 @@ def test_step_edges_carry_their_hash():
 
 
 def test_step_edges_over_the_hash_modulus_hash_on_demand():
-    # no inverse of L exists when the hash modulus divides it
+    # no inverse of L exists when the hash modulus divides it: rational
+    # edges are hashed on demand, irrational ones, which need no inverse,
+    # come primed
     m = sys.hash_info.modulus
     for side in (QNum(F(1, m)), QNum(F(2, m), F(1, 3)), QNum(F(1, 2 * m), F(1, 3 * m))):
         step = Step(ZERO, QNum(F(1, 5)), side, 6, True)
         _, _, L = Decomposition(UNIT, (step,), None).frame
         assert L % m == 0
         edges = step.edges()[1:]
-        assert all(e._hash is None for e in edges)
+        assert all((e._hash is None) == e.is_rational() for e in edges)
         assert [hash(e) for e in edges] == [_value_hash(e) for e in edges]
 
 
@@ -623,7 +642,7 @@ def _by_hand(d):
     return Decomposition(d.original, tuple(Step(*s) for s in d.steps), d.remainder)
 
 
-def _assert_all_squares_match_the_steps(d, hashed=True):
+def _assert_all_squares_match_the_steps(d, rationals_hashed=True):
     """d.all_squares() against the squares each step builds on its own, and
     the sharing and hashes it promises; returns the squares' triples."""
     r = d.original
@@ -643,9 +662,9 @@ def _assert_all_squares_match_the_steps(d, hashed=True):
             previous = along[1]
             built.append(previous)
         k += s.count
-        # edges built here come hashed, unless the hash modulus divides the
-        # frame's L
-        assert all((v._hash is not None) == hashed for v in built)
+        # edges built here come hashed, but for rational ones when the hash
+        # modulus divides the frame's L
+        assert all((v._hash is not None) == (rationals_hashed or not v.is_rational()) for v in built)
         assert all(hash(v) == _value_hash(v) for v in (*built, s.x, s.y))
     assert k == len(squares) == d.total_squares
     triples = [_triples(sq) for sq in squares]
@@ -668,8 +687,8 @@ def test_all_squares_match_the_per_step_squares():
 
 
 def test_all_squares_over_the_hash_modulus_hash_on_demand():
-    # a frame whose L the hash modulus divides: nothing is primed, and every
-    # hash comes from `QNum.__hash__`
+    # a frame whose L the hash modulus divides: only irrational edges are
+    # primed, and every rational edge's hash comes from `QNum.__hash__`
     m = sys.hash_info.modulus
     for x1, y1 in ((QNum(F(1, m)), ZERO), (QNum(F(-3, 2 * m), F(1, 5)), QNum(F(1, 3), F(-1, m)))):
         for r in (Rect(x1, x1 + ONE + SQRT2, y1, y1 + ONE), Rect(y1, y1 + ONE, x1, x1 + 3 * SQRT2)):
@@ -677,8 +696,8 @@ def test_all_squares_over_the_hash_modulus_hash_on_demand():
             hand = _by_hand(d)
             assert d.frame[2] % m == 0 and hand.frame[2] % m == 0
             assert max(d.counts) > 1 and {s.along_x for s in d.steps} == {True, False}
-            expected = _assert_all_squares_match_the_steps(d, hashed=False)
-            assert _assert_all_squares_match_the_steps(hand, hashed=False) == expected
+            expected = _assert_all_squares_match_the_steps(d, rationals_hashed=False)
+            assert _assert_all_squares_match_the_steps(hand, rationals_hashed=False) == expected
 
 
 FIELD_OPS = (

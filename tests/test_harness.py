@@ -647,7 +647,10 @@ def test_rand_table_function_ignores_qnum_hash(monkeypatch):
         return [(p, Ft.point_fn.value(*p)) for p in pts]
 
     before = drawn_table()
-    monkeypatch.setattr(QNum, "__hash__", lambda q: hash((q._A, q._B, q._D)))
+    real = [hash(p) for p, _ in before]
+    # a tagged hash of the reversed triple, unlike the real hash of any value
+    monkeypatch.setattr(QNum, "__hash__", lambda q: hash(("patched", q._D, q._B, q._A)))
+    assert all(hash(p) != h for (p, _), h in zip(before, real))
     assert drawn_table() == before
 
 

@@ -48,7 +48,7 @@ def test_relative_imports_go_down_the_layers():
 
 # numeric's hash encoding: the hash a QNum caches and the helpers that
 # compute it from numerators; no other module may depend on it
-HASH_INTERNALS = {"_hash", "_HASH_MODULUS", "_hash_over", "_scaled_hash"}
+HASH_INTERNALS = {"_hash", "_HASH_MODULUS", "_scaled_hash"}
 
 
 def hash_internals(source: str) -> set[str]:
@@ -69,11 +69,11 @@ def hash_internals(source: str) -> set[str]:
 
 def test_checker_sees_every_use_of_the_hash_encoding():
     source = (
-        '"""`_hash_over` in a docstring is prose."""\n'
+        '"""`_scaled_hash` in a docstring is prose."""\n'
         "from .numeric import _HASH_MODULUS as M, QNum\n"
-        "def f(q, inv):\n    q._hash = numeric._scaled_hash(3, inv)\n    return _hash_over, q._hashed\n"
+        "def f(q, inv):\n    q._hash = numeric._scaled_hash(3, inv)\n    return _scaled_hash, q._hashed\n"
     )
-    assert hash_internals(source) == {"_hash", "_HASH_MODULUS", "_hash_over", "_scaled_hash"}
+    assert hash_internals(source) == {"_hash", "_HASH_MODULUS", "_scaled_hash"}
     assert hash_internals("def f(q):\n    return getattr(q, '_hash')\n") == {"_hash"}
     assert hash_internals("h = hash(q)\n_hash = None\n") == {"_hash"}
 

@@ -262,13 +262,14 @@ def test_numerators_over_the_lcm_rebuild_the_values():
 
 def _value_hash(q):
     # the documented numeric hash: a rational value hashes like its
-    # Fraction, any other like the pair (a, b)
-    return hash((q.a, q.b)) if q._B else hash(q.a)
+    # Fraction, any other like its reduced triple (A, B, D)
+    return hash((q._A, q._B, q._D)) if q._B else hash(q.a)
 
 
 def test_numerator_lists_build_normalised_hashed_values():
     # the list form of `from_numerators`: the same triples, each hashed as
-    # `__hash__` would hash it, from the one inverse of L it takes
+    # `__hash__` would hash it, a rational from the one inverse of L it
+    # takes
     m = numeric._HASH_MODULUS
     rng = random.Random(439)
     for L in (1, 2, 12, 97 * 64, 3**40, m + 2, 2 * m + 1):
@@ -277,8 +278,8 @@ def test_numerator_lists_build_normalised_hashed_values():
             size = rng.choice([L, 10**6, 10**80])
             As.append(rng.randint(-size, size))
             Bs.append(rng.choice([0, rng.randint(-size, size)]))
-        # -1 and -1 - sqrt2, whose parts hash as -2, not -1; zero; and
-        # values that reduce by L
+        # -1, which hashes as -2, not -1, and -1 - sqrt2; zero; and values
+        # that reduce by L
         As += [-L, -L, 0, 3 * L, L]
         Bs += [0, -L, 0, 0, -5 * L]
         built = numeric._from_numerator_lists(As, Bs, L)
@@ -287,10 +288,10 @@ def test_numerator_lists_build_normalised_hashed_values():
         ]
         assert [q._hash for q in built] == [_value_hash(q) for q in built]
         assert hash(built[-5]) == hash(-1) == -2
-    # no inverse exists when the modulus divides L: the hashes are left to
-    # `__hash__`
+    # no inverse exists when the modulus divides L: a rational's hash is
+    # left to `__hash__`, and the others, which need none, are primed
     L = 6 * m
     built = numeric._from_numerator_lists([1, -7, 12], [0, 5, -6], L)
-    assert [q._hash for q in built] == [None] * 3
+    assert [q._hash for q in built] == [None, *map(_value_hash, built[1:])]
     assert built == [from_numerators(1, 0, L), from_numerators(-7, 5, L), from_numerators(12, -6, L)]
     assert [hash(q) for q in built] == [_value_hash(q) for q in built]

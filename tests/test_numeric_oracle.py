@@ -8,18 +8,23 @@ integer (see `real_floor`).  sympy is a test-only dependency; the package does
 not import it.
 
 Also pinned here are the contracts that other modules rely on: hashing like
-Fraction on the rationals, hashing like the (a, b) pair off them, equality
-from unreduced inputs, and the exact bits of float().
+Fraction on the rationals, hashing like the reduced triple (A, B, D) off
+them, whichever constructor built the value, equality from unreduced inputs,
+and the exact bits of float().
 """
 
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
-from rectadd.numeric import QNum, parse_qnum
+from rectadd.decompose import decompose
+from rectadd.geometry import Rect
+from rectadd.numeric import ONE, ZERO, QNum, _from_numerator_lists, from_numerators, parse_qnum
+from rectadd.suites import rand_rect
 
 sympy = pytest.importorskip("sympy")
 mpmath = pytest.importorskip("mpmath")
@@ -257,23 +262,62 @@ def test_rational_values_hash_and_compare_like_fractions():
     assert hash(QNum(-1)) == hash(-1)
 
 
-def test_irrational_hash_is_the_pair_hash():
-    # the iteration order of a set of field values follows these hashes;
-    # seeded draws do not (suites._rect_corner_points keeps the order of
-    # first appearance), but the hash is still a documented contract.
+def _hash_contract(v: QNum, want: QNum) -> None:
+    """v equals want and hashes alike; a hash v came primed with is the one
+    `__hash__` computes; a rational hashes like its Fraction, any other
+    value like its reduced triple (A, B, D), derived from the Fraction parts.
+
+    The iteration order of a set of field values follows these hashes;
+    seeded draws do not (suites._rect_corner_points keeps the order of first
+    appearance), but the hash is still a documented contract."""
+    primed = v._hash
+    v._hash = None
+    h = hash(v)
+    assert v == want and h == hash(want), (v, want)
+    assert primed in (None, h), v
+    if v.is_rational():
+        assert h == hash(v.a), v
+    else:
+        assert h == hash(integer_triple(v)), v
+
+
+def test_hash_contract_across_constructors():
+    m = sys.hash_info.modulus
     rng = random.Random(20220718)
-    for i in range(CASES):
-        q = rand_case(rng, i)
-        if not q.is_rational():
-            assert hash(q) == hash((q.a, q.b)), q
-    q = QNum(F(1, 2), F(-3, 4))
-    assert hash(q) == hash((F(1, 2), F(-3, 4)))
-
-
-def test_irrational_hash_when_the_modulus_divides_the_denominator():
-    m = 2**61 - 1
-    for a, b in ((F(1, m), F(2, m)), (F(3, 2 * m), F(-1, 4)), (F(5, 7), F(m + 2, 3 * m))):
-        assert hash(QNum(a, b)) == hash((a, b))
+    values = [rand_case(rng, i) for i in range(CASES)]
+    # -1 and -1 - sqrt2 (a part hashing as -1 hashes as -2), and
+    # denominators that the modulus divides
+    values += [QNum(-1), QNum(-1, -1), QNum(F(1, m)), QNum(F(-3, 2 * m)), QNum(F(1, m), F(2, m))]
+    values += [QNum(F(3, 2 * m), F(-1, 4)), QNum(F(5, 7), F(m + 2, 3 * m)), QNum(F(m, m + 1))]
+    values.append(QNum(F(1, 2), F(-3, 4)))
+    assert hash(QNum(-1)) == -2 and hash(QNum(F(-3, 2 * m))) == hash(F(-3, 2 * m))
+    assert sum(not q.is_rational() for q in values) > CASES // 2
+    x = QNum(F(1, 3), F(-2, 7))
+    for q in values:
+        A, B, D = integer_triple(q)
+        k = rng.randint(2, 9)
+        # over D*k, which the modulus divides only when it divides D, and
+        # over D*m: each value comes primed, but a rational over a multiple
+        # of the modulus
+        listed = _from_numerator_lists([A * k], [B * k], D * k) + _from_numerator_lists([A * m], [B * m], D * m)
+        irrational = not q.is_rational()
+        assert [v._hash is not None for v in listed] == [irrational or D % m != 0, irrational], q
+        built = [QNum(q.a, q.b), parse_qnum(q.literal()), from_numerators(A * k, B * k, D * k), (q + x) * x / x - x]
+        for v in built + listed:
+            _hash_contract(v, q)
+    # edges built over a decomposition's frame, whose L the modulus divides
+    # in the last two rectangles
+    rects = [rand_rect(rng, i) for i in range(200)]
+    for x1 in (QNum(F(1, m)), QNum(F(-3, 2 * m), F(1, 5))):
+        rects.append(Rect(x1, x1 + QNum(1, 1), ZERO, ONE))
+    for r in rects:
+        d = decompose(r, 12)
+        for sq in d.all_squares():
+            for v in sq:
+                _hash_contract(v, QNum(v.a, v.b))
+        for step in d.steps:
+            for v in step.edges():
+                _hash_contract(v, QNum(v.a, v.b))
 
 
 def test_equal_values_from_unreduced_inputs():
