@@ -32,17 +32,15 @@ row's numerators as they are, any other point function's `value` is read
 at the row's four corners, QNums the decomposition already holds, and the
 rows add up as integers over one denominator, normalised once: one gcd and
 one QNum for the whole sum instead of one per row (Knuth, TAOCP vol. 2,
-4.5.1).  Only `Decomposition.all_squares` (and `Step.squares` for one step)
-builds every edge, in one pass over the frame: one integer addition per
+4.5.1).  `Decomposition.all_squares` is the only builder of squares: it
+builds every edge in one pass over the frame, one integer addition per
 edge, each edge normalised with its hash primed by `numeric` (an irrational
 edge's needs no modular inverse, a rational edge's shares one inverse of
 L).  A square's far side across the packing axis is the original's y2 or x2
 itself, since the far corner never moves, so one QNum is built a square.
 The pass checks once per step that the side is positive and, on the frame's
 integers, that lo + side is that far side, and then builds each square as a
-plain tuple.  `Step.squares` runs the same pass on one `numerators` call of
-its own, with the step's `hi` as the far side, and `Step.edges` reads the
-step's edges off its squares.
+plain tuple.
 """
 
 from __future__ import annotations
@@ -69,38 +67,9 @@ __all__ = [
 ]
 
 
-class Step(namedtuple("Step", "x y side count along_x")):
-    """`count` squares of side `side` packed in a single pass, the first with
-    its lower-left corner at (x, y), laid along x (`along_x`) or along y."""
-
-    @property
-    def lo(self) -> QNum:
-        """The near side of the row across the packing axis: y when
-        `along_x`, else x."""
-        return self.y if self.along_x else self.x
-
-    @property
-    def hi(self) -> QNum:
-        """The far side of the row across the packing axis, lo + side.  In a
-        decomposition it equals the original's y2 along x, else its x2: the
-        far corner never moves."""
-        return self.lo + self.side
-
-    def edges(self) -> tuple[QNum, ...]:
-        """The count + 1 square boundaries along the packing axis as QNums:
-        the step's own corner coordinate, then each square's far edge, read
-        off `squares`."""
-        if self.along_x:
-            return (self.x, *(sq.x2 for sq in self.squares))
-        return (self.y, *(sq.y2 for sq in self.squares))
-
-    @property
-    def squares(self) -> tuple[Rect, ...]:
-        """The packed squares, built on demand by `_squares` as
-        `Decomposition.all_squares` builds them, from one `numerators`
-        call, each with `hi` as its far side."""
-        hi = self.hi
-        return tuple(_squares((self,), *numerators((self.x, self.y, self.side)), hi, hi))
+# `count` squares of side `side` packed in a single pass, the first with its
+# lower-left corner at (x, y), laid along x (`along_x`) or along y.
+Step = namedtuple("Step", "x y side count along_x")
 
 
 class Decomposition(namedtuple("Decomposition", "original steps remainder")):
@@ -138,21 +107,27 @@ class Decomposition(namedtuple("Decomposition", "original steps remainder")):
         return frame
 
     def rows(self) -> list[tuple[list[int], list[int], int]]:
-        """The rectangle each step's squares fill, oriented by the step, read
-        off the frame: `count` sides long along the packing axis and one side
-        across it, then the remainder when there is one, as lists As, Bs and
-        the frame's L in `numerators` order, x1, x2, y1, y2 ==
-        (As[k] + Bs[k]*sqrt2)/L, so that `f.rect_kernel(*row)` is F of the
-        row."""
+        """The rectangle each step's squares fill, oriented by the step, then
+        the remainder when there is one, read off the frame at the corners
+        `telescope`'s value path reads, as lists As, Bs and the frame's L in
+        `numerators` order, x1, x2, y1, y2 == (As[k] + Bs[k]*sqrt2)/L, so
+        that `f.rect_kernel(*row)` is F of the row: the paths agree even on
+        a hand-built decomposition that does not tile."""
         As, Bs, L = self.frame
+        x2a, x2b, y2a, y2b = As[1], Bs[1], As[3], Bs[3]
+        # a step's far edge is the next step's corner; the last's, the remainder's or the original's far one
+        i, j = (1, 3) if self.remainder is None else (4, 5)
         rows = []
-        for s, xa, ya, sa, xb, yb, sb in zip(
-            self.steps, As[6::3], As[7::3], As[8::3], Bs[6::3], Bs[7::3], Bs[8::3]
+        for s, xa, ya, xb, yb, ea, fa, eb, fb in zip(
+            self.steps, As[6::3], As[7::3], Bs[6::3], Bs[7::3],
+            [*As[9::3], As[i]], [*As[10::3], As[j]], [*Bs[9::3], Bs[i]], [*Bs[10::3], Bs[j]],
         ):
-            w, h = (s.count, 1) if s.along_x else (1, s.count)
-            rows.append(([xa, xa + w * sa, ya, ya + h * sa], [xb, xb + w * sb, yb, yb + h * sb], L))
+            if s.along_x:
+                rows.append(([xa, ea, ya, y2a], [xb, eb, yb, y2b], L))
+            else:
+                rows.append(([xa, x2a, ya, fa], [xb, x2b, yb, fb], L))
         if self.remainder is not None:
-            rows.append(([As[4], As[1], As[5], As[3]], [Bs[4], Bs[1], Bs[5], Bs[3]], L))
+            rows.append(([As[4], x2a, As[5], y2a], [Bs[4], x2b, Bs[5], y2b], L))
         return rows
 
     @property
@@ -176,54 +151,47 @@ class Decomposition(namedtuple("Decomposition", "original steps remainder")):
         return sum(s.count for s in self.steps)
 
     def all_squares(self) -> list[Rect]:
-        """Every packed square, step by step, built on demand off the frame:
-        the steps' corners and sides are As[6:], Bs[6:] over its L, so no
-        `numerators` call.  A step only subtracts from the longer side, so
-        each square's far side across the packing axis is the original's
-        y2 (along x) or x2, the object itself: one QNum built a square.  A
-        hand-built step whose lo + side is not that far side is refused
-        with a ValueError."""
+        """Every packed square, step by step, built on demand off the frame,
+        so no `numerators` call: the only builder of squares.  A step only
+        subtracts from the longer side, so each square's far side across the
+        packing axis is the original's y2 (along x) or x2, the object itself:
+        one QNum built a square.
+
+        Each side is checked positive once, which puts every edge below the
+        next and lo below the far side, so no square is checked by
+        `Rect.__init__`; then lo + side is checked against the far side on
+        the frame's integers, so a hand-built step that misses it is refused
+        with a ValueError, not drawn degenerate.  An edge is the one before
+        it plus the side, all built normalised and hashed by one
+        `_from_numerator_lists` call, and the squares share the step's own x
+        or y and the far side."""
         As, Bs, L = self.frame
-        r = self.original
-        return _squares(self.steps, As[6:], Bs[6:], L, r.x2, r.y2, ((As[1], Bs[1]), (As[3], Bs[3])))
-
-
-def _squares(steps, As: list[int], Bs: list[int], L: int, x2: QNum, y2: QNum, ends=None) -> list[Rect]:
-    """Every square of the steps, from their x, y and side over L laid out
-    as on the frame: step i's are As[3i:3i+3] and Bs[3i:3i+3].  Each step's
-    far side across the packing axis, lo + side, is y2 along x and x2 along
-    y, objects the caller holds.
-
-    Each side is checked positive once, which puts every edge below the next
-    and lo below the far side, so no square is checked by `Rect.__init__`.
-    When `ends` gives the numerator pairs of x2 and y2 over L, in that
-    order, each step's lo + side is checked against its far side's pair
-    too, so a step that misses it is refused, not drawn degenerate.
-    An edge is the one before it plus the side, all built normalised and
-    hashed by one `_from_numerator_lists` call, and the squares share the
-    step's own x or y and the far side.
-    """
-    EA: list[int] = []
-    EB: list[int] = []
-    for s, xa, ya, sa, xb, yb, sb in zip(steps, As[::3], As[1::3], As[2::3], Bs[::3], Bs[1::3], Bs[2::3]):
-        if _sign2(sa, sb) <= 0:
-            raise ValueError(f"degenerate step: side {s.side}")
-        a, b, la, lb = (xa, xb, ya, yb) if s.along_x else (ya, yb, xa, xb)
-        if ends is not None and (la + sa, lb + sb) != ends[s.along_x]:
-            raise ValueError(f"step off the far side: lo + side {s.hi}, not {y2 if s.along_x else x2}")
-        EA += islice(accumulate(repeat(sa, s.count), initial=a), 1, None)
-        EB += islice(accumulate(repeat(sb, s.count), initial=b), 1, None)
-    built = iter(_from_numerator_lists(EA, EB, L))
-    squares: list[Rect] = []
-    for s in steps:
-        e = (s.x if s.along_x else s.y, *islice(built, s.count))
-        if s.along_x:
-            rows = zip(e, e[1:], repeat(s.y), repeat(y2))
-        else:
-            rows = zip(repeat(s.x), repeat(x2), e, e[1:])
-        # tuple.__new__(Rect, row) is `Rect._make` without its Python call
-        squares += map(tuple.__new__, repeat(Rect), rows)
-    return squares
+        x2, y2 = self.original.x2, self.original.y2
+        ends = ((As[1], Bs[1]), (As[3], Bs[3]))
+        EA: list[int] = []
+        EB: list[int] = []
+        for s, xa, ya, sa, xb, yb, sb in zip(
+            self.steps, As[6::3], As[7::3], As[8::3], Bs[6::3], Bs[7::3], Bs[8::3]
+        ):
+            if _sign2(sa, sb) <= 0:
+                raise ValueError(f"degenerate step: side {s.side}")
+            a, b, la, lb = (xa, xb, ya, yb) if s.along_x else (ya, yb, xa, xb)
+            if (la + sa, lb + sb) != ends[s.along_x]:
+                hi = from_numerators(la + sa, lb + sb, L)
+                raise ValueError(f"step off the far side: lo + side {hi}, not {y2 if s.along_x else x2}")
+            EA += islice(accumulate(repeat(sa, s.count), initial=a), 1, None)
+            EB += islice(accumulate(repeat(sb, s.count), initial=b), 1, None)
+        built = iter(_from_numerator_lists(EA, EB, L))
+        squares: list[Rect] = []
+        for s in self.steps:
+            e = (s.x if s.along_x else s.y, *islice(built, s.count))
+            if s.along_x:
+                rows = zip(e, e[1:], repeat(s.y), repeat(y2))
+            else:
+                rows = zip(repeat(s.x), repeat(x2), e, e[1:])
+            # tuple.__new__(Rect, row) is `Rect._make` without its Python call
+            squares += map(tuple.__new__, repeat(Rect), rows)
+        return squares
 
 
 def greedy_step(r: Rect) -> tuple[Step, Optional[Rect]]:
@@ -349,8 +317,8 @@ def telescope(F: RectFunction, d: Decomposition) -> QNum:
     whatever the packing counts and no square is built.  The remainder is
     one more row.  Each row gives integer numerators (a, b, e) of F of the
     row: a point function with its own integer `rect_kernel` gets the row's
-    numerators straight, and any other is evaluated by `value` at the row's
-    corners, QNums the decomposition holds: a step's own x and y, its far
+    numerators straight, and any other is evaluated by `value` at the same
+    corners as QNums the decomposition holds: a step's own x and y, its far
     side across the packing axis, the original's y2 or x2, and its far edge,
     the next step's corner, the remainder's, or the original's far corner
     when the last packing was exact; so no QNum is built per row and a

@@ -3,13 +3,16 @@
 A test oracle: the package runs the greedy loop on integer numerators over
 one denominator (`decompose`), and the tests compare its steps with this
 loop, which divides, floors, multiplies and subtracts QNums and validates
-every remainder `Rect`.
+every remainder `Rect`.  It also reads one step's squares and edges off
+`Decomposition.all_squares`, the package's only builder of squares, and
+builds a step's row by field arithmetic, so a step can be tiled alone.
 """
 
 import math
+from itertools import islice
 from typing import Optional
 
-from rectadd.decompose import Step
+from rectadd.decompose import Decomposition, Step
 from rectadd.geometry import Rect
 
 
@@ -38,3 +41,31 @@ def field_decompose(r: Rect, max_steps: int) -> tuple[list[Step], Optional[Rect]
         step, current = field_greedy_step(current)
         steps.append(step)
     return steps, current
+
+
+def field_row(step: Step) -> Rect:
+    """The rectangle a step's squares fill, by field arithmetic on its own x,
+    y and side."""
+    first, lo = (step.x, step.y) if step.along_x else (step.y, step.x)
+    far, hi = first + step.count * step.side, lo + step.side
+    return Rect(first, far, lo, hi) if step.along_x else Rect(lo, hi, first, far)
+
+
+def alone(step: Step) -> Decomposition:
+    """The step alone: a one-step decomposition whose original is the step's
+    row, so its squares are built over a frame of their own."""
+    return Decomposition(field_row(step), (step,), None)
+
+
+def squares_by_step(d: Decomposition) -> list[list[Rect]]:
+    """`d.all_squares()` cut into each step's slice."""
+    squares = iter(d.all_squares())
+    return [list(islice(squares, s.count)) for s in d.steps]
+
+
+def step_edges(step: Step, squares: list[Rect]) -> tuple:
+    """The count + 1 square boundaries along a step's packing axis: its own
+    corner coordinate, then each of its squares' far edges."""
+    if step.along_x:
+        return (step.x, *(sq.x2 for sq in squares))
+    return (step.y, *(sq.y2 for sq in squares))

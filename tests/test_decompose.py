@@ -22,6 +22,7 @@ from rectadd.rectfn import (
     COUNTEREXAMPLE,
     Constant,
     PRODUCT,
+    PointFunction,
     Table,
     corner_difference,
 )
@@ -33,7 +34,7 @@ from rectadd.suites import (
 )
 
 from field_counter import count_builds, count_calls, count_field_calls
-from greedy_oracle import field_decompose
+from greedy_oracle import alone, field_decompose, field_row, squares_by_step, step_edges
 
 F = Fraction
 
@@ -49,24 +50,24 @@ WITNESS = Rect(ZERO, ONE, ONE, SQRT2)
 def test_greedy_step_eight_by_five():
     step, rem = greedy_step(EIGHT_FIVE)
     assert step.count == 1
-    assert step.squares == (Rect(QNum(0), QNum(5), QNum(0), QNum(5)),)
+    assert Decomposition(EIGHT_FIVE, (step,), rem).all_squares() == [Rect(QNum(0), QNum(5), QNum(0), QNum(5))]
     assert rem == Rect(QNum(5), QNum(8), QNum(0), QNum(5))  # 3 x 5 strip
 
 
 def test_greedy_step_square_is_itself():
     step, rem = greedy_step(UNIT)
     assert step.count == 1
-    assert step.squares == (UNIT,)
+    assert Decomposition(UNIT, (step,), rem).all_squares() == [UNIT]
     assert rem is None
 
 
 def test_greedy_step_silver():
     step, rem = greedy_step(SILVER)
     assert step.count == 2  # floor(1 + sqrt2) = 2
-    assert step.squares == (
+    assert Decomposition(SILVER, (step,), rem).all_squares() == [
         Rect(QNum(0), QNum(1), QNum(0), QNum(1)),
         Rect(QNum(1), QNum(2), QNum(0), QNum(1)),
-    )
+    ]
     assert rem is not None
     assert rem.width == SQRT2 - 1
     assert rem.height == ONE
@@ -78,7 +79,7 @@ def test_greedy_step_vertical_packing():
     step, rem = greedy_step(tall)
     assert step.count == 2
     assert rem is None
-    assert step.squares[0] == UNIT
+    assert Decomposition(tall, (step,), rem).all_squares()[0] == UNIT
 
 
 def test_decompose_eight_by_five():
@@ -323,12 +324,11 @@ def test_square_counts_per_step_consistent():
         d = decompose(rand_rect(rng, i), rng.randint(1, 16))
         squares = iter(d.all_squares())
         for step in d.steps:
-            assert step.count == len(step.squares) >= 1
-            for sq in step.squares:
-                assert sq.width == sq.height == step.side
             far = d.original.y2 if step.along_x else d.original.x2
-            assert step.lo + step.side == far
-            for sq in islice(squares, step.count):
+            assert (step.y if step.along_x else step.x) + step.side == far
+            mine = list(islice(squares, step.count))
+            assert step.count == len(mine) >= 1
+            for sq in mine:
                 assert sq.width == sq.height == step.side
                 assert (sq.y2 if step.along_x else sq.x2) is far
         assert next(squares, None) is None
@@ -375,6 +375,7 @@ def _triples(values):
 
 
 def test_edges_match_repeated_field_addition():
+    # each step tiles its own row alone, over a frame of its own
     rng = random.Random(431)
     mixed = 0
     for i in range(300):
@@ -385,18 +386,10 @@ def test_edges_match_repeated_field_addition():
             expected = [start]
             for _ in range(count):
                 expected.append(expected[-1] + side)
-            assert _triples(Step(x, y, side, count, along_x).edges()) == _triples(expected)
+            step = Step(x, y, side, count, along_x)
+            assert _triples(step_edges(step, alone(step).all_squares())) == _triples(expected)
         mixed += start._D % side._D != 0 and side._D % start._D != 0
     assert mixed > 100  # most cases add over a denominator neither value has
-
-
-@pytest.mark.parametrize("side", [ZERO, QNum(-1), ONE - SQRT2])
-def test_edges_of_a_degenerate_step_are_refused(side):
-    # the edges are read off the step's squares, so they take its check
-    for along_x in (True, False):
-        step = Step(QNum(F(1, 3)), SQRT2, side, 3, along_x)
-        with pytest.raises(ValueError, match="degenerate step"):
-            step.edges()
 
 
 @pytest.mark.parametrize(
@@ -446,19 +439,13 @@ def test_telescope_cost_does_not_grow_with_the_packing_count(monkeypatch, r, max
 
     # a table over the rectangle's, the rows' and the remainder's
     # corners, each row's corners built by field arithmetic on the step
-    rows = []
-    for s in d.steps:
-        first, lo = (s.x, s.y) if s.along_x else (s.y, s.x)
-        far, hi = first + s.count * s.side, lo + s.side
-        rows.append(Rect(first, far, lo, hi) if s.along_x else Rect(lo, hi, first, far))
-    tiles = [r, *rows] + ([d.remainder] if d.remainder is not None else [])
+    tiles = [r, *map(field_row, d.steps)] + ([d.remainder] if d.remainder is not None else [])
     table = rand_table_function(random.Random(463), _rect_corner_points(tiles))
 
     def refuse(*args):
         raise AssertionError("the telescope enumerated a step's squares")
 
-    monkeypatch.setattr(Step, "edges", refuse)
-    monkeypatch.setattr(Step, "squares", property(refuse))
+    monkeypatch.setattr(Decomposition, "all_squares", refuse)
     for F_ in (PROD, CE, table, corner_difference(RecordingProduct())):
         assert telescope(F_, d) == F_.value(r)
     # one kernel call a step, and one for the remainder's row
@@ -468,15 +455,15 @@ def test_telescope_cost_does_not_grow_with_the_packing_count(monkeypatch, r, max
 def test_squares_share_the_step_edges():
     # the squares of a step read its edges, built once for them, and its far
     # side: the first starts at the step's own corner, neighbours share the
-    # edge between them, and every square shares one far side, `hi`
+    # edge between them, and every square shares one far side, lo + side;
+    # the edges equal those of the step tiled alone
     d = decompose(Rect(QNum(F(1, 3)), QNum(F(1, 3), F(1, 2)), QNum(F(-7, 4)), QNum(40)), 6)
-    for step in d.steps:
-        e = step.edges()
+    for step, squares in zip(d.steps, squares_by_step(d)):
+        e = step_edges(step, alone(step).all_squares())
         assert e[0] is (step.x if step.along_x else step.y)
-        squares = step.squares
         assert len(squares) == step.count
         far = squares[0].y2 if step.along_x else squares[0].x2
-        assert far == step.hi
+        assert far == (step.y if step.along_x else step.x) + step.side
         previous = e[0]
         for k, sq in enumerate(squares):
             along, across = ((sq.x1, sq.x2), sq.y2) if step.along_x else ((sq.y1, sq.y2), sq.x2)
@@ -504,13 +491,10 @@ def test_telescope_looks_up_the_row_corners_only():
     total = telescope(Ft, d)
     looked_up = list(seen)
     assert len(looked_up) == 4 * len(d.steps) + 4
-    for i, step in enumerate(d.steps):
-        e = step.edges()
-        if step.along_x:
-            ends = {(x, y) for x in (e[0], e[-1]) for y in (step.lo, step.hi)}
-        else:
-            ends = {(x, y) for x in (step.lo, step.hi) for y in (e[0], e[-1])}
-        assert set(looked_up[4 * i : 4 * i + 4]) == ends
+    for i, squares in enumerate(squares_by_step(d)):
+        # the row's corners: its first square's lower-left, its last's upper-right
+        first, last = squares[0], squares[-1]
+        assert set(looked_up[4 * i : 4 * i + 4]) == set(Rect(first.x1, last.x2, first.y1, last.y2).corners())
     assert set(looked_up[-4:]) == set(d.remainder.corners())
     assert total == sum((Ft.value(sq) for sq in tiles), ZERO)
 
@@ -560,11 +544,12 @@ def test_squares_are_valid_rects_built_unchecked():
 
 @pytest.mark.parametrize("side", [ZERO, QNum(-1), ONE - SQRT2])
 def test_squares_of_a_degenerate_step_are_refused(side):
+    # the side is checked before the far side, which it misses too
     for along_x in (True, False):
         step = Step(QNum(F(1, 3)), SQRT2, side, 3, along_x)
         with pytest.raises(ValueError, match="degenerate step"):
-            step.squares
-        # the same check on the frame, after a step that holds
+            Decomposition(UNIT, (step,), None).all_squares()
+        # the same check after a step that holds
         d = Decomposition(UNIT, (Step(ZERO, ZERO, ONE, 1, True), step), None)
         with pytest.raises(ValueError, match="degenerate step"):
             d.all_squares()
@@ -583,8 +568,33 @@ def test_squares_of_a_step_off_the_far_side_are_refused():
     assert len(Decomposition(r, (ok,), None).all_squares()) == 1
     with pytest.raises(ValueError, match="far side"):
         Decomposition(r, (ok, short), None).all_squares()
-    # the frame and rows of such a decomposition are read, unchecked
-    assert Decomposition(r, (ok, short), None).rows()[1] == ([6, 9, 0, 3], [0, -1, 0, -1], 3)
+    # the frame and rows of such a decomposition are read, unchecked: the
+    # short step's row reaches the original's x2 and, the packing being
+    # exact, its y2, as `telescope` reads them on its value path
+    assert Decomposition(r, (ok, short), None).rows()[1] == ([6, 9, 0, 6], [0, 0, 0, 0], 3)
+
+
+class _ValueOnlyProduct(PointFunction):
+    """x*y through `value` alone, so `telescope` takes its value path."""
+
+    def value(self, x, y):
+        return x * y
+
+
+def test_telescope_paths_agree_on_a_hand_built_decomposition():
+    # a step off the far side, a step short of the next one's corner and a
+    # step short of the remainder's: the kernel path reads each row at the
+    # corners the value path reads, so both give one value
+    value_only = corner_difference(_ValueOnlyProduct())
+    cases = [
+        (UNIT, (Step(ZERO, QNum(5), ONE, 1, True),), None, -4),
+        (UNIT, (Step(QNum(5), ZERO, ONE, 1, False),), None, -4),
+        (Rect(ZERO, QNum(3), ZERO, ONE), (Step(ZERO, ZERO, ONE, 1, True), Step(QNum(2), ZERO, ONE, 1, True)), None, 3),
+        (Rect(ZERO, QNum(5), ZERO, ONE), (Step(ZERO, ZERO, ONE, 2, True),), Rect(QNum(3), QNum(5), ZERO, ONE), 5),
+    ]
+    for r, steps, remainder, expected in cases:
+        d = Decomposition(r, steps, remainder)
+        assert telescope(PROD, d) == telescope(value_only, d) == expected
 
 
 @pytest.mark.parametrize(
@@ -611,8 +621,9 @@ def test_step_edges_carry_their_hash():
     rng = random.Random(453)
     rational = irrational = 0
     for i in range(300):
-        for step in decompose(rand_rect(rng, i), rng.randint(1, 30)).steps:
-            for e in step.edges()[1:]:
+        d = decompose(rand_rect(rng, i), rng.randint(1, 30))
+        for step, squares in zip(d.steps, squares_by_step(d)):
+            for e in step_edges(step, squares)[1:]:
                 primed = e._hash
                 assert primed is not None
                 e._hash = None
@@ -628,10 +639,10 @@ def test_step_edges_over_the_hash_modulus_hash_on_demand():
     # come primed
     m = sys.hash_info.modulus
     for side in (QNum(F(1, m)), QNum(F(2, m), F(1, 3)), QNum(F(1, 2 * m), F(1, 3 * m))):
-        step = Step(ZERO, QNum(F(1, 5)), side, 6, True)
-        _, _, L = Decomposition(UNIT, (step,), None).frame
+        d = alone(Step(ZERO, QNum(F(1, 5)), side, 6, True))
+        _, _, L = d.frame
         assert L % m == 0
-        edges = step.edges()[1:]
+        edges = [sq.x2 for sq in d.all_squares()]
         assert all((e._hash is None) == e.is_rational() for e in edges)
         assert [hash(e) for e in edges] == [_value_hash(e) for e in edges]
 
@@ -668,8 +679,8 @@ def _assert_all_squares_match_the_steps(d, rationals_hashed=True):
         assert all(hash(v) == _value_hash(v) for v in (*built, s.x, s.y))
     assert k == len(squares) == d.total_squares
     triples = [_triples(sq) for sq in squares]
-    # each step alone, through its own `numerators` call
-    assert triples == [_triples(sq) for s in d.steps for sq in s.squares]
+    # each step alone, over a frame of its own
+    assert triples == [_triples(sq) for s in d.steps for sq in alone(s).all_squares()]
     return triples
 
 
@@ -948,7 +959,7 @@ def test_frame_telescope_matches_value_and_per_square_sums():
             per_square = sum((F_.value(sq) for sq in tiles), ZERO)
             assert telescope(F_, d) == per_square == F_.value(r)
         for s in d.steps:
-            seen.add((s.along_x, s.lo.is_rational(), s.side.is_rational()))
+            seen.add((s.along_x, (s.y if s.along_x else s.x).is_rational(), s.side.is_rational()))
         seen.add(("terminated", d.terminated))
         seen.add(("digits", len(str(r.x1._D)) >= 90))
     axes_and_rows = {(a, lo, side) for a in (True, False) for lo in (True, False) for side in (True, False)}

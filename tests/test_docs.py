@@ -151,12 +151,14 @@ def test_checker_flags_only_stale_rectadd_names():
         "`rectadd.nothing` never was; `random.Random`, `q.a == A/D`, "
         "`harness.cmd_*`, `rectadd.cli`, `rectadd.harness.MAX_TILES`, "
         "`Rect._make` and `f.rect_kernel(*numerators(r))` are fine.\n"
-        "`_cuts`, `_gone(As, _sign2)`, `Step._hi` and `_hash_over(a, b, inv)` are gone; `_sign2`, "
+        "`_cuts`, `_gone(As, _sign2)`, `Step._hi`, `Step.squares`, `Step.edges()`, `Step.hi` and "
+        "`_hash_over(a, b, inv)` are gone; `_sign2`, "
         "`_scaled_hash(n, inv)`, `_value_difference`, `__getattr__`, `__init__` and `x_1` are fine.\n"
         "```\nStep.also_gone _also_gone\n```\n"
     )
     assert stale_names(text) == [
-        "PointFunction.cuts", "Step.row_ends", "rectadd.nothing", "_cuts", "_gone", "Step._hi", "_hash_over",
+        "PointFunction.cuts", "Step.row_ends", "rectadd.nothing", "_cuts", "_gone", "Step._hi", "Step.squares",
+        "Step.edges", "Step.hi", "_hash_over",
     ]
 
 

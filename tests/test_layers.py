@@ -5,6 +5,8 @@ knows of the ones that build on it."""
 import ast
 from pathlib import Path
 
+from rectadd.decompose import Step
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "rectadd"
 LAYERS = ("numeric", "geometry", "rectfn", "decompose", "suites", "harness", "cli")
 # the package's re-exports and its `python -m` entry point sit above every layer
@@ -85,3 +87,54 @@ def test_only_numeric_knows_the_hash_encoding():
     }
     assert users.pop("numeric") == sorted(HASH_INTERNALS)
     assert {name: used for name, used in users.items() if used} == {}
+
+
+# the one builder of squares: only it, and numeric's definition, name the
+# list constructor that builds and hashes every edge
+EDGE_BUILDER = "_from_numerator_lists"
+
+
+def edge_builder_users(source: str) -> list[str]:
+    """The qualified names of the functions and classes whose code names
+    EDGE_BUILDER, read or defined, with `<module>` for module-level code;
+    importing it is not naming it."""
+    users = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+                if child.name == EDGE_BUILDER:
+                    users.append(inner)
+                visit(child, inner)
+            else:
+                named = isinstance(child, ast.Name) and child.id == EDGE_BUILDER
+                if named or isinstance(child, ast.Attribute) and child.attr == EDGE_BUILDER:
+                    users.append(scope or "<module>")
+                visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return users
+
+
+def test_checker_sees_every_use_of_the_edge_builder():
+    source = (
+        "from .numeric import _from_numerator_lists\n"
+        "def _from_numerator_lists(As, Bs, L):\n    return []\n"
+        "class D:\n    def all_squares(self):\n        return _from_numerator_lists([], [], 1)\n"
+        "    def other(self):\n        f = numeric._from_numerator_lists\n"
+        "built = _from_numerator_lists\n"
+        "def f():\n    return '_from_numerator_lists'\n"
+    )
+    assert edge_builder_users(source) == ["_from_numerator_lists", "D.all_squares", "D.other", "<module>"]
+
+
+def test_only_all_squares_builds_squares():
+    users = {
+        p.stem: edge_builder_users(p.read_text(encoding="utf-8"))
+        for p in sorted(SRC.glob("*.py"))
+    }
+    assert users.pop("numeric") == [EDGE_BUILDER]
+    assert {name: found for name, found in users.items() if found} == {"decompose": ["Decomposition.all_squares"]}
+    # a Step is a bare record, so it has no method to build its own squares
+    assert Step.__bases__ == (tuple,)

@@ -26,6 +26,8 @@ from rectadd.geometry import Rect
 from rectadd.numeric import ONE, ZERO, QNum, _from_numerator_lists, from_numerators, parse_qnum
 from rectadd.suites import rand_rect
 
+from greedy_oracle import alone, step_edges
+
 sympy = pytest.importorskip("sympy")
 mpmath = pytest.importorskip("mpmath")
 
@@ -315,8 +317,9 @@ def test_hash_contract_across_constructors():
         for sq in d.all_squares():
             for v in sq:
                 _hash_contract(v, QNum(v.a, v.b))
+        # and each step alone, over a frame of its own
         for step in d.steps:
-            for v in step.edges():
+            for v in step_edges(step, alone(step).all_squares()):
                 _hash_contract(v, QNum(v.a, v.b))
 
 

@@ -119,11 +119,15 @@ def test_keyword_construction_and_defaults():
 
 
 def test_step_memos_leave_equality_and_hash_alone():
+    # a Step is a bare record, with no instance dict to hold a memo: tiling
+    # it leaves its equality, hash and repr those of its five fields
     fresh = Step(ZERO, ZERO, ONE, 2, True)
     used = Step(ZERO, ZERO, ONE, 2, True)
-    assert used.hi == ONE and len(used.edges()) == 3 and len(used.squares) == 2
-    assert used == fresh and hash(used) == hash(fresh)
-    assert repr(used) == repr(fresh)
+    assert not hasattr(used, "__dict__")
+    assert len(Decomposition(WIDE, (used,), None).all_squares()) == 2
+    assert used == fresh == tuple(fresh) and hash(used) == hash(fresh) == hash(tuple(fresh))
+    zero, one = "QNum(Fraction(0, 1), Fraction(0, 1))", "QNum(Fraction(1, 1), Fraction(0, 1))"
+    assert repr(used) == repr(fresh) == f"Step(x={zero}, y={zero}, side={one}, count=2, along_x=True)"
     # a decomposition's frame is a memo too, outside its three fields
     fresh = Decomposition(WIDE, (STEP,), None)
     used = Decomposition(WIDE, (STEP,), None)

@@ -26,6 +26,7 @@ from rectadd.rectfn import (
 from rectadd.suites import _rect_corner_points, rand_rect, rand_split_params, rand_table_function
 
 from field_counter import count_builds, counterexample_squares
+from greedy_oracle import alone, squares_by_step, step_edges
 
 F = Fraction
 
@@ -346,12 +347,13 @@ def test_rect_kernels_match_value():
         x, y = (start, lo) if along_x else (lo, start)
         step = Step(x, y, side, count, along_x)
         # the rectangle the squares fill, oriented by the step, over one
-        # denominator, as `telescope` passes it to `rect_kernel`: a row of
+        # denominator, as `telescope` passes it to `rect_kernel`: the row of
         # the frame of a hand-built decomposition of the step alone
-        (As, Bs, L), = Decomposition(UNIT, (step,), None).rows()
+        d = alone(step)
+        (As, Bs, L), = d.rows()
         r = Rect(*[from_numerators(a, b, L) for a, b in zip(As, Bs)])
-        e = step.edges()
-        assert r == (Rect(e[0], e[-1], step.lo, step.hi) if along_x else Rect(step.lo, step.hi, e[0], e[-1]))
+        e, hi = step_edges(step, d.all_squares()), lo + side
+        assert r == (Rect(e[0], e[-1], lo, hi) if along_x else Rect(lo, hi, e[0], e[-1]))
         rows.add((r.y1.is_rational(), r.y2.is_rational()))
         columns.add((r.x1.is_rational(), r.x2.is_rational()))
         for f in (PRODUCT, COUNTEREXAMPLE):
@@ -471,13 +473,13 @@ def test_point_function_with_its_own_kernel_is_summed_by_it(monkeypatch):
     assert d.terminated and d.total_squares > 1000 > 40 * len(d.steps)
 
     def refuse(*args):
-        raise AssertionError("the telescope built a step's edges")
+        raise AssertionError("the telescope built a step's squares")
 
     built = count_builds(monkeypatch)
-    monkeypatch.setattr(Step, "edges", refuse)
+    monkeypatch.setattr(Decomposition, "all_squares", refuse)
     total = telescope(F_, d)
     assert len(built) == 1
     monkeypatch.undo()
     assert total == F_.value(r)
     rows = [from_numerators(*f.rect_kernel(*row)) for row in d.rows()]
-    assert rows == [sum((F_.value(sq) for sq in step.squares), ZERO) for step in d.steps]
+    assert rows == [sum((F_.value(sq) for sq in squares), ZERO) for squares in squares_by_step(d)]
