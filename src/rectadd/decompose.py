@@ -17,30 +17,24 @@ a step's side and moved corner are built as QNums.  `greedy_step` is one
 step of `decompose`.  `decompose` keeps the integers as the decomposition's
 frame (`Decomposition.frame`): the original's coordinates, the remainder's
 lower-left corner, then each step's corner and side over L.
-`verify_halving` compares the side trace, `cmd_decompose` sums the tiling
-and draws the figure, and `telescope` reads each step's row and the
-remainder's on the frame, not on numerators derived again from the
-normalised QNums.
+`verify_halving` compares the side trace and `cmd_decompose` sums the
+tiling and draws the figure on the frame, not on numerators derived again
+from the normalised QNums.
 
 A step is described, not materialised: its lower-left corner, side, count
 and packing axis determine every square, so `decompose` costs O(steps)
 whatever the packing counts, and so does `telescope`: the squares of a step
-fill one rectangle, its row, read off the frame (`Decomposition.rows`), and
-F is additive, so they sum to F of the row; the remainder, when there is
-one, is one more row.  A point function's integer `rect_kernel` takes the
-row's numerators as they are, any other point function's `value` is read
-at the row's four corners, QNums the decomposition already holds, and the
-rows add up as integers over one denominator, normalised once: one gcd and
-one QNum for the whole sum instead of one per row (Knuth, TAOCP vol. 2,
-4.5.1).  `Decomposition.all_squares` is the only builder of squares: it
-builds every edge in one pass over the frame, one integer addition per
-edge, each edge normalised with its hash primed by `numeric` (an irrational
-edge's needs no modular inverse, a rational edge's shares one inverse of
-L).  A square's far side across the packing axis is the original's y2 or x2
-itself, since the far corner never moves, so one QNum is built a square.
-The pass checks once per step that the side is positive and, on the frame's
-integers, that lo + side is that far side, and then builds each square as a
-plain tuple.
+fill one rectangle, its row, and F is additive, so they sum to F of the
+row; the remainder, when there is one, is one more row.  Where each row
+ends is decided in one place, `Decomposition._corners`, which `rows`,
+`telescope` and `all_squares` all read.  The rows add up as integers over
+one denominator, normalised once: one gcd and one QNum for the whole sum
+instead of one per row (Knuth, TAOCP vol. 2, 4.5.1).
+`Decomposition.all_squares` is the only builder of squares: it builds every
+edge in one pass over the frame, one integer addition per edge, each edge
+normalised with its hash primed by `numeric` (an irrational edge's needs no
+modular inverse, a rational edge's shares one inverse of L), and refuses a
+step that does not fill its row.
 """
 
 from __future__ import annotations
@@ -95,40 +89,50 @@ class Decomposition(namedtuple("Decomposition", "original steps remainder")):
         side.  So step i's corner and side are As[3i+6 : 3i+9], and the
         step sides of `sides` are As[8::3], Bs[8::3].  `decompose` keeps the
         integers its loop computes; a hand-built decomposition derives them
-        with one `numerators` call."""
+        with one `numerators` call on `_values()`."""
         frame = self._frame
         if frame is None:
-            r = self.original
-            rem = r if self.remainder is None else self.remainder
-            values = [*r, rem.x1, rem.y1]
-            for s in self.steps:
-                values += (s.x, s.y, s.side)
-            frame = self._frame = numerators(values)
+            frame = self._frame = numerators(self._values())
         return frame
 
-    def rows(self) -> list[tuple[list[int], list[int], int]]:
-        """The rectangle each step's squares fill, oriented by the step, then
-        the remainder when there is one, read off the frame at the corners
-        `telescope`'s value path reads, as lists As, Bs and the frame's L in
-        `numerators` order, x1, x2, y1, y2 == (As[k] + Bs[k]*sqrt2)/L, so
-        that `f.rect_kernel(*row)` is F of the row: the paths agree even on
-        a hand-built decomposition that does not tile."""
-        As, Bs, L = self.frame
-        x2a, x2b, y2a, y2b = As[1], Bs[1], As[3], Bs[3]
-        # a step's far edge is the next step's corner; the last's, the remainder's or the original's far one
+    def _values(self) -> list[QNum]:
+        """The QNums the frame stands for, in frame order."""
+        r = self.original
+        rem = r if self.remainder is None else self.remainder
+        values = [*r, rem.x1, rem.y1]
+        for s in self.steps:
+            values += (s.x, s.y, s.side)
+        return values
+
+    def _corners(self, V: list) -> list[list]:
+        """The row rule: [x1, x2, y1, y2] of each step's row, then of the
+        remainder's when there is one, picked from V, a list in frame order
+        (the frame's As or Bs, or `_values()`).  A step's row runs from its
+        own x and y to its far side across the packing axis, the original's
+        y2 (along x) or x2, since the far corner never moves, and along the
+        axis to its far edge: the next step's corner, or for the last step
+        the remainder's, or the original's far corner when there is none.
+        The remainder's row runs from its lower-left corner to the
+        original's far corner.  `rows`, `telescope` and `all_squares` read
+        their rows here, so they agree on any decomposition, even a
+        hand-built one that does not tile."""
+        x2, y2 = V[1], V[3]
         i, j = (1, 3) if self.remainder is None else (4, 5)
-        rows = []
-        for s, xa, ya, xb, yb, ea, fa, eb, fb in zip(
-            self.steps, As[6::3], As[7::3], Bs[6::3], Bs[7::3],
-            [*As[9::3], As[i]], [*As[10::3], As[j]], [*Bs[9::3], Bs[i]], [*Bs[10::3], Bs[j]],
-        ):
-            if s.along_x:
-                rows.append(([xa, ea, ya, y2a], [xb, eb, yb, y2b], L))
-            else:
-                rows.append(([xa, x2a, ya, fa], [xb, x2b, yb, fb], L))
+        rows = [
+            [x, e, y, y2] if s.along_x else [x, x2, y, f]
+            for s, x, y, e, f in zip(self.steps, V[6::3], V[7::3], [*V[9::3], V[i]], [*V[10::3], V[j]])
+        ]
         if self.remainder is not None:
-            rows.append(([As[4], x2a, As[5], y2a], [Bs[4], x2b, Bs[5], y2b], L))
+            rows.append([V[4], x2, V[5], y2])
         return rows
+
+    def rows(self) -> list[tuple[list[int], list[int], int]]:
+        """Each step's row, then the remainder's when there is one (see
+        `_corners`), as lists As, Bs and the frame's L in `numerators`
+        order, x1, x2, y1, y2 == (As[k] + Bs[k]*sqrt2)/L, so that
+        `f.rect_kernel(*row)` is F of the row."""
+        As, Bs, L = self.frame
+        return list(zip(self._corners(As), self._corners(Bs), repeat(L)))
 
     @property
     def terminated(self) -> bool:
@@ -152,35 +156,42 @@ class Decomposition(namedtuple("Decomposition", "original steps remainder")):
 
     def all_squares(self) -> list[Rect]:
         """Every packed square, step by step, built on demand off the frame,
-        so no `numerators` call: the only builder of squares.  A step only
-        subtracts from the longer side, so each square's far side across the
-        packing axis is the original's y2 (along x) or x2, the object itself:
-        one QNum built a square.
+        so no `numerators` call: the only builder of squares.  A step's
+        squares fill its row (`_corners`) and share its far side across the
+        packing axis, the original's y2 or x2 object itself, so one QNum is
+        built a square.
 
         Each side is checked positive once, which puts every edge below the
         next and lo below the far side, so no square is checked by
-        `Rect.__init__`; then lo + side is checked against the far side on
-        the frame's integers, so a hand-built step that misses it is refused
-        with a ValueError, not drawn degenerate.  An edge is the one before
-        it plus the side, all built normalised and hashed by one
-        `_from_numerator_lists` call, and the squares share the step's own x
-        or y and the far side."""
+        `Rect.__init__`.  On the frame's integers, lo + side is checked
+        against the row's far side and, after every step's side checks,
+        corner + count*side against its far edge: a hand-built step that
+        does not fill its row is refused with a ValueError.  An edge is the
+        one before it plus the side, all built normalised and hashed by one
+        `_from_numerator_lists` call."""
         As, Bs, L = self.frame
         x2, y2 = self.original.x2, self.original.y2
-        ends = ((As[1], Bs[1]), (As[3], Bs[3]))
         EA: list[int] = []
         EB: list[int] = []
-        for s, xa, ya, sa, xb, yb, sb in zip(
-            self.steps, As[6::3], As[7::3], As[8::3], Bs[6::3], Bs[7::3], Bs[8::3]
+        short = None
+        for (_, _, side, n, along_x), (xa, x2a, ya, y2a), (xb, x2b, yb, y2b), sa, sb in zip(
+            self.steps, self._corners(As), self._corners(Bs), As[8::3], Bs[8::3]
         ):
             if _sign2(sa, sb) <= 0:
-                raise ValueError(f"degenerate step: side {s.side}")
-            a, b, la, lb = (xa, xb, ya, yb) if s.along_x else (ya, yb, xa, xb)
-            if (la + sa, lb + sb) != ends[s.along_x]:
+                raise ValueError(f"degenerate step: side {side}")
+            # (a, ea) along the packing axis to the far edge, (la, fa) across it to the far side
+            a, ea, la, fa, b, eb, lb, fb = (
+                (xa, x2a, ya, y2a, xb, x2b, yb, y2b) if along_x else (ya, y2a, xa, x2a, yb, y2b, xb, x2b)
+            )
+            if la + sa != fa or lb + sb != fb:
                 hi = from_numerators(la + sa, lb + sb, L)
-                raise ValueError(f"step off the far side: lo + side {hi}, not {y2 if s.along_x else x2}")
-            EA += islice(accumulate(repeat(sa, s.count), initial=a), 1, None)
-            EB += islice(accumulate(repeat(sb, s.count), initial=b), 1, None)
+                raise ValueError(f"step off the far side: lo + side {hi}, not {y2 if along_x else x2}")
+            if short is None and (a + n * sa != ea or b + n * sb != eb):
+                short = from_numerators(a + n * sa, b + n * sb, L), from_numerators(ea, eb, L)
+            EA += islice(accumulate(repeat(sa, n), initial=a), 1, None)
+            EB += islice(accumulate(repeat(sb, n), initial=b), 1, None)
+        if short:
+            raise ValueError(f"step off its far edge: corner + count*side {short[0]}, not {short[1]}")
         built = iter(_from_numerator_lists(EA, EB, L))
         squares: list[Rect] = []
         for s in self.steps:
@@ -312,35 +323,24 @@ def verify_halving(d: Decomposition) -> HalvingCertificate:
 def telescope(F: RectFunction, d: Decomposition) -> QNum:
     """Sum of F over all packed squares plus the remainder (when present).
 
-    Each step's squares fill one rectangle, its row (`Decomposition.rows`),
-    and F is additive, so they sum to F of the row: the cost is O(steps)
-    whatever the packing counts and no square is built.  The remainder is
-    one more row.  Each row gives integer numerators (a, b, e) of F of the
-    row: a point function with its own integer `rect_kernel` gets the row's
-    numerators straight, and any other is evaluated by `value` at the same
-    corners as QNums the decomposition holds: a step's own x and y, its far
-    side across the packing axis, the original's y2 or x2, and its far edge,
-    the next step's corner, the remainder's, or the original's far corner
-    when the last packing was exact; so no QNum is built per row and a
-    `Table` looks up keys whose hashes are cached.  The rows are summed
-    as integers over the lcm of their denominators and normalised once, the
-    one QNum built.  For corner-difference F the sum equals F(original)
-    exactly: shared-edge corner terms cancel in pairs across the tiling.
+    Each step's squares fill one rectangle, its row, and F is additive, so
+    they sum to F of the row: the cost is O(steps) whatever the packing
+    counts and no square is built.  The remainder is one more row.  Each
+    row, as `Decomposition._corners` bounds it, gives integer numerators
+    (a, b, e) of F of the row: a point function with its own integer
+    `rect_kernel` gets the row's numerators (`Decomposition.rows`), and any
+    other is evaluated by `value` at the row's corners, QNums the
+    decomposition holds, so no QNum is built per row and a `Table` looks up
+    keys whose hashes are cached.  The rows are summed as integers over the
+    lcm of their denominators and normalised once, the one QNum built.  For
+    corner-difference F the sum equals F(original) exactly: shared-edge
+    corner terms cancel in pairs across the tiling.
     """
     f = F.point_fn
     if type(f).rect_kernel is not PointFunction.rect_kernel:
         parts = [f.rect_kernel(*row) for row in d.rows()]
     else:
-        r, rem = d.original, d.remainder
-        # a step's far edge is where the next step, or the remainder, starts
-        ends = [(s.x, s.y) for s in d.steps[1:]]
-        ends.append((r.x2, r.y2) if rem is None else (rem.x1, rem.y1))
-        rows = [
-            (s.x, x2, s.y, r.y2) if s.along_x else (s.x, r.x2, s.y, y2) for s, (x2, y2) in zip(d.steps, ends)
-        ]
-        if rem is not None:
-            rows.append(rem)
-        parts = [f._value_difference(*row) for row in rows]
+        parts = [f._value_difference(*row) for row in d._corners(d._values())]
     A, B, D = 0, 0, 1
     for a, b, e in parts:
         if e == D:

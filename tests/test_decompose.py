@@ -549,7 +549,8 @@ def test_squares_of_a_degenerate_step_are_refused(side):
         step = Step(QNum(F(1, 3)), SQRT2, side, 3, along_x)
         with pytest.raises(ValueError, match="degenerate step"):
             Decomposition(UNIT, (step,), None).all_squares()
-        # the same check after a step that holds
+        # the same check after a step that misses its far edge, the
+        # degenerate step's corner: a far edge is checked last
         d = Decomposition(UNIT, (Step(ZERO, ZERO, ONE, 1, True), step), None)
         with pytest.raises(ValueError, match="degenerate step"):
             d.all_squares()
@@ -562,10 +563,13 @@ def test_squares_of_a_step_off_the_far_side_are_refused():
         d = Decomposition(UNIT, (step,), None)
         with pytest.raises(ValueError, match="far side"):
             d.all_squares()
-    # after a step that holds, a second one short of it by sqrt2/3
+    # after a step that holds, a second one short of it by sqrt2/3; alone,
+    # the first is refused too, short of its far edge, the original's x2
     r = Rect(ZERO, QNum(3), ZERO, QNum(2))
     ok, short = Step(ZERO, ZERO, QNum(2), 1, True), Step(QNum(2), ZERO, ONE - QNum(0, F(1, 3)), 1, False)
-    assert len(Decomposition(r, (ok,), None).all_squares()) == 1
+    assert len(Decomposition(r, (ok, Step(QNum(2), ZERO, ONE, 2, False)), None).all_squares()) == 3
+    with pytest.raises(ValueError, match="far edge: corner \\+ count\\*side 2, not 3"):
+        Decomposition(r, (ok,), None).all_squares()
     with pytest.raises(ValueError, match="far side"):
         Decomposition(r, (ok, short), None).all_squares()
     # the frame and rows of such a decomposition are read, unchecked: the
@@ -582,19 +586,60 @@ class _ValueOnlyProduct(PointFunction):
 
 
 def test_telescope_paths_agree_on_a_hand_built_decomposition():
-    # a step off the far side, a step short of the next one's corner and a
-    # step short of the remainder's: the kernel path reads each row at the
-    # corners the value path reads, so both give one value
+    # a step off the far side, a step short of the next one's corner, a
+    # step short of the remainder's and a remainder past the original's far
+    # corner: both paths read the rows `Decomposition._corners` gives, so
+    # both give one value
     value_only = corner_difference(_ValueOnlyProduct())
     cases = [
         (UNIT, (Step(ZERO, QNum(5), ONE, 1, True),), None, -4),
         (UNIT, (Step(QNum(5), ZERO, ONE, 1, False),), None, -4),
         (Rect(ZERO, QNum(3), ZERO, ONE), (Step(ZERO, ZERO, ONE, 1, True), Step(QNum(2), ZERO, ONE, 1, True)), None, 3),
         (Rect(ZERO, QNum(5), ZERO, ONE), (Step(ZERO, ZERO, ONE, 2, True),), Rect(QNum(3), QNum(5), ZERO, ONE), 5),
+        (Rect(ZERO, QNum(2), ZERO, ONE), (Step(ZERO, ZERO, ONE, 1, True),), Rect(ONE, QNum(3), ZERO, ONE), 2),
     ]
     for r, steps, remainder, expected in cases:
         d = Decomposition(r, steps, remainder)
         assert telescope(PROD, d) == telescope(value_only, d) == expected
+
+
+def test_perturbed_decompositions_agree_or_are_refused():
+    # a decomposition moved off its tiling by its remainder's far corner,
+    # one step's count or one step's corner: both telescope paths still
+    # read one set of rows, and the squares either fill the step rows or
+    # are refused
+    value_only = corner_difference(_ValueOnlyProduct())
+    kinds = {"remainder": 0, "count": 0, "corner": 0}
+    refused = 0
+    for seed in (497, 499):
+        rng = random.Random(seed)
+        for i in range(60):
+            d = decompose(rand_rect(rng, i), rng.randint(1, 12))
+            steps, rem = list(d.steps), d.remainder
+            k = rng.randrange(len(steps))
+            s = steps[k]
+            kind = rng.choice(["remainder", "count", "corner"] if rem is not None else ["count", "corner"])
+            if kind == "remainder":
+                dx, dy = (QNum(F(rng.randint(0, 9), rng.randint(1, 5)), F(rng.randint(1, 2), 3)) for _ in "xy")
+                rem = Rect(rem.x1, rem.x2 + dx, rem.y1, rem.y2 + dy)
+            elif kind == "count":
+                steps[k] = s._replace(count=s.count + rng.choice((-1, 1)))
+            else:
+                delta = QNum(F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5)), F(rng.randint(-2, 2), 3))
+                steps[k] = s._replace(x=s.x + delta) if rng.random() < 0.5 else s._replace(y=s.y + delta)
+            kinds[kind] += 1
+            hand = Decomposition(d.original, tuple(steps), rem)
+            assert telescope(PROD, hand) == telescope(value_only, hand)
+            try:
+                squares = hand.all_squares()
+            except ValueError:
+                refused += 1
+                continue
+            rows = hand.rows()[: len(steps)]
+            assert sum((sq.area() for sq in squares), ZERO) == sum(
+                (from_numerators(*PRODUCT.rect_kernel(*row)) for row in rows), ZERO
+            )
+    assert min(kinds.values()) > 20 and refused == kinds["count"] + kinds["corner"]
 
 
 @pytest.mark.parametrize(

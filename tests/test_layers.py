@@ -138,3 +138,40 @@ def test_only_all_squares_builds_squares():
     assert {name: found for name, found in users.items() if found} == {"decompose": ["Decomposition.all_squares"]}
     # a Step is a bare record, so it has no method to build its own squares
     assert Step.__bases__ == (tuple,)
+
+
+# the row rule: only `Decomposition._corners` says where a row ends, so
+# `telescope` reads none of the fields the row bounds come from
+ROW_FIELDS = {"steps", "remainder", "original"}
+
+
+def row_fields_read(source: str, function: str) -> set[str]:
+    """The names of ROW_FIELDS that the module-level function `function`
+    reads, as an attribute or spelled out as a string, nested code
+    included."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            used = set()
+            for child in ast.walk(node):
+                if isinstance(child, ast.Attribute):
+                    used.add(child.attr)
+                elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                    used.add(child.value)
+            return used & ROW_FIELDS
+    raise LookupError(function)
+
+
+def test_checker_sees_every_row_field_read():
+    source = (
+        "def telescope(F, d):\n    '''The steps, the remainder and the original.'''\n"
+        "    ends = [s.x for s in d.steps[1:]] + [getattr(d, 'original')]\n"
+        "    return [(lambda: d.remainder)()]\n"
+        "def other(d):\n    return d.steps, d.original.x2\n"
+    )
+    assert row_fields_read(source, "telescope") == {"steps", "original", "remainder"}
+    assert row_fields_read("def telescope(F, d):\n    return d._corners(d._values())\n", "telescope") == set()
+
+
+def test_telescope_reads_its_rows_only():
+    source = (SRC / "decompose.py").read_text(encoding="utf-8")
+    assert row_fields_read(source, "telescope") == set()
