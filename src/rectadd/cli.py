@@ -18,8 +18,8 @@ SUITE_NAMES = ("additivity", "field", "halving", "oracle", "telescope", "tiling"
 # name -> (function in `harness`, help, flags).  Each flag's dest is a keyword
 # of the function, and an omitted flag is not passed, so the function's
 # signature holds every default.  The function is looked up by name when the
-# command runs, so a wrapper installed on `harness` (perfbench's layer spans)
-# also sees calls made through the CLI.
+# command runs, which loads that command's module alone, and a wrapper
+# installed on `harness` (perfbench's layer spans) also sees CLI calls.
 COMMANDS = {
     "counterexample": (
         "cmd_counterexample",
@@ -101,9 +101,11 @@ def main(argv: "list[str] | None" = None) -> int:
     command = kwargs.pop("command")
     json_path = kwargs.pop("json", None)
     # exit 1 is reserved for a violated claim; refused input and files that
-    # cannot be written (--svg here, --json below) exit 2
+    # cannot be written (--svg, --json) exit 2 before any finding is printed
     try:
         report = getattr(harness, COMMANDS[command][0])(**kwargs)
+        if json_path:
+            harness.write_report_json(report, json_path)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         parser.exit(2, f"rectadd {command}: {exc}\n")
     for f in report.findings:
@@ -114,10 +116,6 @@ def main(argv: "list[str] | None" = None) -> int:
                 line += f"  {label}: " + ", ".join(values[:8]) + more
         print(line)
     if json_path:
-        try:
-            harness.write_report_json(report, json_path)
-        except OSError as exc:
-            parser.exit(2, f"rectadd {command}: {exc}\n")
         print(f"report written to {json_path}")
     return report.exit_status
 

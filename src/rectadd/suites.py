@@ -21,7 +21,6 @@ import random
 from collections import namedtuple
 from itertools import count, islice
 
-from .decompose import decompose, telescope, verify_halving, continued_fraction_counts
 from .geometry import Rect, split
 from .numeric import QNum, ZERO, dyadic, from_numerators
 from .rectfn import RectFunction, Table, check_additivity, corner_difference
@@ -117,7 +116,8 @@ def _rect_corner_points(rects) -> dict:
 
 # -- suites -------------------------------------------------------------------
 # Each suite is an endless generator over the one `random.Random(seed)` it
-# is given; `oracle`'s ends after its 1770 pairs.
+# is given; `oracle`'s ends after its 1770 pairs.  A suite that decomposes
+# imports `decompose` when it starts, so `field` and `additivity` never load it.
 
 
 def _suite_field(rng: random.Random):
@@ -151,6 +151,7 @@ def _suite_additivity(rng: random.Random):
 
 
 def _decomposition_cases(rng: random.Random):
+    from .decompose import decompose
     for i in count():
         r = rand_rect(rng, i)
         yield r, decompose(r, max_steps=_randint(rng, 1, 24))
@@ -171,6 +172,7 @@ def _suite_halving(rng: random.Random):
     induction on j, so the decay loop can fail only where the certificate
     is wrong: it is the suite's only QNum-arithmetic cross-check of the
     frame-based certificate, and is kept for that."""
+    from .decompose import verify_halving
     for r, d in _decomposition_cases(rng):
         bad = verify_halving(d).failure
         if bad is not None:
@@ -190,6 +192,7 @@ def _suite_halving(rng: random.Random):
 def _suite_oracle(rng: random.Random):
     # deterministic enumeration of integer aspect ratios q < p <= 60,
     # lexicographic: 1770 pairs, whatever the seed
+    from .decompose import continued_fraction_counts, decompose
     for p in range(2, 61):
         for q in range(1, p):
             r = Rect(QNum(0), QNum(p), QNum(0), QNum(q))
@@ -200,6 +203,7 @@ def _suite_oracle(rng: random.Random):
 
 
 def _suite_telescope(rng: random.Random):
+    from .decompose import decompose, telescope
     for i in count():
         r = rand_rect(rng, i)
         d = decompose(r, max_steps=_randint(rng, 1, 20))

@@ -1,9 +1,12 @@
 """Count the QNum operations a piece of code makes, the objects it builds,
 and the calls it makes to a function of rectadd."""
 
+import importlib
+import pkgutil
 import sys
 
-from rectadd import harness, numeric
+import rectadd
+from rectadd import command_counterexample, numeric
 from rectadd.geometry import DyadicSquare, Rect
 from rectadd.numeric import QNum
 from rectadd.rectfn import PointFunction, corner_difference
@@ -49,8 +52,13 @@ def count_builds(monkeypatch) -> list:
 def count_calls(monkeypatch, fn) -> list:
     """Patch every rectadd module attribute bound to fn (its home module's
     and each name a module imported it under) to record each call; the
-    returned list grows by one per call until the monkeypatch is undone."""
+    returned list grows by one per call until the monkeypatch is undone.
+    Every module of the package is loaded first, so a command module that
+    no test has imported yet cannot keep an unpatched reference."""
     calls = []
+    for m in pkgutil.iter_modules(rectadd.__path__):
+        if not m.name.startswith("_"):  # importing __main__ runs the CLI
+            importlib.import_module(f"rectadd.{m.name}")
 
     def counting(*args, **kwargs):
         calls.append(fn)
@@ -65,9 +73,9 @@ def count_calls(monkeypatch, fn) -> list:
 
 def counterexample_squares(monkeypatch, f, **kwargs):
     """`cmd_counterexample(**kwargs)` run on the point function f, patched in
-    through `harness.named_rect_function`, and the mesh squares (n, k, m)
-    its kernel was asked for, in draw order, each checked to come as the
-    numerators [k, k+1]x[m, m+1] over 2^n."""
+    through the name `named_rect_function` of the command's module, and the
+    mesh squares (n, k, m) its kernel was asked for, in draw order, each
+    checked to come as the numerators [k, k+1]x[m, m+1] over 2^n."""
     squares = []
 
     class Recording(PointFunction):
@@ -80,5 +88,5 @@ def counterexample_squares(monkeypatch, f, **kwargs):
             squares.append((n, k, m))
             return f.rect_kernel(As, Bs, L)
 
-    monkeypatch.setattr(harness, "named_rect_function", lambda name: corner_difference(Recording()))
-    return harness.cmd_counterexample(**kwargs), squares
+    monkeypatch.setattr(command_counterexample, "named_rect_function", lambda name: corner_difference(Recording()))
+    return command_counterexample.cmd_counterexample(**kwargs), squares

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from rectadd import harness, numeric
+from rectadd import command_decompose, command_dyadic_approx, harness, numeric
 from rectadd.cli import COMMANDS, build_parser, main
 from rectadd.geometry import DyadicSquare, Rect, parse_rect
 from rectadd.harness import (
@@ -419,8 +419,9 @@ def test_cmd_dyadic_approx_order_budget(tmp_path, capsys):
 
 def _dyadic_approx_reference(function: str, r: Rect, max_order: int) -> tuple[list, list]:
     # the gaps and failing orders order by order: a cover Rect and F.value
-    # at every order, against the shrink bound built in the field
-    F = harness.named_rect_function(function)
+    # at every order, against the shrink bound built in the field, on the F
+    # that the command looks up
+    F = command_dyadic_approx.named_rect_function(function)
     target = F.value(r)
     gaps = [target - inner_cover_sum(F, r, n) for n in range(1, max_order + 1)]
     return gaps, [n for n, gap in enumerate(gaps, 1) if abs(gap) > shrink_bound(r, n)]
@@ -488,7 +489,7 @@ def test_cmd_dyadic_approx_decides_a_gap_on_the_bound(monkeypatch):
     assert not c.is_rational()
     for scale, fails in ((c, False), (-c, False), (c * (1 + numeric.dyadic(1, 60)), True), (-c - 1, True)):
         F = corner_difference(_ScaledProduct(scale))
-        monkeypatch.setattr(harness, "named_rect_function", lambda name: F)
+        monkeypatch.setattr(command_dyadic_approx, "named_rect_function", lambda name: F)
         _assert_dyadic_approx_matches_reference(r, "scaled", 8)
         gaps, failures = _dyadic_approx_reference("scaled", r, 8)
         assert (abs(gaps[2]) == shrink_bound(r, 3)) != fails
@@ -762,7 +763,10 @@ def test_cli_unwritable_report_path_exits_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + [missing])
     assert exc.value.code == 2
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    # the report is written before any finding is printed, so exit 2 prints none
+    assert captured.out == ""
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"rectadd {argv[0]}: ")
     assert missing in err[0]
 
@@ -798,7 +802,7 @@ def test_cmd_decompose_tiling_value_is_per_tile_area_sum():
 
 
 def test_cmd_decompose_tile_budget(monkeypatch):
-    monkeypatch.setattr(harness, "MAX_TILES", 5)
+    monkeypatch.setattr(command_decompose, "MAX_TILES", 5)
     assert cmd_decompose(rect="[0,5]x[0,1]", max_steps=1).exit_status == 0
     with pytest.raises(ValueError, match="more than 5 squares"):
         cmd_decompose(rect="[0,6]x[0,1]", max_steps=1)

@@ -1,6 +1,7 @@
 """The package's import graph is strictly layered: a module imports only
 modules below it in LAYERS, type-checking imports included, so no layer
-knows of the ones that build on it."""
+knows of the ones that build on it.  The command modules share one layer:
+none imports another, so a launch of one compiles no other."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,10 @@ from pathlib import Path
 from rectadd.decompose import Step
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rectadd"
-LAYERS = ("numeric", "geometry", "rectfn", "decompose", "suites", "harness", "cli")
+COMMAND_MODULES = (
+    "command_counterexample", "command_decompose", "command_dyadic_approx", "command_probe", "command_proptest",
+)
+LAYERS = ("numeric", "geometry", "rectfn", "decompose", "suites", "report", *COMMAND_MODULES, "harness", "cli")
 # the package's re-exports and its `python -m` entry point sit above every layer
 EXEMPT = ("__init__", "__main__")
 
@@ -46,6 +50,14 @@ def test_relative_imports_go_down_the_layers():
             if LAYERS.index(imported) >= i:
                 upward.append(f"{name} -> {imported}")
     assert upward == []
+
+
+def test_no_command_module_imports_another():
+    crossing = {
+        name: sorted(relative_imports((SRC / f"{name}.py").read_text(encoding="utf-8")) & set(COMMAND_MODULES))
+        for name in COMMAND_MODULES
+    }
+    assert {name: found for name, found in crossing.items() if found} == {}
 
 
 # numeric's hash encoding: the hash a QNum caches and the helpers that

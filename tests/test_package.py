@@ -1,8 +1,8 @@
-"""The package's exports, which it imports on first use: each is the object
-its module defines, and `rectadd.decompose` is the function whichever
-import of the submodule `rectadd.decompose` came first.  Each check runs in
-a fresh interpreter, because a module that the test process has already
-imported hides what an import order does."""
+"""The package's exports and `harness`'s, which each imports on first use:
+each is the object its module defines, and `rectadd.decompose` is the
+function whichever import of the submodule `rectadd.decompose` came first.
+Each check runs in a fresh interpreter, because a module that the test
+process has already imported hides what an import order does."""
 
 import json
 import os
@@ -35,6 +35,18 @@ EXPORTS = {
 }
 SUBMODULES = ["numeric", "geometry", "rectfn", "harness", "suites"]
 PUBLIC = [n for names in EXPORTS.values() for n in names] + SUBMODULES
+# every public name of `rectadd.harness`, by the module that defines it
+HARNESS = {
+    "report": [
+        "SCHEMA_VERSION", "DISPLAY_DIGITS", "MAX_ORDER", "VERIFIED", "VIOLATED", "EVIDENCE", "Finding", "Report",
+        "report_to_dict", "write_report_json",
+    ],
+    "command_counterexample": ["MAX_SAMPLES", "WITNESS_RECT", "cmd_counterexample"],
+    "command_decompose": ["MAX_TILES", "MAX_STEPS", "cmd_decompose", "write_decomposition_svg"],
+    "command_dyadic_approx": ["cmd_dyadic_approx", "inner_cover_sum", "shrink_bound"],
+    "command_probe": ["MAX_ALPHA_DENOMINATOR", "MAX_ROOT_WORK", "MAX_ALPHA_DIGITS", "MAX_PROBE_SQUARES", "cmd_probe"],
+    "command_proptest": ["MAX_CASES", "cmd_proptest"],
+}
 
 
 def _fresh(code: str) -> object:
@@ -95,3 +107,27 @@ def test_dir_and_star_import_cover_every_export():
     listed, exported, same, has_nothing = _fresh(code)
     assert listed == exported == sorted(PUBLIC)
     assert same and not has_nothing
+
+
+def test_every_harness_name_is_the_object_its_module_holds():
+    code = (
+        "import importlib, json, rectadd.harness as harness\n"
+        f"homes = {HARNESS!r}\n"
+        "wrong = [n for m, names in homes.items() for n in names\n"
+        "         if getattr(harness, n) is not getattr(importlib.import_module('rectadd.' + m), n)]\n"
+        "print(json.dumps([wrong, [n for n in dir(harness) if not n.startswith('_')]]))"
+    )
+    wrong, listed = _fresh(code)
+    assert wrong == []
+    assert listed == sorted(n for names in HARNESS.values() for n in names)
+
+
+def test_only_the_decompose_module_shares_a_name_with_an_export():
+    # importing a submodule binds its name on the package, which `_Package`
+    # undoes for `decompose` alone
+    import pkgutil
+
+    import rectadd
+
+    modules = {m.name for m in pkgutil.iter_modules(rectadd.__path__)}
+    assert modules & set(PUBLIC) - set(SUBMODULES) == {"decompose"}

@@ -2,12 +2,15 @@
 
 No real invariant fails, so each test plants a fault at one case by wrapping
 a name the suite calls: the wrapped call returns a wrong result at its k-th
-call, one call per case.  The suite must then stop at case k, and the report
+call, one call per case.  A suite that decomposes imports `decompose`'s
+functions when it starts, so those are wrapped on the `decompose` module.  The suite must then stop at case k, and the report
 and the CLI line must carry the echo recorded below.  Each echo holds the
 case's drawn values, so a suite that drew its cases differently (another
 order of `random` calls, another ramp index) would fail here, though its
 passing report carries no drawn value.
 """
+
+import sys
 
 import pytest
 
@@ -19,11 +22,11 @@ from rectadd.numeric import QNum
 SEED = 7
 CASES = 200
 
+DEC = sys.modules["rectadd.decompose"]
 # the wrapped originals, so a second planting in one test wraps the real ones
 REAL = {
-    name: getattr(suites, name)
-    for name in ("telescope", "check_additivity", "continued_fraction_counts",
-                 "verify_halving", "rand_qnum", "dyadic")
+    **{name: getattr(suites, name) for name in ("check_additivity", "rand_qnum", "dyadic")},
+    **{name: getattr(DEC, name) for name in ("telescope", "continued_fraction_counts", "verify_halving")},
 }
 REAL_ALL_SQUARES = Decomposition.all_squares
 REAL_EQ = QNum.__eq__
@@ -65,7 +68,7 @@ def _plant_halving_decay(monkeypatch, k):
     def dyadic(a, n):
         return REAL["dyadic"](a, 64) if broken else REAL["dyadic"](a, n)
 
-    monkeypatch.setattr(suites, "verify_halving", _on_call(k, REAL["verify_halving"], broke))
+    monkeypatch.setattr(DEC, "verify_halving", _on_call(k, REAL["verify_halving"], broke))
     monkeypatch.setattr(suites, "dyadic", dyadic)
 
 
@@ -76,14 +79,14 @@ PLANTS = {
     "tiling": ("tiling", lambda mp, k: mp.setattr(
         Decomposition, "all_squares", _on_call(k, REAL_ALL_SQUARES, lambda squares: squares[1:]))),
     "halving-certificate": ("halving", lambda mp, k: mp.setattr(
-        suites, "verify_halving", _on_call(k, REAL["verify_halving"], lambda cert: cert._replace(
+        DEC, "verify_halving", _on_call(k, REAL["verify_halving"], lambda cert: cert._replace(
             failure=HalvingCheck(2, "halving", QNum(3), QNum(1)))))),
     "halving-decay": ("halving", _plant_halving_decay),
     "oracle": ("oracle", lambda mp, k: mp.setattr(
-        suites, "continued_fraction_counts",
+        DEC, "continued_fraction_counts",
         _on_call(k, REAL["continued_fraction_counts"], lambda cf: cf + [1]))),
     "telescope": ("telescope", lambda mp, k: mp.setattr(
-        suites, "telescope", _on_call(k, REAL["telescope"], lambda total: total + 1))),
+        DEC, "telescope", _on_call(k, REAL["telescope"], lambda total: total + 1))),
 }
 
 # (plant, k) -> the echo of the planted case at seed 7
