@@ -12,8 +12,12 @@ The greedy loop is Euclid's algorithm on the two sides (Knuth, TAOCP vol. 2,
 4.5.3): a step only subtracts an integer multiple of the shorter side from
 the longer one.  So every corner and side of every step has integer
 numerators over one denominator L, that of the rectangle's coordinates, and
-`decompose` runs on those integers: each count is one exact floor, and only
-a step's side and moved corner are built as QNums.  `greedy_step` is one
+`decompose` runs on those integers.  Each count is floor(q/N(s)), with
+q = p*conj(s) for the longer side p and the shorter s.  A step
+(p, s) -> (s, p - c*s) has determinant -1, so the next q is
+conj(q) - c*N(s): q is carried, not re-multiplied, its sqrt2 part only
+flips sign, and one integer square root serves the whole decomposition.
+Only a step's side and moved corner are built as QNums.  `greedy_step` is one
 step of `decompose`.  `decompose` keeps the integers as the decomposition's
 frame (`Decomposition.frame`): the original's coordinates, the remainder's
 lower-left corner, then each step's corner and side over L.
@@ -45,7 +49,7 @@ from itertools import accumulate, islice, repeat
 from typing import Optional
 
 from .geometry import Rect
-from .numeric import QNum, _floor, _from_numerator_lists, _sign2, dyadic, from_numerators, numerators
+from .numeric import QNum, _from_numerator_lists, _sign2, dyadic, from_numerators, numerators
 from .rectfn import PointFunction, RectFunction
 
 __all__ = [
@@ -230,11 +234,17 @@ def decompose(r: Rect, max_steps: int) -> Decomposition:
     first step compares the sides with one `_sign2`; after it the axes
     alternate, since what is left of the longer side is shorter than the
     side packed.  The count is the floor of longer/shorter, taken as
-    longer * conj(shorter) over the norm N(shorter) = a^2 - 2b^2.  The norm
-    of what is left, N(p - c*s) = N(p) - 2c*q + c^2*N(s) with q the rational
-    part of p*conj(s), reuses that product, so a step multiplies only four
-    pairs of large integers.  Per step only the side and the moved corner
-    coordinate are built as QNums; the far corner (x2, y2) never moves.
+    q = qa + qb*sqrt2 = longer * conj(shorter) over the norm
+    N(shorter) = a^2 - 2b^2.  q is multiplied out once, before the first
+    step: a step (p, s) -> (s, p - c*s) makes the next q conj(q) - c*N(s),
+    so qa drops by c*N(s) and qb only flips sign.  floor(|qb|*sqrt2) is
+    therefore one `math.isqrt` for the whole loop, and each count is one
+    integer division, `_floor`'s rule with that root reused.  The norm of
+    what is left, N(p - c*s) = N(p) - 2c*qa + c^2*N(s), reuses qa, so a
+    step's big-integer work is a few products of a large integer by the
+    count, linear in the coefficients' size.  Per step only the side and
+    the moved corner coordinate are built as QNums; the far corner (x2, y2)
+    never moves.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -252,9 +262,13 @@ def decompose(r: Rect, max_steps: int) -> Decomposition:
     # truncation moves it), then each step's x, y and side
     As += (xa, ya)
     Bs += (xb, yb)
+    # q = p * conj(s), multiplied out once: after it each step carries q
+    qa, qb = pa * sa - 2 * pb * sb, pb * sa - pa * sb
+    root = math.isqrt(2 * qb * qb)
     while True:
-        qa, qb = pa * sa - 2 * pb * sb, pb * sa - pa * sb  # p * conj(s)
-        count = _floor(qa, qb, sn) if sn > 0 else _floor(-qa, -qb, -sn)
+        # _floor(A, B, |sn|) for A + B*sqrt2 = q*sign(sn), with the root reused
+        A, B, D = (qa, qb, sn) if sn > 0 else (-qa, -qb, -sn)
+        count = (A + (root if B > 0 else -root - 1 if B < 0 else 0)) // D
         steps.append(Step(x, y, from_numerators(sa, sb, L), count, along_x))
         As += (xa, ya, sa)
         Bs += (xb, yb, sb)
@@ -273,6 +287,7 @@ def decompose(r: Rect, max_steps: int) -> Decomposition:
             As[4:6], Bs[4:6] = (xa, ya), (xb, yb)
             break
         pa, pb, pn, sa, sb, sn = sa, sb, sn, ta, tb, pn - 2 * count * qa + count * count * sn
+        qa, qb = qa - count * pn, -qb
         along_x = not along_x
     d._frame = As, Bs, L
     return d

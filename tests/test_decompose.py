@@ -6,6 +6,7 @@ from itertools import islice
 
 import pytest
 
+from rectadd import numeric
 from rectadd.decompose import (
     Decomposition,
     HalvingCheck,
@@ -846,6 +847,79 @@ def test_decompose_makes_no_field_division_or_product(monkeypatch):
     rects = built.count(validate)
     assert rects == 1  # the remainder
     assert len(built) - rects <= 2 * len(d.steps)  # a step's side and moved corner
+
+
+@pytest.mark.parametrize(
+    "r, max_steps",
+    [(SILVER, 1), (SILVER, 40), (SILVER, 1000), (Rect(ZERO, QNum(355), ZERO, QNum(113)), 100)],
+)
+def test_decompose_takes_one_square_root_whatever_the_step_count(monkeypatch, r, max_steps):
+    # q = p*conj(s) is carried from step to step and its sqrt2 part only
+    # flips sign, so floor(|qb|*sqrt2) is taken once, and no count goes
+    # through `_floor`
+    roots = []
+    isqrt = math.isqrt
+    monkeypatch.setattr(math, "isqrt", lambda n: roots.append(n) or isqrt(n))
+    floors = count_calls(monkeypatch, numeric._floor)
+    d = decompose(r, max_steps)
+    assert len(roots) == 1 and floors == []
+    assert len(d.steps) == max_steps or d.terminated
+
+
+def _boundary_rect(digits=numeric.MAX_LITERAL_DIGITS):
+    # the rectangle of four literals at the digit budget whose sixteen
+    # parts all differ, as `test_cli_literal_digit_budget` draws it
+    def literal(seed, sign=""):
+        rng = random.Random(seed)
+        p, q, r, s = (rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(4))
+        return f"{sign}{p}/{q}{sign or '+'}{r}/{s}*sqrt2"
+
+    return parse_rect(f"[{literal(1, '-')},{literal(2)}]x[{literal(3, '-')},{literal(4)}]")
+
+
+def _step_branches(d):
+    """(sign of N(s), sign of B) at each step, read off the frame apart from
+    the loop: s the step's side, p the side before it in the trace, and
+    A + B*sqrt2 = p*conj(s)*sign(N(s)), the numerator of the count's floor."""
+    As, Bs, _ = d.frame
+    i = 0 if d.steps[0].along_x else 2
+    sides = [(As[i + 1] - As[i], Bs[i + 1] - Bs[i]), *zip(As[8::3], Bs[8::3])]
+    branches = []
+    for (pa, pb), (sa, sb) in zip(sides, sides[1:]):
+        sn = sa * sa - 2 * sb * sb
+        B = (pb * sa - pa * sb) * (1 if sn > 0 else -1)
+        branches.append((1 if sn > 0 else -1, (B > 0) - (B < 0)))
+    return branches
+
+
+def test_decompose_reaches_every_branch_of_the_count_and_matches_the_oracles():
+    # norms of both signs with B > 0, B < 0 and B == 0: rational, tall and
+    # negative-corner rectangles, sides commensurable through 1 + sqrt2
+    # (negative norm, B == 0), a first step with a negative norm and B < 0,
+    # and the 450-digit rectangle at the digit budget
+    rng = random.Random(473)
+    cases = [
+        (EIGHT_FIVE, 20),
+        (Rect(ZERO, QNum(355), ZERO, QNum(113)), 20),
+        (parse_rect("[0,8+8*sqrt2]x[0,5+5*sqrt2]"), 20),
+        (parse_rect("[0,-1+3*sqrt2]x[0,1+1*sqrt2]"), 30),
+        (parse_rect("[-5,-4]x[15/2,17/2+2*sqrt2]"), 60),
+        (parse_rect("[-7/3,-1/5]x[-9-1/2*sqrt2,-2]"), 40),
+        (SILVER, 60),
+        (WITNESS, 60),
+        *((rand_rect(rng, i), 30) for i in range(20)),
+    ]
+    seen = set()
+    for r, max_steps in cases:
+        d = _assert_matches_field_loop(r, max_steps)
+        assert d.counts == continued_fraction_counts(r, max_steps)
+        seen.update(_step_branches(d))
+    # the field loop's counts at 450 digits are the continued fraction's,
+    # which would cost as much again
+    d = _assert_matches_field_loop(_boundary_rect(), 60)
+    assert len(d.steps) == 60
+    seen.update(_step_branches(d))
+    assert seen == {(n, b) for n in (1, -1) for b in (1, -1, 0)}
 
 
 def test_verify_halving_makes_no_field_comparison_or_product(monkeypatch):
