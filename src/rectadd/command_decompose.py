@@ -18,8 +18,8 @@ from .report import VERIFIED, VIOLATED, Finding, Report, _approxs, _lits
 MAX_TILES = 200_000
 # Most greedy steps `cmd_decompose` takes.  The coefficients of an irrational
 # rectangle grow every step, so the cost grows faster than the step count:
-# through the CLI, `[0,355/113+1/1000*sqrt2]x[0,1]` takes 0.20 s at 1000
-# steps and 0.46 s at 2000, and `[0,1+1*sqrt2]x[0,1]` 0.18 s at 1000, on
+# through the CLI, `[0,355/113+1/1000*sqrt2]x[0,1]` takes 0.10 s at 1000
+# steps and 0.19 s at 2000, and `[0,1+1*sqrt2]x[0,1]` 0.09 s at 1000, on
 # the same box.
 MAX_STEPS = 1000
 

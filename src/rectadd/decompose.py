@@ -240,11 +240,11 @@ def decompose(r: Rect, max_steps: int) -> Decomposition:
     so qa drops by c*N(s) and qb only flips sign.  floor(|qb|*sqrt2) is
     therefore one `math.isqrt` for the whole loop, and each count is one
     integer division, `_floor`'s rule with that root reused.  The norm of
-    what is left, N(p - c*s) = N(p) - 2c*qa + c^2*N(s), reuses qa, so a
-    step's big-integer work is a few products of a large integer by the
-    count, linear in the coefficients' size.  Per step only the side and
-    the moved corner coordinate are built as QNums; the far corner (x2, y2)
-    never moves.
+    what is left, N(p - c*s) = N(p) - 2c*qa + c^2*N(s), reuses qa, so the
+    loop's own arithmetic per step is a few products of a large integer by
+    the count, linear in the coefficients' size.  Per step only the side
+    and the moved corner coordinate are built as QNums, one gcd each; the
+    far corner (x2, y2) never moves.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")

@@ -866,12 +866,14 @@ def test_decompose_takes_one_square_root_whatever_the_step_count(monkeypatch, r,
     assert len(d.steps) == max_steps or d.terminated
 
 
-def _boundary_rect(digits=numeric.MAX_LITERAL_DIGITS):
+def _boundary_rect():
     # the rectangle of four literals at the digit budget whose sixteen
     # parts all differ, as `test_cli_literal_digit_budget` draws it
+    top = numeric.MAX_LITERAL_DIGITS
+
     def literal(seed, sign=""):
         rng = random.Random(seed)
-        p, q, r, s = (rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(4))
+        p, q, r, s = (rng.randrange(10 ** (top - 1), 10**top) for _ in range(4))
         return f"{sign}{p}/{q}{sign or '+'}{r}/{s}*sqrt2"
 
     return parse_rect(f"[{literal(1, '-')},{literal(2)}]x[{literal(3, '-')},{literal(4)}]")
