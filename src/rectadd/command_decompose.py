@@ -8,9 +8,9 @@ from typing import Optional
 
 from .decompose import Decomposition, decompose, telescope, verify_halving
 from .geometry import Rect, parse_rect
-from .numeric import _SQRT2_FLOAT, _floor, from_numerators
+from .numeric import _SQRT2_FLOAT, QNum, _floor, from_numerators
 from .rectfn import named_rect_function
-from .report import VERIFIED, VIOLATED, Finding, Report, _approxs, _lits
+from .report import DISPLAY_DIGITS, VERIFIED, VIOLATED, Finding, Report, _approxs, _lits
 
 # Most packed squares `cmd_decompose` accepts.  Only the SVG visits every
 # square: through the CLI, 200,000 tiles take about 0.6 s and 106 MB with an
@@ -74,12 +74,13 @@ def cmd_decompose(
     )
 
     sides = d.sides
+    halves = verify_halving(d).ok
     findings.append(
         Finding(
             claim="side trace is monotone and halves at least every two steps",
-            status=VERIFIED if verify_halving(d).ok else VIOLATED,
+            status=VERIFIED if halves else VIOLATED,
             exact_values=_lits(*sides),
-            approximations=_approxs(*sides),
+            approximations=_trace_approxs(sides, halves),
         )
     )
 
@@ -116,6 +117,18 @@ def cmd_decompose(
         findings=tuple(findings),
     )
 
+
+def _trace_approxs(sides: tuple[QNum, ...], halves: bool) -> tuple[str, ...]:
+    """`_approxs(*sides)`.  A halving trace with a positive last side is positive
+    and non-increasing: from its first all-zeros decimal on, every decimal is that one."""
+    if not (halves and sides[-1].sign() > 0):
+        return _approxs(*sides)
+    zero, shown = "0." + "0" * DISPLAY_DIGITS, []
+    for s in sides:
+        shown.append(s.approximate(DISPLAY_DIGITS))
+        if shown[-1] == zero:
+            return (*shown, *repeat(zero, len(sides) - len(shown)))
+    return tuple(shown)
 
 
 _SVG_HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'

@@ -12,18 +12,13 @@ The greedy loop is Euclid's algorithm on the two sides (Knuth, TAOCP vol. 2,
 4.5.3): a step only subtracts an integer multiple of the shorter side from
 the longer one.  So every corner and side of every step has integer
 numerators over one denominator L, that of the rectangle's coordinates, and
-`decompose` runs on those integers.  Each count is floor(q/N(s)), with
-q = p*conj(s) for the longer side p and the shorter s.  A step
-(p, s) -> (s, p - c*s) has determinant -1, so the next q is
-conj(q) - c*N(s): q is carried, not re-multiplied, its sqrt2 part only
-flips sign, and one integer square root serves the whole decomposition.
-Only a step's side and moved corner are built as QNums.  `greedy_step` is one
-step of `decompose`.  `decompose` keeps the integers as the decomposition's
-frame (`Decomposition.frame`): the original's coordinates, the remainder's
-lower-left corner, then each step's corner and side over L.
-`verify_halving` compares the side trace and `cmd_decompose` sums the
-tiling and draws the figure on the frame, not on numerators derived again
-from the normalised QNums.
+`decompose` runs on those integers, with one integer square root in all
+(see its docstring).  `greedy_step` is one step of `decompose`.
+`decompose` keeps the integers as the decomposition's frame
+(`Decomposition.frame`): the original's coordinates, the remainder's
+lower-left corner, then each step's corner and side over L.  On the frame
+`verify_halving` certifies the side trace by the same Euclid step, and
+`cmd_decompose` sums the tiling and draws the figure.
 
 A step is described, not materialised: its lower-left corner, side, count
 and packing axis determine every square, so `decompose` costs O(steps)
@@ -309,21 +304,28 @@ class HalvingCertificate(namedtuple("HalvingCertificate", "failure")):
 
 
 def verify_halving(d: Decomposition) -> HalvingCertificate:
-    """Check sides[n+1] <= sides[n] for every n, then sides[n+2] <= sides[n]/2
-    for every n, by exact comparisons.
+    """Check sides[n+1] <= sides[n], then sides[n+2] <= sides[n]/2, for every
+    n, exactly, on the sides' numerators over the frame's L.
 
-    The sides are compared as integer numerators over the frame's L
-    (`Decomposition.frame`), the longer side as the difference of the
-    original's coordinates along the first step's packing axis:
-    sides[n] - sides[n+1] >= 0 and
-    sides[n] - 2*sides[n+2] >= 0, each one `_sign2`.  The certificate names
-    the first comparison that fails, or none, and its field values are
-    built only for a failure; traces shorter than 3 make the halving part
-    vacuous.
+    A greedy trace S of N steps with counts c is a Euclid chain (Knuth,
+    TAOCP vol. 2, 4.5.3): S[n] - c[n]*S[n+1] == S[n+2] for n <= N-2, every
+    c[n] an int >= 1, S[N] > 0 and S[N-1] - c[N-1]*S[N] >= 0.  By backward
+    induction S[n] >= S[n+1] > 0, and S[n] - 2*S[n+2] = c[n]*S[n+1] - S[n+2]
+    >= S[n+1] - S[n+2] >= 0: the chain proves every comparison with two
+    `_sign2`s and no squaring.  Any other trace is scanned, one `_sign2` a
+    comparison, monotone ones first.  The certificate names the first that
+    fails, or none, and builds its field values only for a failure.
     """
     As, Bs, _ = d.frame
     i = 0 if d.steps[0].along_x else 2
     As, Bs = [As[i + 1] - As[i], *As[8::3]], [Bs[i + 1] - Bs[i], *Bs[8::3]]
+    cs = d.counts
+    if set(map(type, cs)) == {int} and min(cs) >= 1:
+        la = [a - c * a1 for a, c, a1 in zip(As, cs, As[1:])]  # S[n] - c[n]*S[n+1]
+        lb = [b - c * b1 for b, c, b1 in zip(Bs, cs, Bs[1:])]
+        if la[:-1] == As[2:] and lb[:-1] == Bs[2:]:
+            if _sign2(As[-1], Bs[-1]) > 0 and _sign2(la[-1], lb[-1]) >= 0:
+                return HalvingCertificate(None)
     for n in range(len(As) - 1):
         if _sign2(As[n] - As[n + 1], Bs[n] - Bs[n + 1]) < 0:
             sides = d.sides

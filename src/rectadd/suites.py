@@ -166,12 +166,14 @@ def _suite_tiling(rng: random.Random):
 
 
 def _suite_halving(rng: random.Random):
-    """`verify_halving`'s certificate, compared on the frame's integers,
-    then the decay bound sides[j] <= sides[1] * 2^-floor((j-1)/2) in QNum
-    arithmetic.  A passing certificate implies every decay bound by
-    induction on j, so the decay loop can fail only where the certificate
-    is wrong: it is the suite's only QNum-arithmetic cross-check of the
-    frame-based certificate, and is kept for that."""
+    """`verify_halving`'s certificate on the frame's integers, then the decay
+    bound sides[j] <= sides[1] * 2^-floor((j-1)/2) in QNum arithmetic.  The
+    certificate proves a greedy trace a Euclid chain, S[n] = c[n]*S[n+1] +
+    S[n+2] with counts >= 1, a positive last side and a non-negative last
+    link, hence positive, non-increasing and halving every two steps.  That
+    implies every decay bound by induction on j, so the decay loop can fail
+    only where the certificate is wrong: it is the suite's only
+    QNum-arithmetic cross-check of the certificate, and is kept for that."""
     from .decompose import verify_halving
     for r, d in _decomposition_cases(rng):
         bad = verify_halving(d).failure

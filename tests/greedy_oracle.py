@@ -6,14 +6,17 @@ loop, which divides, floors, multiplies and subtracts QNums and validates
 every remainder `Rect`.  It also reads one step's squares and edges off
 `Decomposition.all_squares`, the package's only builder of squares, and
 builds a step's row by field arithmetic, so a step can be tiled alone.
+Its `scan_halving` is the halving certificate by two full scans of exact
+comparisons, the reference for `verify_halving`'s Euclid-chain certificate.
 """
 
 import math
 from itertools import islice
 from typing import Optional
 
-from rectadd.decompose import Decomposition, Step
+from rectadd.decompose import Decomposition, HalvingCertificate, HalvingCheck, Step
 from rectadd.geometry import Rect
+from rectadd.numeric import _sign2, dyadic
 
 
 def field_greedy_step(r: Rect) -> tuple[Step, Optional[Rect]]:
@@ -69,3 +72,21 @@ def step_edges(step: Step, squares: list[Rect]) -> tuple:
     if step.along_x:
         return (step.x, *(sq.x2 for sq in squares))
     return (step.y, *(sq.y2 for sq in squares))
+
+
+def scan_halving(d: Decomposition) -> HalvingCertificate:
+    """sides[n+1] <= sides[n] for every n, then sides[n+2] <= sides[n]/2 for
+    every n, each one `_sign2` on the sides' numerators over the frame's L:
+    the first comparison that fails, or none."""
+    As, Bs, _ = d.frame
+    i = 0 if d.steps[0].along_x else 2
+    As, Bs = [As[i + 1] - As[i], *As[8::3]], [Bs[i + 1] - Bs[i], *Bs[8::3]]
+    for n in range(len(As) - 1):
+        if _sign2(As[n] - As[n + 1], Bs[n] - Bs[n + 1]) < 0:
+            sides = d.sides
+            return HalvingCertificate(HalvingCheck(n, "monotone", sides[n + 1], sides[n]))
+    for n in range(len(As) - 2):
+        if _sign2(As[n] - 2 * As[n + 2], Bs[n] - 2 * Bs[n + 2]) < 0:
+            sides = d.sides
+            return HalvingCertificate(HalvingCheck(n, "halving", sides[n + 2], sides[n] * dyadic(1, 1)))
+    return HalvingCertificate(None)

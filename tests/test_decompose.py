@@ -35,7 +35,7 @@ from rectadd.suites import (
 )
 
 from field_counter import count_builds, count_calls, count_field_calls
-from greedy_oracle import alone, field_decompose, field_row, squares_by_step, step_edges
+from greedy_oracle import alone, field_decompose, field_row, scan_halving, squares_by_step, step_edges
 
 F = Fraction
 
@@ -922,6 +922,116 @@ def test_decompose_reaches_every_branch_of_the_count_and_matches_the_oracles():
     assert len(d.steps) == 60
     seen.update(_step_branches(d))
     assert seen == {(n, b) for n in (1, -1) for b in (1, -1, 0)}
+
+
+def _transposed(r: Rect) -> Rect:
+    """r mirrored in the diagonal: its greedy trace packs along the other axis."""
+    return Rect(r.y1, r.y2, r.x1, r.x2)
+
+
+def _perturbed(d: Decomposition):
+    """Hand-built traces the greedy loop never makes from d: one step's
+    count off by one or zero, one step's side shifted by 1/7 or by
+    sqrt2/1000, and the step list truncated."""
+    steps = d.steps
+    for k, s in enumerate(steps):
+        head, tail = steps[:k], steps[k + 1 :]
+        for c in sorted({s.count - 1, s.count + 1, 0}):
+            yield d._replace(steps=(*head, s._replace(count=c), *tail))
+        for shift in (QNum(F(1, 7)), QNum(0, F(1, 1000))):
+            yield d._replace(steps=(*head, s._replace(side=s.side + shift), *tail))
+    for k in range(1, len(steps)):
+        yield d._replace(steps=steps[:k])
+
+
+def test_verify_halving_agrees_with_the_two_scans():
+    # the Euclid-chain certificate decides a greedy trace with two signs;
+    # every other trace goes to the scans, so the answer, failure and all,
+    # is the scans' on any input
+    rng = random.Random(331)
+    rects = [
+        EIGHT_FIVE,
+        Rect(ZERO, QNum(355), ZERO, QNum(113)),
+        Rect(ZERO, QNum(F(355, 113)), ZERO, ONE),
+        Rect(ZERO, QNum(89), ZERO, QNum(55)),
+        parse_rect("[-5,-4]x[15/2,17/2+2*sqrt2]"),
+        parse_rect("[-7/3,-1/5]x[-9-1/2*sqrt2,-2]"),
+        *(rand_rect(random.Random(seed), i) for seed in (3, 17, 29) for i in range(8)),
+    ]
+    greedy = [decompose(r, rng.randint(1, 24)) for r in rects + [_transposed(r) for r in rects]]
+    assert any(d.terminated for d in greedy) and not all(d.terminated for d in greedy)
+    assert {d.steps[0].along_x for d in greedy} == {True, False}
+    kinds = set()
+    for d in greedy:
+        assert verify_halving(d) == scan_halving(d) == (None,)
+        for bent in _perturbed(d):
+            cert = verify_halving(bent)
+            assert cert == scan_halving(bent)
+            kinds.add(None if cert.ok else cert.failure.kind)
+    # the perturbations reach a passing trace and both kinds of failure
+    assert kinds == {None, "monotone", "halving"}
+    for r, max_steps in [
+        (SILVER, 1),
+        (SILVER, 1000),
+        (_transposed(SILVER), 1000),
+        (parse_rect("[0,355/113+1/1000*sqrt2]x[0,1]"), 1000),
+    ]:
+        d = decompose(r, max_steps)
+        assert verify_halving(d) == scan_halving(d) == (None,)
+        for k in {1, (max_steps + 1) // 2}:
+            short = d._replace(steps=d.steps[:k])
+            assert verify_halving(short) == scan_halving(short)
+    tall = Decomposition(
+        Rect(ZERO, QNum(3), ZERO, QNum(4)),
+        tuple(Step(ZERO, ZERO, QNum(s), 1, along_x=False) for s in (3, 3, 2)),
+        remainder=None,
+    )
+    s0, s1, half = QNum(F(10, 3), F(2, 7)), QNum(F(5, 2), F(1, 6)), QNum(F(5, 3), F(1, 7))
+    tiny = QNum(0, F(1, 1000))
+    for d in [
+        _trace(4, 3, 3, 2),
+        _trace(4, 3, 3, 5),
+        _trace(8, 5, 6),
+        _trace(4, 3, 3),
+        _trace(2, 1, 1),
+        _trace(s0, s1, half),
+        _trace(s0, s1, half + tiny),
+        _trace(s0, s1, half - tiny),
+        _trace(s0, s0),
+        _trace(s0, s0 + QNum(0, F(1, 10**9))),
+        tall,
+        tall._replace(steps=tall.steps[:2]),
+    ]:
+        assert verify_halving(d) == scan_halving(d)
+    # Euclid chains with counts 1 that pass every identity,
+    # S[n] - S[n+1] == S[n+2]: only a sign test refuses them, the last
+    # side's (-1 <= 0) in the first, the last link's (1 - 2 < 0) in the second
+    assert verify_halving(_trace(1, 2, -1)) == scan_halving(_trace(1, 2, -1)) == (
+        HalvingCheck(0, "monotone", QNum(2), QNum(1)),
+    )
+    assert verify_halving(_trace(3, 1, 2)) == scan_halving(_trace(3, 1, 2)) == (
+        HalvingCheck(1, "monotone", QNum(2), QNum(1)),
+    )
+    # and one whose first count is 0 (1 - 0*2 == 1) passes every identity
+    # and both signs: only the counts' check refuses it
+    d = _trace(1, 2, 1)
+    d = d._replace(steps=(d.steps[0]._replace(count=0), *d.steps[1:]))
+    assert verify_halving(d) == scan_halving(d) == (HalvingCheck(0, "monotone", QNum(2), QNum(1)),)
+
+
+@pytest.mark.parametrize(
+    "r, max_steps",
+    [(SILVER, 1), (SILVER, 40), (SILVER, 1000), (None, 60)],
+    ids=["silver-1", "silver-40", "silver-1000", "450-digits-60"],
+)
+def test_verify_halving_takes_two_signs_whatever_the_step_count(monkeypatch, r, max_steps):
+    # a greedy trace is a Euclid chain: its identities are products by the
+    # counts, and only the last side and the last link take a `_sign2`
+    d = decompose(_boundary_rect() if r is None else r, max_steps)
+    assert len(d.steps) == max_steps
+    signs = count_calls(monkeypatch, numeric._sign2)
+    assert verify_halving(d).ok
+    assert len(signs) <= 2
 
 
 def test_verify_halving_makes_no_field_comparison_or_product(monkeypatch):

@@ -14,6 +14,7 @@ from rectadd import command_decompose, command_dyadic_approx, harness, numeric
 from rectadd.cli import COMMANDS, build_parser, main
 from rectadd.geometry import DyadicSquare, Rect, parse_rect
 from rectadd.harness import (
+    DISPLAY_DIGITS,
     EVIDENCE,
     VERIFIED,
     VIOLATED,
@@ -29,7 +30,7 @@ from rectadd.harness import (
     shrink_bound,
     write_decomposition_svg,
 )
-from rectadd.decompose import decompose
+from rectadd.decompose import Decomposition, Step, decompose, verify_halving
 from rectadd.numeric import QNum, SQRT2, ZERO, numerators
 from rectadd.rectfn import PointFunction, Product, corner_difference, named_point_function, named_rect_function
 from rectadd.suites import rand_rect, rand_table_function, _rect_corner_points
@@ -566,6 +567,63 @@ def test_cmd_decompose_takes_a_constant_number_of_numerators_calls(tmp_path, mon
             monkeypatch.undo()
             assert rep.exit_status == 0
             assert len(calls) == 1
+
+
+ZERO_DECIMAL = "0." + "0" * DISPLAY_DIGITS
+
+
+@pytest.mark.parametrize(
+    "rect, max_steps, zeros",
+    [
+        ("[0,1+1*sqrt2]x[0,1]", 600, True),
+        ("[0,1+1*sqrt2]x[0,1]", 1000, True),
+        # the `reports` benchmark's non-silver traces, 1 + 2*sqrt2 by 1,
+        # lying and standing
+        ("[3/8,11/8+2*sqrt2]x[-5/4,-1/4]", 200, True),
+        ("[3/8,11/8]x[-5/4,-1/4+2*sqrt2]", 200, True),
+        ("[0,355/113+1/1000*sqrt2]x[0,1]", 1000, True),
+        # terminated, its last side 1/113
+        ("[0,355/113]x[0,1]", 1000, False),
+    ],
+)
+def test_cmd_decompose_side_decimals_are_each_sides(rect, max_steps, zeros):
+    # a verified trace with a positive last side is rendered up to its
+    # first zero decimal, which stands for every later side's
+    approxs = cmd_decompose(rect=rect, max_steps=max_steps).findings[1].approximations
+    d = decompose(parse_rect(rect), max_steps)
+    assert approxs == tuple(s.approximate(DISPLAY_DIGITS) for s in d.sides)
+    assert (ZERO_DECIMAL in approxs) == zeros
+
+
+def test_side_decimals_stop_at_the_first_zero(monkeypatch):
+    d = decompose(parse_rect("[0,1+1*sqrt2]x[0,1]"), 600)
+    first_zero = [s.approximate(DISPLAY_DIGITS) for s in d.sides].index(ZERO_DECIMAL)
+    assert 0 < first_zero < 50
+    calls = count_field_calls(monkeypatch, "approximate")
+    command_decompose._trace_approxs(d.sides, verify_halving(d).ok)
+    assert len(calls) <= first_zero + 1
+
+
+@pytest.mark.parametrize(
+    "sides, status, approxs",
+    [
+        # monotone and halving, but its last side is negative
+        ((1, F(1, 10**7), F(1, 10**8), -1), VERIFIED, ("1.000000", ZERO_DECIMAL, ZERO_DECIMAL, "-1.000000")),
+        # a zero decimal, then a larger side
+        ((1, F(1, 10**7), F(2, 10**6)), VIOLATED, ("1.000000", ZERO_DECIMAL, "0.000002")),
+    ],
+)
+def test_cmd_decompose_renders_other_traces_value_by_value(monkeypatch, sides, status, approxs):
+    sides = [QNum(s) for s in sides]
+    d = Decomposition(
+        Rect(ZERO, sides[0], ZERO, sides[1]),
+        tuple(Step(ZERO, ZERO, s, 1, along_x=True) for s in sides[1:]),
+        remainder=None,
+    )
+    monkeypatch.setattr(command_decompose, "decompose", lambda r, max_steps: d)
+    halving = cmd_decompose(rect="[0,1]x[0,1]").findings[1]
+    assert halving.status == status
+    assert halving.approximations == approxs
 
 
 def test_shrink_bound_value():
