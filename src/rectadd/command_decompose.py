@@ -58,11 +58,9 @@ def cmd_decompose(
     As, Bs, L = d.frame
     A = sum(s.count * (a * a + 2 * b * b) for s, a, b in zip(d.steps, As[8::3], Bs[8::3]))
     B = sum(s.count * 2 * a * b for s, a, b in zip(d.steps, As[8::3], Bs[8::3]))
-    if d.remainder is not None:
-        # the remainder's area (x2 - rx)*(y2 - ry), its corner rx, ry over L
-        wa, wb, ha, hb = As[1] - As[4], Bs[1] - Bs[4], As[3] - As[5], Bs[3] - Bs[5]
-        A, B = A + wa * ha + 2 * wb * hb, B + wa * hb + wb * ha
     tiled, area = from_numerators(A, B, L * L), r.area()
+    if d.remainder is not None:
+        tiled = tiled + d.remainder.area()
     findings.append(
         Finding(
             claim=f"{d.total_squares} squares in {len(d.steps)} steps "
@@ -175,9 +173,12 @@ def write_decomposition_svg(d: Decomposition, path: str) -> int:
     # SVG y grows downward, so a rectangle's y is its top edge's distance
     # below the original's top edge y2
     (x1a, x2a, y1a, y2a), (x1b, x2b, y1b, y2b) = As[:4], Bs[:4]
+    # the remainder's row by the row rule (the original's, undrawn, when
+    # there is none), in one `_floats` call with the height
+    ra, rb = (d._corners(As)[-1], d._corners(Bs)[-1]) if d.remainder is not None else (As[:4], Bs[:4])
     height, rem_x, rem_w, rem_h = _floats(
-        [y2a - y1a, As[4] - x1a, x2a - As[4], y2a - As[5]],
-        [y2b - y1b, Bs[4] - x1b, x2b - Bs[4], y2b - Bs[5]],
+        [y2a - y1a, ra[0] - x1a, ra[1] - ra[0], ra[3] - ra[2]],
+        [y2b - y1b, rb[0] - x1b, rb[1] - rb[0], rb[3] - rb[2]],
         N,
     )
     sides = _floats(As[8::3], Bs[8::3], N)

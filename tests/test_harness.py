@@ -600,8 +600,11 @@ def test_side_decimals_stop_at_the_first_zero(monkeypatch):
     first_zero = [s.approximate(DISPLAY_DIGITS) for s in d.sides].index(ZERO_DECIMAL)
     assert 0 < first_zero < 50
     calls = count_field_calls(monkeypatch, "approximate")
+    floors = count_calls(monkeypatch, numeric._floor)
     command_decompose._trace_approxs(d.sides, verify_halving(d).ok)
+    # one decimal, and so one floor, per side up to the first zero
     assert len(calls) <= first_zero + 1
+    assert len(floors) == len(calls)
 
 
 @pytest.mark.parametrize(

@@ -187,3 +187,36 @@ def test_checker_sees_every_row_field_read():
 def test_telescope_reads_its_rows_only():
     source = (SRC / "decompose.py").read_text(encoding="utf-8")
     assert row_fields_read(source, "telescope") == set()
+
+
+# the frame holds the remainder's lower-left corner at positions 4 and 5;
+# outside decompose.py, whose `_corners` is the row rule, no code reads it there
+REMAINDER_CORNER = {4, 5}
+
+
+def remainder_corner_reads(source: str) -> list[str]:
+    """The subscripts of a source that index a list at a position of
+    REMAINDER_CORNER: a constant index there, or a slice with a constant
+    start there, in source order."""
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript):
+            k = node.slice.lower if isinstance(node.slice, ast.Slice) else node.slice
+            if isinstance(k, ast.Constant) and type(k.value) is int and k.value in REMAINDER_CORNER:
+                reads.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [text for *_, text in sorted(reads)]
+
+
+def test_checker_sees_every_read_of_the_remainder_corner():
+    source = (
+        '"""As[4] in a docstring is prose."""\n'
+        "wa = As[1] - As[4]\nrx, ry = V[5], frame[0][4]\nAs[4:6] = xa, ya\n"
+        "row = d._corners(As)[-1]\nhead, sides = As[:4], As[8::3]\nkey, on = d['4'], flags[True]\n"
+    )
+    assert remainder_corner_reads(source) == ["As[4]", "V[5]", "frame[0][4]", "As[4:6]"]
+
+
+def test_only_decompose_reads_the_remainder_corner_off_the_frame():
+    reads = {p.stem: remainder_corner_reads(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert reads.pop("decompose") != []
+    assert {name: found for name, found in reads.items() if found} == {}

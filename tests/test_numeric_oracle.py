@@ -226,11 +226,13 @@ def test_approximate_without_power_of_two_matches_mpmath():
 
 
 def test_approximate_of_cancelling_units_next_to_the_last_digit():
-    # c*(sqrt2 - 1)^k for the k that put it on both sides of 10^-digits,
-    # where an all-zero decimal is taken from the norm with no floor: c
-    # ranges over factors near 1 and sqrt2, so that |value|*10^digits also
-    # falls between 1/sqrt2 and 1, where the norm's bound leaves the floor
-    # to decide, and over denominators that move D against the coefficients
+    # c*(sqrt2 - 1)^k for the k that put it on both sides of 10^-digits:
+    # large coefficients that cancel to a value near the last digit, where
+    # the floor of the scaled triple decides between an all-zero decimal
+    # and a last digit of 1.  c ranges over factors near 1 and sqrt2 and
+    # over denominators that move D against the coefficients, so that
+    # |value|*10^digits lands at many points on both sides of 1; each value
+    # is taken with both signs, so a zero decimal keeps its sign
     factors = (F(1), F(2), F(3, 4), F(99, 70), F(70, 99), F(141, 100), F(1, 10**9), F(10**9 + 7, 3))
     seen = set()
     for digits in (1, 6, 12, 20):
