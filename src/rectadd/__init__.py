@@ -53,17 +53,12 @@ _EXPORTS = {
         "telescope",
         "continued_fraction_counts",
     ),
-    "harness": (
-        "Finding",
-        "Report",
-        "cmd_counterexample",
-        "cmd_decompose",
-        "cmd_dyadic_approx",
-        "cmd_probe",
-        "cmd_proptest",
-        "report_to_dict",
-        "write_decomposition_svg",
-    ),
+    "report": ("Finding", "Report", "report_to_dict"),
+    "command_counterexample": ("cmd_counterexample",),
+    "command_decompose": ("cmd_decompose", "write_decomposition_svg"),
+    "command_dyadic_approx": ("cmd_dyadic_approx",),
+    "command_probe": ("cmd_probe",),
+    "command_proptest": ("cmd_proptest",),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 # `decompose` is the function, not its module

@@ -10,16 +10,18 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from importlib import import_module
 
 # `suites.SUITE_NAMES`, spelled out so that building the parser imports no
-# layer: a launch imports `harness` only once its arguments parse
+# layer: a launch imports its command's module only once its arguments parse
 SUITE_NAMES = ("additivity", "field", "halving", "oracle", "telescope", "tiling")
 
-# name -> (function in `harness`, help, flags).  Each flag's dest is a keyword
-# of the function, and an omitted flag is not passed, so the function's
-# signature holds every default.  The function is looked up by name when the
-# command runs, which loads that command's module alone, and a wrapper
-# installed on `harness` (perfbench's layer spans) also sees CLI calls.
+# name -> (function, help, flags).  Each flag's dest is a keyword of the
+# function, and an omitted flag is not passed, so the function's signature
+# holds every default.  The function `cmd_<x>` lives in the module
+# `command_<x>`, and `main` looks it up there when the command runs, which
+# loads that command's module alone, so a wrapper installed on the module
+# (perfbench's layer spans) also sees CLI calls.
 COMMANDS = {
     "counterexample": (
         "cmd_counterexample",
@@ -96,16 +98,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     kwargs = vars(parser.parse_args(argv))
-    from . import harness
+    from .report import write_report_json
 
     command = kwargs.pop("command")
     json_path = kwargs.pop("json", None)
+    function = COMMANDS[command][0]
+    module = import_module(f"{__package__}.command_{function.removeprefix('cmd_')}")
     # exit 1 is reserved for a violated claim; refused input and files that
     # cannot be written (--svg, --json) exit 2 before any finding is printed
     try:
-        report = getattr(harness, COMMANDS[command][0])(**kwargs)
+        report = getattr(module, function)(**kwargs)
         if json_path:
-            harness.write_report_json(report, json_path)
+            write_report_json(report, json_path)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         parser.exit(2, f"rectadd {command}: {exc}\n")
     for f in report.findings:

@@ -31,9 +31,8 @@ one denominator, normalised once: one gcd and one QNum for the whole sum
 instead of one per row (Knuth, TAOCP vol. 2, 4.5.1).
 `Decomposition.all_squares` is the only builder of squares: it builds every
 edge in one pass over the frame, one integer addition per edge, each edge
-normalised with its hash primed by `numeric` (an irrational edge's needs no
-modular inverse, a rational edge's shares one inverse of L), and refuses a
-step that does not fill its row.
+normalised by one `numeric` list call, and refuses a step that does not
+fill its row.
 """
 
 from __future__ import annotations
@@ -166,7 +165,7 @@ class Decomposition(namedtuple("Decomposition", "original steps remainder")):
         against the row's far side and, after every step's side checks,
         corner + count*side against its far edge: a hand-built step that
         does not fill its row is refused with a ValueError.  An edge is the
-        one before it plus the side, all built normalised and hashed by one
+        one before it plus the side, all built normalised by one
         `_from_numerator_lists` call."""
         As, Bs, L = self.frame
         x2, y2 = self.original.x2, self.original.y2

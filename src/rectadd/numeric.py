@@ -415,25 +415,13 @@ from_numerators = _new
 
 
 def _from_numerator_lists(As: list[int], Bs: list[int], L: int) -> list[QNum]:
-    """[from_numerators(A, B, L) for A, B in zip(As, Bs)], each with its hash
-    primed: a rational's from one inverse of L modulo the hash modulus, on
-    the unreduced A, or left to `__hash__` when the modulus divides L; any
-    other value's from its reduced triple, with no inverse.
-
-    The loop does `_new`'s normalising and `__hash__`'s hashing in line, so
-    a long list costs no Python call per value."""
-    M = _HASH_MODULUS
-    inv = pow(L, -1, M) if L % M else None
+    """[from_numerators(A, B, L) for A, B in zip(As, Bs)]: the loop does
+    `_new`'s normalising in line, so a long list costs no Python call per
+    value."""
     gcd = math.gcd
     alloc = _alloc
     out = []
     for A, B in zip(As, Bs):
-        h = None
-        if not B and inv is not None:
-            # _scaled_hash(A, inv); |A| * inv is congruent to (|A| % M) * inv
-            h = abs(A) * inv % M
-            if A < 0:
-                h = -2 if h == 1 else -h
         D = L
         if D != 1:
             g = gcd(D, A, B)
@@ -441,13 +429,11 @@ def _from_numerator_lists(As: list[int], Bs: list[int], L: int) -> list[QNum]:
                 A //= g
                 B //= g
                 D //= g
-        if B:
-            h = hash((A, B, D))
         q = alloc(QNum)
         q._A = A
         q._B = B
         q._D = D
-        q._hash = h
+        q._hash = None
         out.append(q)
     return out
 

@@ -664,32 +664,28 @@ def _value_hash(q):
 
 
 def test_step_edges_carry_their_hash():
+    # each edge built hashes as its value, on first use
     rng = random.Random(453)
     rational = irrational = 0
     for i in range(300):
         d = decompose(rand_rect(rng, i), rng.randint(1, 30))
         for step, squares in zip(d.steps, squares_by_step(d)):
             for e in step_edges(step, squares)[1:]:
-                primed = e._hash
-                assert primed is not None
-                e._hash = None
-                assert hash(e) == primed == _value_hash(e)
+                assert hash(e) == _value_hash(e)
                 rational += e.is_rational()
                 irrational += not e.is_rational()
     assert rational > 400 and irrational > 400
 
 
 def test_step_edges_over_the_hash_modulus_hash_on_demand():
-    # no inverse of L exists when the hash modulus divides it: rational
-    # edges are hashed on demand, irrational ones, which need no inverse,
-    # come primed
+    # no inverse of L exists when the hash modulus divides it: every edge,
+    # rational or not, still hashes as its value
     m = sys.hash_info.modulus
     for side in (QNum(F(1, m)), QNum(F(2, m), F(1, 3)), QNum(F(1, 2 * m), F(1, 3 * m))):
         d = alone(Step(ZERO, QNum(F(1, 5)), side, 6, True))
         _, _, L = d.frame
         assert L % m == 0
         edges = [sq.x2 for sq in d.all_squares()]
-        assert all((e._hash is None) == e.is_rational() for e in edges)
         assert [hash(e) for e in edges] == [_value_hash(e) for e in edges]
 
 
@@ -699,7 +695,7 @@ def _by_hand(d):
     return Decomposition(d.original, tuple(Step(*s) for s in d.steps), d.remainder)
 
 
-def _assert_all_squares_match_the_steps(d, rationals_hashed=True):
+def _assert_all_squares_match_the_steps(d):
     """d.all_squares() against the squares each step builds on its own, and
     the sharing and hashes it promises; returns the squares' triples."""
     r = d.original
@@ -719,9 +715,6 @@ def _assert_all_squares_match_the_steps(d, rationals_hashed=True):
             previous = along[1]
             built.append(previous)
         k += s.count
-        # edges built here come hashed, but for rational ones when the hash
-        # modulus divides the frame's L
-        assert all((v._hash is not None) == (rationals_hashed or not v.is_rational()) for v in built)
         assert all(hash(v) == _value_hash(v) for v in (*built, s.x, s.y))
     assert k == len(squares) == d.total_squares
     triples = [_triples(sq) for sq in squares]
@@ -744,8 +737,8 @@ def test_all_squares_match_the_per_step_squares():
 
 
 def test_all_squares_over_the_hash_modulus_hash_on_demand():
-    # a frame whose L the hash modulus divides: only irrational edges are
-    # primed, and every rational edge's hash comes from `QNum.__hash__`
+    # a frame whose L the hash modulus divides, which has no inverse modulo
+    # it: every edge still hashes as its value
     m = sys.hash_info.modulus
     for x1, y1 in ((QNum(F(1, m)), ZERO), (QNum(F(-3, 2 * m), F(1, 5)), QNum(F(1, 3), F(-1, m)))):
         for r in (Rect(x1, x1 + ONE + SQRT2, y1, y1 + ONE), Rect(y1, y1 + ONE, x1, x1 + 3 * SQRT2)):
@@ -753,8 +746,8 @@ def test_all_squares_over_the_hash_modulus_hash_on_demand():
             hand = _by_hand(d)
             assert d.frame[2] % m == 0 and hand.frame[2] % m == 0
             assert max(d.counts) > 1 and {s.along_x for s in d.steps} == {True, False}
-            expected = _assert_all_squares_match_the_steps(d, rationals_hashed=False)
-            assert _assert_all_squares_match_the_steps(hand, rationals_hashed=False) == expected
+            expected = _assert_all_squares_match_the_steps(d)
+            assert _assert_all_squares_match_the_steps(hand) == expected
 
 
 FIELD_OPS = (

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib
 import inspect
 import json
 import math
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import rectadd
 from rectadd import command_decompose, command_dyadic_approx, harness, numeric
 from rectadd.cli import COMMANDS, build_parser, main
 from rectadd.geometry import DyadicSquare, Rect, parse_rect
@@ -24,7 +26,9 @@ from rectadd.harness import (
     cmd_dyadic_approx,
     cmd_probe,
     cmd_proptest,
+    Finding,
     MAX_TILES,
+    Report,
     inner_cover_sum,
     report_to_dict,
     shrink_bound,
@@ -779,6 +783,42 @@ def test_command_table_flags_are_the_function_keywords():
         params = inspect.signature(getattr(harness, COMMANDS[name][0])).parameters
         dests = {a.dest for a in p._actions} - {"help", "json"}
         assert dests == set(params), name
+
+
+def _command_module(name: str):
+    return importlib.import_module("rectadd.command_" + name.replace("-", "_"))
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_each_command_function_is_defined_by_its_own_module(name):
+    # the table's `cmd_<x>` is defined by `rectadd.command_<x>`, and
+    # `harness` and the package hold that same object
+    function = COMMANDS[name][0]
+    module = _command_module(name)
+    assert function == "cmd_" + module.__name__.removeprefix("rectadd.command_")
+    fn = vars(module)[function]
+    assert fn.__module__ == module.__name__
+    assert getattr(harness, function) is fn and getattr(rectadd, function) is fn
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_main_calls_what_the_command_module_holds_at_call_time(monkeypatch, capsys, name):
+    # a wrapper set on the command's module, as perfbench's layer spans set
+    # one, also sees CLI calls
+    calls = []
+
+    def fake(**kwargs):
+        calls.append(kwargs)
+        return Report(name, kwargs, (Finding("fake", VIOLATED),))
+
+    monkeypatch.setattr(_command_module(name), COMMANDS[name][0], fake)
+    argv = [name]
+    for flag, options in COMMANDS[name][2]:
+        if options.get("required"):
+            argv += [flag, options.get("choices", ("x",))[0]]
+    assert main(argv) == 1
+    assert calls == [{flag[2:].replace("-", "_"): value for flag, value in zip(argv[1::2], argv[2::2])}]
+    assert capsys.readouterr().out == "[violated] fake\n"
 
 
 @pytest.mark.parametrize(

@@ -102,7 +102,7 @@ def test_only_numeric_knows_the_hash_encoding():
 
 
 # the one builder of squares: only it, and numeric's definition, name the
-# list constructor that builds and hashes every edge
+# list constructor that builds every edge
 EDGE_BUILDER = "_from_numerator_lists"
 
 

@@ -264,9 +264,8 @@ def _value_hash(q):
 
 
 def test_numerator_lists_build_normalised_hashed_values():
-    # the list form of `from_numerators`: the same triples, each hashed as
-    # `__hash__` would hash it, a rational from the one inverse of L it
-    # takes
+    # the list form of `from_numerators`: the same triples, each hashing as
+    # its value
     m = numeric._HASH_MODULUS
     rng = random.Random(439)
     for L in (1, 2, 12, 97 * 64, 3**40, m + 2, 2 * m + 1):
@@ -283,12 +282,10 @@ def test_numerator_lists_build_normalised_hashed_values():
         assert [(q._A, q._B, q._D) for q in built] == [
             (q._A, q._B, q._D) for q in (from_numerators(a, b, L) for a, b in zip(As, Bs))
         ]
-        assert [q._hash for q in built] == [_value_hash(q) for q in built]
+        assert [hash(q) for q in built] == [_value_hash(q) for q in built]
         assert hash(built[-5]) == hash(-1) == -2
-    # no inverse exists when the modulus divides L: a rational's hash is
-    # left to `__hash__`, and the others, which need none, are primed
+    # L the modulus divides, which has no inverse modulo it
     L = 6 * m
     built = numeric._from_numerator_lists([1, -7, 12], [0, 5, -6], L)
-    assert [q._hash for q in built] == [None, *map(_value_hash, built[1:])]
     assert built == [from_numerators(1, 0, L), from_numerators(-7, 5, L), from_numerators(12, -6, L)]
     assert [hash(q) for q in built] == [_value_hash(q) for q in built]

@@ -267,18 +267,15 @@ def test_rational_values_hash_and_compare_like_fractions():
 
 
 def _hash_contract(v: QNum, want: QNum) -> None:
-    """v equals want and hashes alike; a hash v came primed with is the one
-    `__hash__` computes; a rational hashes like its Fraction, any other
-    value like its reduced triple (A, B, D), derived from the Fraction parts.
+    """v equals want and hashes alike; a rational hashes like its Fraction,
+    any other value like its reduced triple (A, B, D), derived from the
+    Fraction parts.
 
     The iteration order of a set of field values follows these hashes;
     seeded draws do not (suites._rect_corner_points keeps the order of first
     appearance), but the hash is still a documented contract."""
-    primed = v._hash
-    v._hash = None
     h = hash(v)
     assert v == want and h == hash(want), (v, want)
-    assert primed in (None, h), v
     if v.is_rational():
         assert h == hash(v.a), v
     else:
@@ -301,11 +298,8 @@ def test_hash_contract_across_constructors():
         A, B, D = integer_triple(q)
         k = rng.randint(2, 9)
         # over D*k, which the modulus divides only when it divides D, and
-        # over D*m: each value comes primed, but a rational over a multiple
-        # of the modulus
+        # over D*m, a multiple of the modulus
         listed = _from_numerator_lists([A * k], [B * k], D * k) + _from_numerator_lists([A * m], [B * m], D * m)
-        irrational = not q.is_rational()
-        assert [v._hash is not None for v in listed] == [irrational or D % m != 0, irrational], q
         built = [QNum(q.a, q.b), parse_qnum(q.literal()), from_numerators(A * k, B * k, D * k), (q + x) * x / x - x]
         for v in built + listed:
             _hash_contract(v, q)

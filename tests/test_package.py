@@ -1,5 +1,5 @@
-"""The package's exports and `harness`'s, which each imports on first use:
-each is the object its module defines, and `rectadd.decompose` is the
+"""The package's exports, which it imports on first use, and `harness`'s
+re-exports: each is the object its module defines, and `rectadd.decompose` is the
 function whichever import of the submodule `rectadd.decompose` came first.
 Each check runs in a fresh interpreter, because a module that the test
 process has already imported hides what an import order does."""

@@ -9,6 +9,7 @@ packed squares, their telescoping sums and the square count of their SVGs.
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,26 @@ def test_traced_entry_points_resolve():
                 assert attr in vars(getattr(module, cls_name)), f"{layer}.{name}"
             else:
                 assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_a_tracer_entered_after_importing_harness_wraps_the_command_modules(tmp_path):
+    # in a fresh interpreter that has imported `harness` and run nothing, a
+    # traced `cmd_decompose` with an SVG opens two `harness` spans: the
+    # command's and that of the SVG writer its module calls
+    code = (
+        "import importlib.util, rectadd.harness as harness\n"
+        f"spec = importlib.util.spec_from_file_location('perfbench_spans', {str(ROOT / 'perfbench' / 'spans.py')!r})\n"
+        "spans = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(spans)\n"
+        "with spans.Tracer() as tracer:\n"
+        "    tracer.active = True\n"
+        f"    harness.cmd_decompose(rect='[0,8]x[0,5]', svg_path={str(tmp_path / 'd.svg')!r})\n"
+        "print(tracer.spans('harness'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2"]
 
 
 @pytest.mark.parametrize("workload", ["reports", "wide_strip", "telescope_mix"])

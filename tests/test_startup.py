@@ -2,13 +2,14 @@
 
 A launch pays for every module it imports, and without a bytecode cache it
 compiles each one, so the CLI imports no module that only some commands
-use: the parser is built before any layer is imported, `harness` is
-imported once the arguments parse and loads the one command module that
-runs, `suites` is loaded only by `proptest` and `decompose` only by the
-commands and suites that decompose, `json` and `datetime` when a report is
-written, and the records are namedtuples, so `dataclasses` (and the
-`inspect` it pulls in) is never loaded.  These tests assert the module set
-of a fresh process and the source lines it loaded, not a wall time.
+use: the parser is built before any layer is imported, the one command
+module that runs is imported once the arguments parse (`harness`, which
+loads every command module, never is), `suites` is loaded only by
+`proptest` and `decompose` only by the commands and suites that
+decompose, `json` and `datetime` when a report is written, and the records
+are namedtuples, so `dataclasses` (and the `inspect` it pulls in) is never
+loaded.  These tests assert the module set of a fresh process and the
+source lines it loaded, not a wall time.
 """
 
 import ast
@@ -22,7 +23,7 @@ import pytest
 from rectadd.cli import COMMANDS, SUITE_NAMES
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-# the module of each command, below `harness` and above the report model
+# the module of each command, above the report model
 COMMAND_MODULES = {name: "command_" + name.replace("-", "_") for name in COMMANDS}
 LAYERS = ("numeric", "geometry", "rectfn", "decompose", "suites", "report", *COMMAND_MODULES.values(), "harness")
 NOT_AT_STARTUP = ("dataclasses", "inspect", "json", "datetime", "fractions", *(f"rectadd.{m}" for m in LAYERS))
@@ -90,18 +91,18 @@ CASES = [
 # the launch time by less than its noise.  A ceiling allows SLACK lines more
 # than the figure, fewer than the smallest module a launch could wrongly load.
 LINES = {
-    "counterexample": 1570,
-    "decompose": 2035,
-    "dyadic-approx": 1545,
-    "probe": 1615,
-    "proptest-additivity": 1716,
-    "proptest-field": 1716,
-    "proptest-halving": 2089,
-    "proptest-oracle": 2089,
-    "proptest-telescope": 2089,
-    "proptest-tiling": 2089,
-    "proptest-no-cases": 397,
-    "refused": 228,
+    "counterexample": 1497,
+    "decompose": 1992,
+    "dyadic-approx": 1472,
+    "probe": 1542,
+    "proptest-additivity": 1645,
+    "proptest-field": 1645,
+    "proptest-halving": 2034,
+    "proptest-oracle": 2034,
+    "proptest-telescope": 2034,
+    "proptest-tiling": 2034,
+    "proptest-no-cases": 353,
+    "refused": 227,
 }
 SLACK = 30
 
@@ -124,7 +125,7 @@ def test_a_launch_loads_only_the_layers_its_command_runs(case, argv, status, com
     assert proc.returncode == status, proc.stderr
     files = ast.literal_eval(proc.stdout.splitlines()[-1])
     loaded = {m.partition(".")[2] for m in files} - {""}
-    runs = ("harness", "report", COMMAND_MODULES[command]) if command else ()
+    runs = ("report", COMMAND_MODULES[command]) if command else ()
     assert sorted(loaded) == sorted(("cli", *runs, *below))
     others = {COMMAND_MODULES[name] for name in COMMANDS if name != command}
     assert loaded & others == set()
